@@ -1,16 +1,20 @@
 """Memory sculpting in isolation: task importance, its running mean, the
-sensitivity-modulated regularization weight, and the unlearning loss."""
+sensitivity-modulated regularization weight, the unlearning loss, and the
+training objective backward() assembles from them."""
 
 import numpy as np
 
 from pecl import (
     AdapterSnapshot,
     ImportanceState,
+    LossSpec,
     SculptConfig,
+    backward,
     dynamic_lambda,
+    init_adapter,
+    init_lm,
     reg_loss,
     task_importance,
-    total_loss,
     unlearn_loss,
     update_running_importance,
 )
@@ -52,7 +56,20 @@ for theta in (0.5, 0.6, 0.9):
     print(f"theta={theta:.1f}: {flagged} flagged tokens -> L_unlearn = {value:.4f}")
 
 print("\n== total objective ==")
-print(f"L_total(1.0, 0.5, 0.1, lambda=1) = {total_loss(1.0, 0.5, 0.1, 1.0)}")
+print("backward() assembles J = L_task + L_reg + sign * lambda_unlearn * L_unlearn;")
+print("the default 'suppress' mode uses sign = -1, 'additive' uses +1.")
+model = init_lm((6, 4, 3, 5), seed=0)
+adapter = init_adapter(model, rank=2, seed=0, task_id=2)
+adapter.b[:] = rng.normal(scale=0.1, size=adapter.b.shape)
+batch = [[1, 4, 2, 5], [3, 2, 1]]
+batch_scores = [np.array([0.0, 0.9, 0.3, 0.8]), np.array([0.0, 0.7, 0.2])]
+reference = rng.normal(scale=0.1, size=(model.d_hidden, model.d_in))
+for sign, mode in ((-1.0, "suppress"), (1.0, "additive")):
+    spec = LossSpec(scores=batch_scores, theta=0.6, lambda_unlearn=1.0, unlearn_sign=sign,
+                    reg_weight=2.0, reg_reference=reference)
+    g = backward(model, adapter, batch, spec)
+    print(f"{mode:8s}: L_task={g.l_task:.4f} L_reg={g.l_reg:.4f} "
+          f"L_unlearn={g.l_unlearn:.4f} -> objective={g.objective:.4f}")
 print("During training the unlearning term steers flagged tokens away from")
 print("reinforcement (their gradient share is down-weighted, and reversed once")
 print("lambda_unlearn * (score - theta) exceeds 1).")

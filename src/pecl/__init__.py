@@ -22,6 +22,7 @@ from .privacy import (
     compose_sequence,
     noise_sigma,
     perturb_embedding,
+    perturb_embeddings,
 )
 from .sculpt import (
     AdapterSnapshot,
@@ -31,7 +32,6 @@ from .sculpt import (
     mean_task_sensitivity,
     reg_loss,
     task_importance,
-    total_loss,
     unlearn_loss,
     update_running_importance,
 )

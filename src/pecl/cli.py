@@ -100,29 +100,39 @@ def _resolve_corpora(config: RunConfig):
 
 
 class _Outputs:
-    """Track created files so a failed command leaves nothing behind."""
+    """Context for a command's writes.
 
-    def __init__(self):
+    On failure it removes the tracked files, and it turns an OSError into a
+    DataError that names the output path.
+    """
+
+    def __init__(self, out: Path):
+        self.out = Path(out)
         self.paths: list[Path] = []
 
-    def extend(self, paths) -> None:
-        self.paths.extend(paths)
+    def __enter__(self) -> "_Outputs":
+        return self
 
-    def discard(self) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is None:
+            return
         for p in self.paths:
             try:
                 Path(p).unlink(missing_ok=True)
             except OSError:
                 pass
+        if isinstance(exc, OSError):
+            raise DataError(
+                f"cannot write output {exc.filename or self.out}: {exc.strerror or exc}"
+            ) from exc
 
 
 def _cmd_run(args) -> int:
     config = _load_run_config(args)
     corpora = _resolve_corpora(config)
-    outputs = _Outputs()
-    try:
+    with _Outputs(args.out) as outputs:
         result = run_continual(config, corpora)
-        outputs.extend(write_run_bundle(args.out, result, config))
+        outputs.paths.extend(write_run_bundle(args.out, result, config))
         if args.self_check:
             for name in check_bundle(args.out):
                 print(f"schema ok: {name}")
@@ -130,9 +140,6 @@ def _cmd_run(args) -> int:
         print(f"bwt={summary['bwt']!r} last={summary['last']!r} avg={summary['avg']!r}")
         print(f"ledger records: {len(result.ledger)}")
         return 0
-    except BaseException:
-        outputs.discard()
-        raise
 
 
 def _cmd_audit(args) -> int:
@@ -163,18 +170,13 @@ def _cmd_audit(args) -> int:
                         "stopword": bool(profile.is_stopword[pos]),
                     }
                 )
-    outputs = _Outputs()
-    try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "audit.csv"
-        outputs.extend([path])
+    with _Outputs(args.out) as outputs:
+        args.out.mkdir(parents=True, exist_ok=True)
+        path = args.out / "audit.csv"
+        outputs.paths.append(path)
         write_audit_csv(path, rows)
         print(f"wrote {path} ({len(rows)} token rows)")
         return 0
-    except BaseException:
-        outputs.discard()
-        raise
 
 
 def _cmd_compose(args) -> int:
@@ -202,12 +204,10 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--sweep-values is empty")
 
     base = config_to_dict(config)
-    outputs = _Outputs()
-    try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "sweep.csv"
-        outputs.extend([path])
+    with _Outputs(args.out) as outputs:
+        args.out.mkdir(parents=True, exist_ok=True)
+        path = args.out / "sweep.csv"
+        outputs.paths.append(path)
         lines = ["param,value,bwt,last,avg"]
         for value in values:
             point = dict(base)
@@ -222,9 +222,6 @@ def _cmd_sweep(args) -> int:
             print(lines[-1])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0
-    except BaseException:
-        outputs.discard()
-        raise
 
 
 _COMMANDS = {

@@ -28,6 +28,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -83,10 +84,9 @@ def clip(e: np.ndarray, c: float) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if not np.isfinite(e).all():
         raise NumericError("cannot clip a non-finite vector")
-    if e.ndim == 1:
-        norm = float(np.linalg.norm(e))
-        return e if norm <= c else e * (c / norm)
-    norms = np.linalg.norm(e, axis=-1, keepdims=True)
+    # Row-wise dot products: the same BLAS dot as np.linalg.norm of a single
+    # vector, so clipping a batch of rows matches clipping each row alone.
+    norms = np.sqrt(np.matmul(e[..., None, :], e[..., :, None])[..., 0])
     scale = np.where(norms > c, c / np.maximum(norms, 1e-300), 1.0)
     return e * scale
 
@@ -149,9 +149,6 @@ class PrivacyLedger:
     def epsilons(self) -> np.ndarray:
         return np.array([r.epsilon for r in self.records])
 
-    def snapshot(self) -> list[LedgerRecord]:
-        return list(self.records)
-
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -189,6 +186,49 @@ class PrivacyLedger:
         return ledger
 
 
+def perturb_embeddings(
+    e: np.ndarray,
+    score: np.ndarray,
+    epsilon: np.ndarray,
+    sigma: np.ndarray,
+    config: PrivacyConfig,
+    rng: np.random.Generator,
+    *,
+    ledger: PrivacyLedger | None = None,
+    sequence_ids: Sequence[str] = (),
+    positions: Sequence[int] = (),
+    epoch: int = 0,
+) -> np.ndarray:
+    """Apply the clipped Gaussian mechanism to k embedding rows at once.
+
+    Row i is an exposure iff ``score[i] > 0``: it is clipped to
+    ``config.clip_norm``, gets independent N(0, sigma[i]^2) noise per
+    coordinate, and appends one ledger record keyed by ``sequence_ids[i]``,
+    ``positions[i]`` and ``epoch``, in row order.  Other rows are returned
+    unchanged.  All noise comes from one ``rng.normal`` call, which draws the
+    same numbers, and leaves ``rng`` in the same state, as one call per
+    exposure in row order.
+    """
+    e = np.asarray(e, dtype=float)
+    hit = np.asarray(score) > 0.0
+    eps = np.asarray(epsilon, dtype=float)[hit]
+    sig = np.asarray(sigma, dtype=float)[hit]
+    if not (np.isfinite(eps).all() and np.isfinite(sig).all()):
+        raise ValueError("a token with positive score has no epsilon/sigma assigned")
+    out = e.copy()
+    out[hit] = clip(e[hit], config.clip_norm) + rng.normal(
+        0.0, sig[:, None], size=(sig.size, e.shape[1])
+    )
+    if ledger is not None:
+        keys = zip(np.asarray(sequence_ids, dtype=object)[hit].tolist(),
+                   np.asarray(positions)[hit].tolist())
+        ledger.records.extend(
+            LedgerRecord(seq_id, pos, epoch, eps_i, sig_i, config.delta)
+            for (seq_id, pos), eps_i, sig_i in zip(keys, eps.tolist(), sig.tolist())
+        )
+    return out
+
+
 def perturb_embedding(
     e: np.ndarray,
     entry: ProfileEntry,
@@ -203,28 +243,15 @@ def perturb_embedding(
     """Apply the clipped Gaussian mechanism to one embedding exposure.
 
     Zero-score tokens pass through bit-identical and leave no ledger record.
-    Otherwise the vector is clipped to ``config.clip_norm``, independent
-    N(0, sigma^2) noise is added per coordinate, and one record is appended.
+    Otherwise this is the one-row case of ``perturb_embeddings``.
     """
     if entry.score == 0.0:
         return e
-    if not (math.isfinite(entry.epsilon) and math.isfinite(entry.sigma)):
-        raise ValueError(
-            f"token with positive score {entry.score} has no epsilon/sigma assigned"
-        )
-    noised = clip(e, config.clip_norm) + rng.normal(0.0, entry.sigma, size=e.shape)
-    if ledger is not None:
-        ledger.append(
-            LedgerRecord(
-                sequence_id=str(sequence_id),
-                position=position,
-                epoch=epoch,
-                epsilon=entry.epsilon,
-                sigma=entry.sigma,
-                delta=config.delta,
-            )
-        )
-    return noised
+    return perturb_embeddings(
+        np.asarray(e, dtype=float)[None], [entry.score], [entry.epsilon], [entry.sigma],
+        config, rng, ledger=ledger, sequence_ids=[str(sequence_id)], positions=[position],
+        epoch=epoch,
+    )[0]
 
 
 def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, float]:

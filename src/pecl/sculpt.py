@@ -1,5 +1,5 @@
 """Privacy-guided memory sculpting: importance tracking, drift regularization,
-sensitivity-thresholded unlearning, and total-loss assembly.
+and sensitivity-thresholded unlearning.
 
 Per completed task k the importance is Omega_k = ||delta_W||_F * ||x||_2 and
 its running mean Omega_bar modulates the next task's drift penalty
@@ -61,11 +61,17 @@ class ImportanceState:
     activation_norm_accum: float = 0.0
     activation_count: int = 0
 
-    def observe_activation(self, x_norm: float) -> None:
-        if x_norm < 0:
+    def observe_activation(self, x_norm) -> None:
+        """Fold one activation norm, or an array of them, into the running mean."""
+        x = np.asarray(x_norm, dtype=float)
+        if (x < 0).any():
             raise ValueError("activation norm must be non-negative")
-        self.activation_count += 1
-        self.activation_norm_accum += (x_norm - self.activation_norm_accum) / self.activation_count
+        if x.size == 0:
+            return
+        self.activation_count += x.size
+        self.activation_norm_accum += (
+            float(x.sum()) - x.size * self.activation_norm_accum
+        ) / self.activation_count
 
     def reset_activations(self) -> None:
         self.activation_norm_accum = 0.0
@@ -139,10 +145,3 @@ def unlearn_loss(scores, losses, theta: float) -> float:
     flagged = s > theta
     return float(np.where(flagged, (s - theta) * ell, 0.0).sum() / s.size)
 
-
-def total_loss(l_task: float, l_reg: float, l_unlearn: float, lambda_unlearn: float) -> float:
-    """L_task + L_reg + lambda_unlearn * L_unlearn."""
-    value = l_task + l_reg + lambda_unlearn * l_unlearn
-    if not math.isfinite(value):
-        raise NumericError("non-finite loss component")
-    return value

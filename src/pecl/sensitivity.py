@@ -65,13 +65,6 @@ class SensitivityProfile:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def entry(self, pos: int) -> ProfileEntry:
-        return ProfileEntry(
-            score=float(self.score[pos]),
-            epsilon=float(self.epsilon[pos]),
-            sigma=float(self.sigma[pos]),
-        )
-
 
 def surprisal_score(
     model: TinyLM, adapter: LoraAdapter | None, seq, i: int

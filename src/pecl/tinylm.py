@@ -139,113 +139,10 @@ def init_adapter(model: TinyLM, rank: int, seed: int, task_id: int) -> LoraAdapt
     return LoraAdapter(a=a, b=b, rank=rank, task_id=task_id)
 
 
-def _sequence_ids(seq) -> list[int]:
-    return list(seq.tokens) if hasattr(seq, "tokens") else list(seq)
-
-
 def _effective_hidden(model: TinyLM, adapter: LoraAdapter | None) -> np.ndarray:
     if adapter is None:
         return model.w_hidden
     return model.w_hidden + lora_delta(adapter)
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _context_x(
-    model: TinyLM,
-    ids: list[int],
-    start: int,
-    end: int,
-    noisy: np.ndarray | None,
-) -> tuple[np.ndarray, list[int]]:
-    """Concatenated input for the window ids[start:end], left-padded to n_ctx.
-
-    Returns the input vector and, per slot, the embedding row it was read
-    from (PAD_ID for padding, -1 when the slot came from ``noisy``).
-    """
-    window = ids[start:end]
-    n_pad = model.n_ctx - len(window)
-    rows = []
-    sources = []
-    for _ in range(n_pad):
-        rows.append(model.embed[PAD_ID])
-        sources.append(PAD_ID)
-    for offset, tok in enumerate(window):
-        pos = start + offset
-        if noisy is not None:
-            rows.append(noisy[pos])
-            sources.append(-1)
-        else:
-            rows.append(model.embed[tok])
-            sources.append(tok)
-    return np.concatenate(rows), sources
-
-
-def _check_ids(model: TinyLM, ids: Sequence[int]) -> None:
-    for tok in ids:
-        if not 0 <= tok < model.vocab:
-            raise ValueError(f"token id {tok} out of vocab range [0, {model.vocab})")
-
-
-def forward(
-    model: TinyLM,
-    adapter: LoraAdapter | None,
-    context: Sequence[int],
-    noisy_embeddings: np.ndarray | None = None,
-) -> np.ndarray:
-    """Predictive distribution over the vocabulary given a context.
-
-    The context must not exceed ``n_ctx`` tokens and is left-padded with PAD.
-    When ``noisy_embeddings`` is given (one row per context position) those
-    vectors replace the embedding lookup.
-    """
-    ids = list(context)
-    _check_ids(model, ids)
-    if len(ids) > model.n_ctx:
-        raise ValueError(f"context length {len(ids)} exceeds n_ctx={model.n_ctx}")
-    if noisy_embeddings is not None:
-        noisy_embeddings = np.asarray(noisy_embeddings, dtype=float)
-        if noisy_embeddings.shape != (len(ids), model.d_emb):
-            raise ValueError(
-                f"noisy embeddings must have shape ({len(ids)}, {model.d_emb}), "
-                f"got {noisy_embeddings.shape}"
-            )
-    x, _ = _context_x(model, ids, 0, len(ids), noisy_embeddings)
-    w_eff = _effective_hidden(model, adapter)
-    h = np.tanh(w_eff @ x + model.b_hidden)
-    logits = model.w_out @ h + model.b_out
-    return _softmax_rows(logits)
-
-
-def _position_batch(
-    model: TinyLM,
-    adapter: LoraAdapter | None,
-    ids: list[int],
-    noisy: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[list[int]]]:
-    """Forward every predicted position of one sequence in a single batch.
-
-    Returns (X, H, P, losses, slot_sources) where row j corresponds to
-    predicting ids[j+1] from its preceding window.
-    """
-    n = len(ids)
-    n_pred = n - 1
-    X = np.empty((n_pred, model.d_in))
-    slot_sources: list[list[int]] = []
-    for j in range(1, n):
-        start = max(0, j - model.n_ctx)
-        X[j - 1], sources = _context_x(model, ids, start, j, noisy)
-        slot_sources.append(sources)
-    w_eff = _effective_hidden(model, adapter)
-    H = np.tanh(X @ w_eff.T + model.b_hidden)
-    P = _softmax_rows(H @ model.w_out.T + model.b_out)
-    targets = np.asarray(ids[1:])
-    losses = -np.log(P[np.arange(n_pred), targets])
-    return X, H, P, losses, slot_sources
 
 
 def _validate_noisy(model: TinyLM, n: int, noisy: np.ndarray | None) -> np.ndarray | None:
@@ -256,7 +153,161 @@ def _validate_noisy(model: TinyLM, n: int, noisy: np.ndarray | None) -> np.ndarr
         raise ValueError(
             f"per-position embeddings must be ({n} or {n - 1}) x {model.d_emb}, got {noisy.shape}"
         )
-    return noisy
+    return noisy[: n - 1]
+
+
+def _pack(
+    model: TinyLM, batch: Sequence, noisy: Sequence[np.ndarray | None] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A batch as one left-PAD-padded id matrix, its lengths and its input vectors.
+
+    Row b of ``ids`` is PAD up to column ``width - n_b`` and then the n_b ids
+    of sequence b, where ``width = n_ctx - 1 + max n_b``: every sequence ends
+    in the last column, and window t, ``ids[b, t : t + n_ctx]``, predicts
+    ``ids[b, t + n_ctx]``.  ``emb[b, c]`` is the vector fed for column c: the
+    ``noisy`` row of a consumed position, else the table row (``clean``).
+    """
+    seqs = [list(seq.tokens) if hasattr(seq, "tokens") else list(seq) for seq in batch]
+    lengths = np.array([len(ids) for ids in seqs])
+    if lengths.min() < 2:
+        raise ValueError("every sequence needs at least 2 tokens to produce a loss")
+    width = model.n_ctx - 1 + int(lengths.max())
+    cols = np.arange(width)
+    filled = cols >= (width - lengths)[:, None]
+    ids = np.full((len(seqs), width), PAD_ID)
+    ids[filled] = np.concatenate(seqs)
+    bad = ids[(ids < 0) | (ids >= model.vocab)]
+    if bad.size:
+        raise ValueError(f"token id {bad[0]} out of vocab range [0, {model.vocab})")
+    emb = model.embed[ids]
+    clean = np.ones(ids.shape, dtype=bool)
+    if noisy is not None:
+        rows = [_validate_noisy(model, n, r) for n, r in zip(lengths, noisy)]
+        fed = np.array([r is not None for r in rows])[:, None]
+        clean = ~(filled & (cols < width - 1) & fed)
+        if fed.any():
+            emb[~clean] = np.concatenate([r for r in rows if r is not None])
+    return ids, lengths, emb, clean
+
+
+def _mlp(
+    model: TinyLM, adapter: LoraAdapter | None, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and next-token distributions of stacked inputs (B, T, d_in).
+
+    numpy multiplies a 3-D ``x`` one (T, d_in) slice at a time, which keeps
+    every BLAS call under OpenBLAS's multithreading cut-off; a flat
+    (B*T, d_in) product crosses it and runs several times slower at these
+    sizes.  Bias, tanh and softmax work in place, so no other batch-sized
+    temporaries stay alive.
+    """
+    h = x @ _effective_hidden(model, adapter).T
+    h += model.b_hidden
+    np.tanh(h, out=h)
+    p = h @ model.w_out.T
+    p += model.b_out
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return h, p
+
+
+def _sum_slice_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over sequences of ``a[s].T @ b[s]``, one BLAS call per sequence slice."""
+    out = a[0].T @ b[0]
+    for a_s, b_s in zip(a[1:], b[1:]):
+        out += a_s.T @ b_s
+    return out
+
+
+def label_probs(
+    model: TinyLM,
+    adapter: LoraAdapter | None,
+    batch: Sequence,
+    noisy: Sequence[np.ndarray | None] | None = None,
+) -> np.ndarray:
+    """(B, vocab) distributions for each sequence's last token.
+
+    Only the window before the last token of each sequence is gathered and
+    run; ``noisy`` is as in ``forward_batch``.
+    """
+    _, _, emb, _ = _pack(model, batch, noisy)
+    x = emb[:, -model.n_ctx - 1 : -1].reshape(len(emb), 1, model.d_in)
+    return _mlp(model, adapter, x)[1][:, 0]
+
+
+def forward(
+    model: TinyLM,
+    adapter: LoraAdapter | None,
+    context: Sequence[int],
+    noisy_embeddings: np.ndarray | None = None,
+) -> np.ndarray:
+    """Predictive distribution over the vocabulary given a context.
+
+    The context holds 1 to ``n_ctx`` tokens and is left-padded with PAD.
+    When ``noisy_embeddings`` is given (one row per context position) those
+    vectors replace the embedding lookup.
+    """
+    ids = list(context)
+    if not ids:
+        raise ValueError("context must hold at least one token")
+    if len(ids) > model.n_ctx:
+        raise ValueError(f"context length {len(ids)} exceeds n_ctx={model.n_ctx}")
+    if noisy_embeddings is not None and np.shape(noisy_embeddings) != (len(ids), model.d_emb):
+        raise ValueError(
+            f"noisy embeddings must have shape ({len(ids)}, {model.d_emb}), "
+            f"got {np.shape(noisy_embeddings)}"
+        )
+    noisy = None if noisy_embeddings is None else [noisy_embeddings]
+    return label_probs(model, adapter, [ids + [PAD_ID]], noisy)[0]
+
+
+@dataclass
+class BatchForward:
+    """One forward pass over every predicted position of a padded batch.
+
+    Arrays are (B, T, ...) with T = longest length - 1; window t of sequence b
+    is a prediction iff ``valid[b, t]`` (its last ``lengths[b] - 1`` windows).
+    ``clean[b, c]`` marks id-matrix columns read from the embedding table
+    rather than from a sequence's noisy rows.
+    """
+
+    ids: np.ndarray        # (B, n_ctx + T) left-PAD-padded token ids
+    lengths: np.ndarray    # (B,)
+    clean: np.ndarray      # (B, n_ctx + T)
+    windows: np.ndarray    # (T, n_ctx) id-matrix column of every window slot
+    x: np.ndarray          # (B, T, d_in) concatenated window inputs
+    h: np.ndarray          # (B, T, d_hidden)
+    p: np.ndarray          # (B, T, vocab)
+    losses: np.ndarray     # (B, T) -log p(target); meaningful where valid
+    valid: np.ndarray      # (B, T)
+
+    def sequence_losses(self) -> list[np.ndarray]:
+        """Per-sequence token losses, in position order."""
+        return np.split(self.losses[self.valid], np.cumsum(self.lengths - 1)[:-1])
+
+
+def forward_batch(
+    model: TinyLM,
+    adapter: LoraAdapter | None,
+    batch: Sequence,
+    noisy: Sequence[np.ndarray | None] | None = None,
+) -> BatchForward:
+    """Forward every predicted position of a batch through one window gather.
+
+    ``noisy`` holds one entry per sequence: None, or one embedding row per
+    position (the final row is never consumed and may be omitted).
+    """
+    ids, lengths, emb, clean = _pack(model, batch, noisy)
+    n_batch, width = ids.shape
+    n_windows = width - model.n_ctx
+    windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
+    x = emb[:, windows].reshape(n_batch, n_windows, model.d_in)
+    h, p = _mlp(model, adapter, x)
+    targets = ids[:, model.n_ctx :, None]
+    losses = -np.log(np.take_along_axis(p, targets, axis=-1)[..., 0])
+    valid = np.arange(n_windows) >= (n_windows + 1 - lengths)[:, None]
+    return BatchForward(ids, lengths, clean, windows, x, h, p, losses, valid)
 
 
 def token_losses(
@@ -271,12 +322,8 @@ def token_losses(
     is included.  ``noisy_embeddings`` carries one row per sequence position
     (the final row is never consumed and may be omitted).
     """
-    ids = _sequence_ids(seq)
-    if len(ids) < 2:
-        raise ValueError("sequence must have at least 2 tokens to produce a loss")
-    _check_ids(model, ids)
-    noisy = _validate_noisy(model, len(ids), noisy_embeddings)
-    _, _, _, losses, _ = _position_batch(model, adapter, ids, noisy)
+    noisy = None if noisy_embeddings is None else [noisy_embeddings]
+    losses = forward_batch(model, adapter, [seq], noisy).losses[0]
     return losses, float(losses.mean())
 
 
@@ -347,6 +394,19 @@ def _aligned_scores(scores: np.ndarray | None, n_pred: int) -> np.ndarray | None
     return s
 
 
+def _unlearn_margins(spec: LossSpec, fb: BatchForward) -> np.ndarray:
+    """(B, T) margins score - theta where a frozen score exceeds theta, else 0."""
+    margin = np.zeros(fb.valid.shape)
+    if spec.scores is None:
+        return margin
+    rows = [_aligned_scores(s, n - 1) for s, n in zip(spec.scores, fb.lengths)]
+    scored = np.array([r is not None for r in rows])
+    if scored.any():
+        s = np.concatenate([r for r in rows if r is not None])
+        margin[fb.valid & scored[:, None]] = np.where(s > spec.theta, s - spec.theta, 0.0)
+    return margin
+
+
 def backward(
     model: TinyLM,
     adapter: LoraAdapter | None,
@@ -363,66 +423,39 @@ def backward(
     if not batch:
         raise ValueError("batch must be non-empty")
     spec = loss_spec or LossSpec()
-    nbatch = len(batch)
+    fb = forward_batch(model, adapter, batch, spec.noisy)
+    if not np.isfinite(fb.losses[fb.valid]).all():
+        raise NumericError("non-finite token loss encountered")
+    n_batch, n_windows = fb.valid.shape
+    # Each sequence's positions share 1 / (B * n_pred); padding windows weigh 0.
+    scale = (n_batch * (fb.lengths - 1))[:, None]
+    losses = np.where(fb.valid, fb.losses, 0.0)
+    margin = _unlearn_margins(spec, fb)
+    l_task = float((losses.sum(axis=1) / (fb.lengths - 1)).sum() / n_batch)
+    l_unlearn = float(((margin * losses).sum(axis=1) / scale[:, 0]).sum())
 
-    d_w_eff = np.zeros_like(model.w_hidden)
-    d_b_hidden = np.zeros_like(model.b_hidden)
-    d_w_out = np.zeros_like(model.w_out)
-    d_b_out = np.zeros_like(model.b_out)
-    d_embed = np.zeros_like(model.embed) if adapter is None else None
-    w_eff = _effective_hidden(model, adapter)
+    # Per-position objective weights: task term plus the unlearning term for
+    # tokens whose frozen sensitivity score exceeds theta.
+    weights = np.where(fb.valid, 1.0 / scale, 0.0)
+    if spec.lambda_unlearn != 0.0:
+        weights = weights + spec.unlearn_sign * spec.lambda_unlearn * margin / scale
 
-    all_losses: list[np.ndarray] = []
-    l_task = 0.0
-    l_unlearn = 0.0
-    for s_idx, seq in enumerate(batch):
-        ids = _sequence_ids(seq)
-        if len(ids) < 2:
-            raise ValueError("every batch sequence needs at least 2 tokens")
-        _check_ids(model, ids)
-        noisy = None
-        if spec.noisy is not None:
-            noisy = _validate_noisy(model, len(ids), spec.noisy[s_idx])
-        X, H, P, losses, slot_sources = _position_batch(model, adapter, ids, noisy)
-        if not np.isfinite(losses).all():
-            raise NumericError("non-finite token loss encountered")
-        all_losses.append(losses)
-        n_pred = len(losses)
-        l_task += losses.mean() / nbatch
-
-        # Per-position objective weights: task term plus the unlearning term
-        # for tokens whose frozen sensitivity score exceeds theta.
-        weights = np.full(n_pred, 1.0 / (nbatch * n_pred))
-        scores = None
-        if spec.scores is not None:
-            scores = _aligned_scores(spec.scores[s_idx], n_pred)
-        if scores is not None:
-            flagged = scores > spec.theta
-            if flagged.any():
-                margin = np.where(flagged, scores - spec.theta, 0.0)
-                l_unlearn += float((margin * losses).sum()) / (n_pred * nbatch)
-                if spec.lambda_unlearn != 0.0:
-                    weights = weights + (
-                        spec.unlearn_sign * spec.lambda_unlearn * margin / (n_pred * nbatch)
-                    )
-
-        targets = np.asarray(ids[1:])
-        dU = P.copy()
-        dU[np.arange(n_pred), targets] -= 1.0
-        dU *= weights[:, None]
-        d_w_out += dU.T @ H
-        d_b_out += dU.sum(axis=0)
-        dH = dU @ model.w_out
-        dZ = dH * (1.0 - H * H)
-        d_w_eff += dZ.T @ X
-        d_b_hidden += dZ.sum(axis=0)
-        if d_embed is not None:
-            dX = dZ @ w_eff
-            for j, sources in enumerate(slot_sources):
-                dx_slots = dX[j].reshape(model.n_ctx, model.d_emb)
-                for slot, src in enumerate(sources):
-                    if src >= 0:
-                        d_embed[src] += dx_slots[slot]
+    dU = fb.p
+    dU[np.arange(n_batch)[:, None], np.arange(n_windows), fb.ids[:, model.n_ctx :]] -= 1.0
+    dU *= weights[:, :, None]
+    d_w_out = _sum_slice_products(dU, fb.h)
+    d_b_out = dU.sum(axis=1).sum(axis=0)
+    dZ = (dU @ model.w_out) * (1.0 - fb.h * fb.h)
+    d_w_eff = _sum_slice_products(dZ, fb.x)
+    d_b_hidden = dZ.sum(axis=1).sum(axis=0)
+    d_embed = None
+    if adapter is None:
+        # Scatter each window slot's input gradient to the table row it was
+        # read from, in (sequence, position, slot) order.
+        d_slots = (dZ @ model.w_hidden).reshape(n_batch, n_windows, model.n_ctx, model.d_emb)
+        read = fb.clean[:, fb.windows] & fb.valid[:, :, None]
+        d_embed = np.zeros_like(model.embed)
+        np.add.at(d_embed, fb.ids[:, fb.windows][read], d_slots[read])
 
     l_reg = 0.0
     d_a = d_b = None
@@ -449,7 +482,7 @@ def backward(
         b_out=d_b_out if adapter is None else None,
         a=d_a,
         b=d_b,
-        token_losses=all_losses,
+        token_losses=fb.sequence_losses(),
         l_task=float(l_task),
         l_reg=float(l_reg),
         l_unlearn=float(l_unlearn),
@@ -471,6 +504,9 @@ def _trainable_pairs(
             g = getattr(grads, name)
             if g is not None:
                 pairs.append((param, g))
+    for _, g in pairs:
+        if not np.isfinite(g).all():
+            raise NumericError("non-finite gradient")
     return pairs
 
 
@@ -480,11 +516,7 @@ def sgd_step(
     """In-place update p <- p - lr * g for every trainable parameter."""
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    pairs = _trainable_pairs(model, adapter, grads)
-    for _, g in pairs:
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient")
-    for p, g in pairs:
+    for p, g in _trainable_pairs(model, adapter, grads):
         p -= lr * g
 
 
@@ -517,9 +549,6 @@ class AdamW:
         lr: float,
     ) -> None:
         pairs = _trainable_pairs(model, adapter, grads)
-        for _, g in pairs:
-            if not np.isfinite(g).all():
-                raise NumericError("non-finite gradient")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t

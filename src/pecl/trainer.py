@@ -26,14 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import PAD_ID, CorpusStats, TaskCorpus, compute_corpus_stats
+from .corpus import CorpusStats, TaskCorpus, compute_corpus_stats
 from .errors import DataError, NumericError
 from .privacy import (
     PrivacyConfig,
     PrivacyLedger,
     assign_budgets,
     noise_sigma,
-    perturb_embedding,
+    perturb_embeddings,
 )
 from .seeding import spawn_rng
 from .sculpt import (
@@ -47,7 +47,7 @@ from .sculpt import (
     unlearn_loss,
     update_running_importance,
 )
-from .sensitivity import ProfileEntry, SensitivityConfig, build_profile
+from .sensitivity import SensitivityConfig, build_profile
 from .tinylm import (
     AdamW,
     LoraAdapter,
@@ -55,12 +55,12 @@ from .tinylm import (
     TinyLM,
     backward,
     cosine_lr,
-    forward,
+    forward_batch,
     init_adapter,
     init_lm,
+    label_probs,
     lora_delta,
     sgd_step,
-    token_losses,
 )
 
 MODES = ("pecl", "seqft", "uniform_dp")
@@ -223,60 +223,9 @@ def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus) -> fl
     """
     if not task.eval:
         raise DataError(f"task {task.task_id} has an empty eval set")
-    correct = 0
-    for seq in task.eval:
-        context = seq.tokens[:-1][-model.n_ctx :]
-        probs = forward(model, adapter, context)
-        if int(np.argmax(probs)) == seq.label_token:
-            correct += 1
-    return correct / len(task.eval)
-
-
-def _uniform_entries(
-    seq_tokens: list[int],
-    stopword_ids: frozenset[int],
-    eps: float,
-    sigma: float,
-) -> list[ProfileEntry]:
-    return [
-        ProfileEntry(0.0, math.nan, math.nan)
-        if tok in stopword_ids
-        else ProfileEntry(1.0, eps, sigma)
-        for tok in seq_tokens
-    ]
-
-
-def _noisy_rows(
-    model: TinyLM,
-    seq,
-    entries,
-    config: PrivacyConfig,
-    rng: np.random.Generator,
-    ledger: PrivacyLedger,
-    sequence_id: str,
-    epoch: int,
-) -> np.ndarray:
-    """Sample one noisy embedding row per consumed position (all but the last).
-
-    The final position is only ever a prediction target, so its embedding is
-    never fed to the model and is not an exposure.  ``entries`` is a
-    SensitivityProfile or an indexable of ProfileEntry.
-    """
-    get = entries.entry if hasattr(entries, "entry") else entries.__getitem__
-    n = len(seq.tokens)
-    rows = np.empty((n - 1, model.d_emb))
-    for pos in range(n - 1):
-        rows[pos] = perturb_embedding(
-            model.embed[seq.tokens[pos]],
-            get(pos),
-            config,
-            rng,
-            ledger=ledger,
-            sequence_id=sequence_id,
-            position=pos,
-            epoch=epoch,
-        )
-    return rows
+    labels = np.array([seq.label_token for seq in task.eval])
+    correct = label_probs(model, adapter, task.eval).argmax(axis=-1) == labels
+    return int(correct.sum()) / len(task.eval)
 
 
 def _batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -302,6 +251,8 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     for task in corpora:
         if not task.train:
             raise DataError(f"task {task.task_id} has no training sequences")
+        if not task.eval:
+            raise DataError(f"task {task.task_id} has an empty eval set")
         for seq in task.train + task.eval:
             if len(seq.tokens) < 2:
                 raise DataError(
@@ -362,29 +313,34 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         steps_per_epoch = math.ceil(len(task.train) / config.batch_size)
         total_steps = steps_per_epoch * config.epochs
         step = 0
+        sequence_ids = np.array([f"{task_id}:{i}" for i in range(len(task.train))], dtype=object)
         for epoch in range(config.epochs):
             perm = spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
             for batch_idx in _batches(perm, config.batch_size):
                 batch = [task.train[i] for i in batch_idx]
                 noisy = None
                 scores = None
-                if config.mode == "pecl":
-                    noisy = [
-                        _noisy_rows(model, seq, profiles[i], config.privacy, noise_rng,
-                                    ledger, f"{task_id}:{i}", epoch)
-                        for i, seq in zip(batch_idx, batch)
-                    ]
-                    scores = [profiles[i].score for i in batch_idx]
-                elif config.mode == "uniform_dp":
-                    noisy = [
-                        _noisy_rows(
-                            model, seq,
-                            _uniform_entries(seq.tokens, sens_cfg.stopword_ids,
-                                             config.uniform_eps, uniform_sigma),
-                            config.privacy, noise_rng, ledger, f"{task_id}:{i}", epoch,
+                if config.mode != "seqft":
+                    # Every position but the last is fed to the model: noise them
+                    # all with one mechanism call, in (sequence, position) order.
+                    n_fed = [len(seq.tokens) - 1 for seq in batch]
+                    ids = np.concatenate([seq.tokens[:-1] for seq in batch])
+                    if config.mode == "pecl":
+                        scores = [profiles[i].score for i in batch_idx]
+                        score, eps, sigma = (
+                            np.concatenate([getattr(profiles[i], name)[:-1] for i in batch_idx])
+                            for name in ("score", "epsilon", "sigma")
                         )
-                        for i, seq in zip(batch_idx, batch)
-                    ]
+                    else:
+                        score = (~np.isin(ids, list(sens_cfg.stopword_ids))).astype(float)
+                        eps = np.full(ids.size, config.uniform_eps)
+                        sigma = np.full(ids.size, uniform_sigma)
+                    rows = perturb_embeddings(
+                        model.embed[ids], score, eps, sigma, config.privacy, noise_rng,
+                        ledger=ledger, sequence_ids=np.repeat(sequence_ids[batch_idx], n_fed),
+                        positions=np.concatenate([np.arange(n) for n in n_fed]), epoch=epoch,
+                    )
+                    noisy = np.split(rows, np.cumsum(n_fed)[:-1])
                 spec = LossSpec(
                     noisy=noisy,
                     scores=scores,
@@ -407,15 +363,14 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                                    cosine_lr(config.lr, step, total_steps))
                 step += 1
 
-        # Task wrap-up: importance from the final delta and clean activations.
-        for seq in task.train:
-            for j in range(1, len(seq.tokens)):
-                window = seq.tokens[max(0, j - model.n_ctx) : j]
-                x = np.concatenate(
-                    [model.embed[PAD_ID]] * (model.n_ctx - len(window))
-                    + [model.embed[t] for t in window]
-                )
-                state.observe_activation(float(np.linalg.norm(x)))
+        # Task wrap-up: importance from the final delta and clean activations,
+        # one forward pass per batch_size chunk of the training set.
+        train_losses: list[np.ndarray] = []
+        for chunk in _batches(np.arange(len(task.train)), config.batch_size):
+            fb = forward_batch(model, adapter, [task.train[i] for i in chunk])
+            state.observe_activation(np.linalg.norm(fb.x, axis=-1)[fb.valid])
+            train_losses += fb.sequence_losses()
+            del fb  # free this chunk's arrays before the next pass allocates its own
         delta_final = lora_delta(adapter)
         omega_k = task_importance(delta_final, state.activation_norm_accum)
         final_l_reg = reg_loss(delta_final, snapshot,
@@ -423,11 +378,10 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                                state.omega_bar) if k >= 2 and config.mode == "pecl" else 0.0
         final_l_unlearn = None
         if config.mode == "pecl":
-            per_seq = []
-            for seq, prof in zip(task.train, profiles):
-                losses, _ = token_losses(model, adapter, seq)
-                per_seq.append(unlearn_loss(prof.score[1:], losses, config.sculpt.theta))
-            final_l_unlearn = float(np.mean(per_seq))
+            final_l_unlearn = float(np.mean([
+                unlearn_loss(prof.score[1:], losses, config.sculpt.theta)
+                for prof, losses in zip(profiles, train_losses)
+            ]))
         state = update_running_importance(state, omega_k)
         snapshot = AdapterSnapshot(task_id=task_id, delta_w=delta_final.copy())
         reports.append(

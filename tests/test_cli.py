@@ -211,3 +211,24 @@ def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     capsys.readouterr()
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_output_under_a_file_is_a_data_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(out) in err
+    assert "Traceback" not in err
+
+
+def test_audit_output_under_a_file_is_a_data_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker / "audit"
+    assert main(["audit", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(out) in err

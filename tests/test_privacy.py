@@ -14,6 +14,7 @@ from pecl.privacy import (
     compose_sequence,
     noise_sigma,
     perturb_embedding,
+    perturb_embeddings,
 )
 from pecl.sensitivity import ProfileEntry
 
@@ -236,3 +237,34 @@ def test_ledger_csv_rejects_bad_header(tmp_path):
     path.write_text("foo,bar\n1,2\n", encoding="utf-8")
     with pytest.raises(DataError, match="header"):
         PrivacyLedger.from_csv(path, delta=1e-6)
+
+
+def test_batched_mechanism_matches_successive_single_row_calls():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(scale=2.0, size=(7, 5))
+    score = np.array([0.0, 0.4, 0.9, 0.0, 0.0, 0.2, 0.7])
+    epsilon = allocate_budget(score, CFG)
+    sigma = noise_sigma(epsilon, CFG.delta, CFG.clip_norm)
+    epsilon[score == 0] = sigma[score == 0] = math.nan  # unassigned, as in a profile
+    sequence_ids = ["1:0"] * 3 + ["1:4"] * 4
+    positions = [0, 1, 2, 0, 1, 2, 3]
+
+    one_ledger, one_rng = PrivacyLedger(), np.random.default_rng(11)
+    one_by_one = np.stack([
+        perturb_embedding(rows[i], ProfileEntry(score[i], epsilon[i], sigma[i]), CFG, one_rng,
+                          ledger=one_ledger, sequence_id=sequence_ids[i],
+                          position=positions[i], epoch=2)
+        for i in range(len(rows))
+    ])
+    batch_ledger, batch_rng = PrivacyLedger(), np.random.default_rng(11)
+    batched = perturb_embeddings(rows, score, epsilon, sigma, CFG, batch_rng,
+                                 ledger=batch_ledger, sequence_ids=sequence_ids,
+                                 positions=positions, epoch=2)
+
+    np.testing.assert_array_equal(batched, one_by_one)
+    np.testing.assert_array_equal(batched[score == 0], rows[score == 0])
+    assert batch_ledger.records == one_ledger.records
+    assert [(r.sequence_id, r.position) for r in batch_ledger.records] == [
+        ("1:0", 1), ("1:0", 2), ("1:4", 2), ("1:4", 3),
+    ]
+    assert batch_rng.bit_generator.state == one_rng.bit_generator.state

@@ -13,7 +13,6 @@ from pecl.sculpt import (
     mean_task_sensitivity,
     reg_loss,
     task_importance,
-    total_loss,
     unlearn_loss,
     update_running_importance,
 )
@@ -92,6 +91,21 @@ def test_importance_state_activation_running_mean():
     assert state.activation_norm_accum == pytest.approx(3.0, rel=1e-12)
     state.reset_activations()
     assert state.activation_norm_accum == 0.0 and state.activation_count == 0
+
+
+def test_importance_state_folds_arrays_like_single_values():
+    values = np.random.default_rng(4).uniform(0.5, 3.0, size=40)
+    one_by_one, chunked = ImportanceState(), ImportanceState()
+    for v in values:
+        one_by_one.observe_activation(float(v))
+    for chunk in np.split(values, [7, 8, 25]):
+        chunked.observe_activation(chunk)
+    chunked.observe_activation(np.array([]))
+    assert chunked.activation_count == one_by_one.activation_count == 40
+    assert chunked.activation_norm_accum == pytest.approx(values.mean(), rel=1e-12)
+    assert one_by_one.activation_norm_accum == pytest.approx(values.mean(), rel=1e-12)
+    with pytest.raises(ValueError):
+        chunked.observe_activation(np.array([1.0, -0.1]))
 
 
 def test_mean_task_sensitivity_examples():
@@ -206,19 +220,6 @@ def test_unlearn_loss_validation():
         unlearn_loss([0.5], [1.0, 2.0], 0.5)
     with pytest.raises(ValueError):
         unlearn_loss([], [], 0.5)
-
-
-def test_total_loss_examples():
-    assert total_loss(1.0, 0.5, 0.1, 1.0) == pytest.approx(1.6, rel=1e-12)
-    assert total_loss(1.0, 0.5, 7.0, 0.0) == pytest.approx(1.5, rel=1e-12)
-    # d(total)/d(lambda) = l_unlearn
-    l = 0.37
-    assert total_loss(1.0, 0.5, l, 2.0) - total_loss(1.0, 0.5, l, 1.0) == pytest.approx(l)
-
-
-def test_total_loss_rejects_non_finite():
-    with pytest.raises(NumericError):
-        total_loss(float("nan"), 0.0, 0.0, 1.0)
 
 
 def test_sculpt_config_validation():

@@ -134,6 +134,8 @@ def test_forward_validates_inputs():
         forward(model, None, [99])
     with pytest.raises(ValueError, match="exceeds n_ctx"):
         forward(model, None, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="at least one token"):
+        forward(model, None, [])
     with pytest.raises(ValueError, match="shape"):
         forward(model, None, [1, 2], noisy_embeddings=np.zeros((2, 3)))
 
@@ -402,3 +404,58 @@ def test_cosine_lr_endpoints():
     assert cosine_lr(0.1, 0, 10) == pytest.approx(0.1)
     assert cosine_lr(0.1, 9, 10) == pytest.approx(0.0, abs=1e-12)
     assert cosine_lr(0.1, 0, 1) == 0.1
+
+
+def test_padded_batch_equals_mean_of_single_sequence_passes():
+    model = small_model(seed=14)
+    n_ctx = model.n_ctx
+    rng = np.random.default_rng(15)
+    batch = [
+        [2, 5],
+        rng.integers(0, model.vocab, size=n_ctx).tolist(),
+        rng.integers(0, model.vocab, size=n_ctx + 3).tolist(),
+        rng.integers(0, model.vocab, size=n_ctx + 3).tolist(),
+    ]
+    noisy = [
+        rng.normal(scale=0.5, size=(2, model.d_emb)),              # n rows
+        None,
+        rng.normal(scale=0.5, size=(n_ctx + 2, model.d_emb)),      # n - 1 rows
+        None,
+    ]
+    scores = [
+        rng.uniform(0.0, 0.99, size=2),                             # n scores
+        rng.uniform(0.0, 0.99, size=n_ctx - 1),                     # n - 1 scores
+        None,
+        rng.uniform(0.0, 0.99, size=n_ctx + 3),
+    ]
+    adapter = init_adapter(model, rank=2, seed=3, task_id=1)
+    adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
+    for adp in (None, adapter):
+        def spec(idx):
+            return LossSpec(noisy=[noisy[i] for i in idx], scores=[scores[i] for i in idx],
+                            theta=0.6, lambda_unlearn=1.5, reg_weight=0.0)
+
+        together = backward(model, adp, batch, spec(range(len(batch))))
+        alone = [backward(model, adp, [seq], spec([i])) for i, seq in enumerate(batch)]
+        for name, grad in together.arrays():
+            expected = sum(getattr(g, name) for g in alone) / len(batch)
+            np.testing.assert_allclose(grad, expected, rtol=1e-12, err_msg=name)
+        for name in ("l_task", "l_unlearn", "objective"):
+            expected = sum(getattr(g, name) for g in alone) / len(batch)
+            assert getattr(together, name) == pytest.approx(expected, rel=1e-12)
+        for i, seq in enumerate(batch):
+            np.testing.assert_allclose(together.token_losses[i], alone[i].token_losses[0],
+                                       rtol=1e-12)
+            losses, _ = token_losses(model, adp, seq, noisy[i])
+            np.testing.assert_allclose(together.token_losses[i], losses, rtol=1e-12)
+
+
+def test_backward_rejects_non_finite_objective():
+    model = small_model(seed=16)
+    adapter = init_adapter(model, rank=2, seed=4, task_id=1)
+    reference = np.full((model.d_hidden, model.d_in), np.nan)
+    with pytest.raises(NumericError, match="non-finite total loss"):
+        backward(model, adapter, small_batch(), LossSpec(reg_weight=1.0, reg_reference=reference))
+    noisy = [np.full((len(seq), model.d_emb), np.nan) for seq in small_batch()]
+    with pytest.raises(NumericError, match="non-finite token loss"):
+        backward(model, adapter, small_batch(), LossSpec(noisy=noisy))

@@ -4,7 +4,7 @@ import pytest
 from pecl.corpus import TaskCorpus, TokenizedSequence
 from pecl.errors import DataError
 from pecl.synthetic import synthetic_stream
-from pecl.tinylm import init_lm
+from pecl.tinylm import forward, init_adapter, init_lm
 from pecl.trainer import (
     AccuracyMatrix,
     RunConfig,
@@ -276,3 +276,30 @@ def test_synthetic_stream_labels_are_last_tokens():
         for seq in task.train + task.eval:
             assert seq.tokens[-1] == seq.label_token
             assert seq.label_token in task.label_set
+
+
+def test_run_rejects_empty_eval_split_before_training(monkeypatch):
+    config = small_config(mode="seqft")
+    tasks = small_stream(config).tasks
+    tasks[1].eval = []
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("backward called before the inputs were validated")
+
+    monkeypatch.setattr("pecl.trainer.backward", no_training)
+    with pytest.raises(DataError, match=f"task {tasks[1].task_id} has an empty eval set"):
+        run_continual(config, tasks)
+
+
+def test_evaluate_matches_per_sequence_forward_argmax():
+    config = small_config(num_tasks=1, train_per_task=4, eval_per_task=40)
+    task = small_stream(config).tasks[0]
+    model = init_lm((len(task.vocab), 4, 3, 5), seed=7)
+    adapter = init_adapter(model, rank=2, seed=1, task_id=task.task_id)
+    adapter.b[:] = np.random.default_rng(8).normal(scale=0.5, size=adapter.b.shape)
+    hits = [
+        int(np.argmax(forward(model, adapter, seq.tokens[:-1][-model.n_ctx:]))) == seq.label_token
+        for seq in task.eval
+    ]
+    assert 0 < sum(hits) < len(hits)
+    assert evaluate(model, adapter, task) == sum(hits) / len(hits)
