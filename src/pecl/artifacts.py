@@ -105,11 +105,17 @@ def write_audit_csv(path: str | Path, rows: list[dict]) -> None:
             )
 
 
-def write_run_bundle(out_dir: str | Path, result: RunResult, config: RunConfig) -> list[Path]:
-    """Write the whole results bundle; returns the created paths."""
+def write_run_bundle(
+    out_dir: str | Path, result: RunResult, config: RunConfig, written: list[Path] | None = None
+) -> list[Path]:
+    """Write the whole results bundle; returns the created paths.
+
+    Each path is appended to ``written`` before its file is opened, so a
+    caller holding that list can remove a bundle that fails part-way.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    written = [] if written is None else written
 
     def _mark(name: str) -> Path:
         p = out / name

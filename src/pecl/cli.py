@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .artifacts import (
     check_bundle,
     read_matrix_csv,
@@ -22,10 +24,10 @@ from .config import config_from_dict, config_to_dict, parse_config
 from .corpus import compute_corpus_stats, load_corpus
 from .errors import DataError, NumericError, PeclError
 from .privacy import PrivacyLedger, assign_budgets, compose_sequence
-from .sensitivity import build_profile
+from .sensitivity import score_sequences
 from .synthetic import synthetic_stream
 from .trainer import RunConfig, metrics_summary, run_continual
-from .tinylm import init_adapter, init_lm
+from .tinylm import PackedSequences, init_adapter, init_lm
 
 
 class UsageError(PeclError):
@@ -132,7 +134,7 @@ def _cmd_run(args) -> int:
     corpora = _resolve_corpora(config)
     with _Outputs(args.out) as outputs:
         result = run_continual(config, corpora)
-        outputs.paths.extend(write_run_bundle(args.out, result, config))
+        write_run_bundle(args.out, result, config, written=outputs.paths)
         if args.self_check:
             for name in check_bundle(args.out):
                 print(f"schema ok: {name}")
@@ -151,25 +153,29 @@ def _cmd_audit(args) -> int:
     model = init_lm((len(vocab), config.d_emb, config.n_ctx, config.d_hidden), config.seed)
     adapter = init_adapter(model, config.rank, config.seed, task_id=corpora[0].task_id)
 
-    rows = []
-    for task in corpora:
-        for seq in task.train:
-            profile = assign_budgets(
-                build_profile(model, adapter, stats, seq, sens_cfg), config.privacy
-            )
-            for pos in range(len(profile)):
-                rows.append(
-                    {
-                        "position": pos + 1,
-                        "surface": vocab.surface_of(profile.tokens[pos]),
-                        "score1": float(profile.score1[pos]),
-                        "score2": float(profile.score2[pos]),
-                        "score": float(profile.score[pos]),
-                        "epsilon": float(profile.epsilon[pos]),
-                        "sigma": float(profile.sigma[pos]),
-                        "stopword": bool(profile.is_stopword[pos]),
-                    }
-                )
+    packed = PackedSequences.of(model, [seq for task in corpora for seq in task.train])
+    profile = assign_budgets(
+        score_sequences(model, adapter, stats, packed, sens_cfg, config.batch_size),
+        config.privacy,
+    )
+    positions = np.arange(len(profile)) - np.repeat(packed.starts, packed.lengths) + 1
+    rows = [
+        {
+            "position": pos,
+            "surface": vocab.surface_of(tok),
+            "score1": score1,
+            "score2": score2,
+            "score": score,
+            "epsilon": eps,
+            "sigma": sigma,
+            "stopword": stop,
+        }
+        for pos, tok, score1, score2, score, eps, sigma, stop in zip(
+            positions.tolist(), profile.tokens, profile.score1.tolist(),
+            profile.score2.tolist(), profile.score.tolist(), profile.epsilon.tolist(),
+            profile.sigma.tolist(), profile.is_stopword.tolist(),
+        )
+    ]
     with _Outputs(args.out) as outputs:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "audit.csv"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -69,7 +69,8 @@ def allocate_budget(score, config: PrivacyConfig):
     s = np.asarray(score, dtype=float)
     if (s < 0).any() or (s > 1).any():
         raise ValueError("score must lie in [0, 1]")
-    eps = config.eps_lower + (config.eps_upper - config.eps_lower) * (1.0 - s) ** 2
+    # float_power rounds a 0-d and an n-d input alike; ``** 2`` does not.
+    eps = config.eps_lower + (config.eps_upper - config.eps_lower) * np.float_power(1.0 - s, 2.0)
     return float(eps) if eps.ndim == 0 else eps
 
 
@@ -87,8 +88,7 @@ def clip(e: np.ndarray, c: float) -> np.ndarray:
     # Row-wise dot products: the same BLAS dot as np.linalg.norm of a single
     # vector, so clipping a batch of rows matches clipping each row alone.
     norms = np.sqrt(np.matmul(e[..., None, :], e[..., :, None])[..., 0])
-    scale = np.where(norms > c, c / np.maximum(norms, 1e-300), 1.0)
-    return e * scale
+    return e * (c / np.maximum(norms, c))
 
 
 def noise_sigma(epsilon, delta: float, c: float, variant: str = "appendix"):
@@ -109,18 +109,18 @@ def noise_sigma(epsilon, delta: float, c: float, variant: str = "appendix"):
 
 def assign_budgets(profile: SensitivityProfile, config: PrivacyConfig) -> SensitivityProfile:
     """Fill epsilon/sigma for every position with score > 0 (in place)."""
-    for pos, s in enumerate(profile.score):
-        if s > 0.0:
-            eps = allocate_budget(float(s), config)
-            profile.epsilon[pos] = eps
-            profile.sigma[pos] = noise_sigma(
-                eps, config.delta, config.clip_norm, config.sensitivity_variant
-            )
+    hit = profile.score > 0.0
+    eps = allocate_budget(profile.score[hit], config)
+    profile.epsilon[hit] = eps
+    profile.sigma[hit] = noise_sigma(eps, config.delta, config.clip_norm,
+                                     config.sensitivity_variant)
     return profile
 
 
 @dataclass(frozen=True)
 class LedgerRecord:
+    """One noised exposure, as a row of ``PrivacyLedger.records``."""
+
     sequence_id: str
     position: int
     epoch: int
@@ -129,32 +129,66 @@ class LedgerRecord:
     delta: float
 
 
-@dataclass
+_LEDGER_COLUMNS = ("sequence_id", "position", "epoch", "epsilon", "sigma", "delta")
+_LEDGER_DTYPES = (object, np.int64, np.int64, float, float, float)
+
+
 class PrivacyLedger:
-    """One record per noised token exposure, plus the composition slack."""
+    """Every noised token exposure, kept as columns, plus the composition slack.
 
-    delta_prime: float = 1e-6
-    records: list[LedgerRecord] = field(default_factory=list)
+    ``extend`` appends one chunk per column for a whole batch of exposures;
+    the chunks are joined when the columns are read.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta_prime < 1.0:
-            raise ValueError(f"delta_prime must be in (0, 1), got {self.delta_prime}")
+    def __init__(self, delta_prime: float = 1e-6):
+        if not 0.0 < delta_prime < 1.0:
+            raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
+        self.delta_prime = delta_prime
+        self._chunks = [tuple(np.zeros(0, dtype=dtype) for dtype in _LEDGER_DTYPES)]
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._size
+
+    def extend(self, sequence_ids, positions, epochs, epsilons, sigmas, deltas) -> None:
+        """Append exposures given column by column; a scalar fills its column."""
+        n = len(epsilons)
+        chunk = []
+        for col, dtype in zip((sequence_ids, positions, epochs, epsilons, sigmas, deltas),
+                              _LEDGER_DTYPES):
+            col = np.asarray(col, dtype=dtype)
+            chunk.append(col if col.ndim else np.full(n, col))
+        self._chunks.append(tuple(chunk))
+        self._size += n
 
     def append(self, record: LedgerRecord) -> None:
-        self.records.append(record)
+        self.extend([record.sequence_id], record.position, record.epoch, [record.epsilon],
+                    record.sigma, record.delta)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Each column as one array, in exposure order."""
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(np.concatenate(parts) for parts in zip(*self._chunks))]
+        return dict(zip(_LEDGER_COLUMNS, self._chunks[0]))
+
+    @property
+    def records(self) -> list[LedgerRecord]:
+        """The exposures as rows, built from the columns on each read."""
+        cols = self.columns()
+        return [LedgerRecord(*row) for row in zip(*(cols[name].tolist() for name in _LEDGER_COLUMNS))]
 
     def epsilons(self) -> np.ndarray:
-        return np.array([r.epsilon for r in self.records])
+        return self.columns()["epsilon"].copy()
 
     def to_csv(self, path: str | Path) -> None:
+        cols = self.columns()
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sequence_id", "position", "epoch", "epsilon", "sigma"])
-            for r in self.records:
-                writer.writerow([r.sequence_id, r.position, r.epoch, repr(r.epsilon), repr(r.sigma)])
+            writer.writerows(zip(
+                cols["sequence_id"].tolist(), cols["position"].tolist(), cols["epoch"].tolist(),
+                map(repr, cols["epsilon"].tolist()), map(repr, cols["sigma"].tolist()),
+            ))
 
     @classmethod
     def from_csv(
@@ -164,6 +198,7 @@ class PrivacyLedger:
         if not p.exists():
             raise DataError(f"ledger file not found: {p}")
         ledger = cls(delta_prime=delta_prime)
+        rows: list[tuple] = []
         with p.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             expected = {"sequence_id", "position", "epoch", "epsilon", "sigma"}
@@ -171,18 +206,12 @@ class PrivacyLedger:
                 raise DataError(f"{p}: ledger header must be {sorted(expected)}")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    ledger.append(
-                        LedgerRecord(
-                            sequence_id=row["sequence_id"],
-                            position=int(row["position"]),
-                            epoch=int(row["epoch"]),
-                            epsilon=float(row["epsilon"]),
-                            sigma=float(row["sigma"]),
-                            delta=delta,
-                        )
-                    )
+                    rows.append((row["sequence_id"], int(row["position"]), int(row["epoch"]),
+                                 float(row["epsilon"]), float(row["sigma"])))
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{p}:{lineno}: malformed ledger row: {exc}") from exc
+        if rows:
+            ledger.extend(*zip(*rows), delta)
         return ledger
 
 
@@ -205,9 +234,10 @@ def perturb_embeddings(
     ``config.clip_norm``, gets independent N(0, sigma[i]^2) noise per
     coordinate, and appends one ledger record keyed by ``sequence_ids[i]``,
     ``positions[i]`` and ``epoch``, in row order.  Other rows are returned
-    unchanged.  All noise comes from one ``rng.normal`` call, which draws the
-    same numbers, and leaves ``rng`` in the same state, as one call per
-    exposure in row order.
+    unchanged.  All noise comes from one standard-normal draw scaled by
+    sigma, which gives the same numbers, and leaves ``rng`` in the same
+    state, as one ``rng.normal(0, sigma_i, size=d)`` call per exposure in
+    row order.
     """
     e = np.asarray(e, dtype=float)
     hit = np.asarray(score) > 0.0
@@ -216,16 +246,12 @@ def perturb_embeddings(
     if not (np.isfinite(eps).all() and np.isfinite(sig).all()):
         raise ValueError("a token with positive score has no epsilon/sigma assigned")
     out = e.copy()
-    out[hit] = clip(e[hit], config.clip_norm) + rng.normal(
-        0.0, sig[:, None], size=(sig.size, e.shape[1])
+    out[hit] = clip(e[hit], config.clip_norm) + sig[:, None] * rng.standard_normal(
+        (sig.size, e.shape[1])
     )
     if ledger is not None:
-        keys = zip(np.asarray(sequence_ids, dtype=object)[hit].tolist(),
-                   np.asarray(positions)[hit].tolist())
-        ledger.records.extend(
-            LedgerRecord(seq_id, pos, epoch, eps_i, sig_i, config.delta)
-            for (seq_id, pos), eps_i, sig_i in zip(keys, eps.tolist(), sig.tolist())
-        )
+        ledger.extend(np.asarray(sequence_ids, dtype=object)[hit], np.asarray(positions)[hit],
+                      epoch, eps, sig, config.delta)
     return out
 
 
@@ -261,12 +287,12 @@ def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, 
     eps_total = sum eps_i + sqrt(2 L ln(1/delta')) * max eps_i, and
     delta_total = delta + delta'.
     """
-    if not ledger.records:
+    if not len(ledger):
         raise DataError("cannot compose an empty ledger")
     if not 0.0 < delta_prime < 1.0:
         raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
     eps = ledger.epsilons()
     length = len(eps)
     eps_total = float(eps.sum() + math.sqrt(2.0 * length * math.log(1.0 / delta_prime)) * eps.max())
-    delta = max(r.delta for r in ledger.records)
+    delta = float(ledger.columns()["delta"].max())
     return eps_total, delta + delta_prime

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusStats, Token, Vocabulary, load_stopwords
-from .tinylm import LoraAdapter, TinyLM, token_losses
+from .tinylm import LoraAdapter, PackedSequences, TinyLM, forward_batch, token_losses
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,64 @@ def fuse_scores(score1, score2, alpha: float):
     return fused
 
 
+def score_sequences(
+    model: TinyLM,
+    adapter: LoraAdapter | None,
+    stats: CorpusStats,
+    packed: PackedSequences,
+    config: SensitivityConfig,
+    batch_size: int = 32,
+) -> SensitivityProfile:
+    """Score every position of packed sequences with the model state of the moment.
+
+    Returns one profile over all their tokens end to end (split it with
+    ``split_profile``).  score1 comes from ``forward_batch`` over
+    ``batch_size`` sequences at a time, score2 from one table over the
+    distinct token ids.  Stopword positions are zeroed after fusion; budgets
+    are left unassigned (see privacy.assign_budgets).
+    """
+    tokens = packed.tokens[:-1]
+    score1 = np.zeros(tokens.size)
+    predicted = np.ones(tokens.size, dtype=bool)
+    predicted[packed.starts[packed.lengths > 0]] = False
+    scored = np.flatnonzero(packed.lengths >= 2)
+    losses = []
+    for i in range(0, scored.size, batch_size):
+        fb = forward_batch(model, adapter, packed.batch(model, scored[i : i + batch_size]))
+        losses.append(fb.losses[fb.valid])
+        del fb  # free this chunk's arrays before the next pass allocates its own
+    if losses:
+        score1[predicted] = np.concatenate(losses)
+
+    distinct, where = np.unique(tokens, return_inverse=True)
+    table = np.array([contextual_score(stats, tok, clamp=config.clamp_negative_score2)
+                      for tok in distinct.tolist()])
+    score2 = table[where]
+
+    score = np.asarray(fuse_scores(score1, score2, config.alpha))
+    is_stop = np.isin(tokens, list(config.stopword_ids))
+    score[is_stop] = 0.0
+
+    return SensitivityProfile(
+        tokens=tokens.tolist(),
+        score1=score1,
+        score2=score2,
+        score=score,
+        is_stopword=is_stop,
+        epsilon=np.full(tokens.size, np.nan),
+        sigma=np.full(tokens.size, np.nan),
+    )
+
+
+def split_profile(profile: SensitivityProfile, lengths: np.ndarray) -> list[SensitivityProfile]:
+    """Per-sequence views of a profile that covers sequences of ``lengths`` end to end."""
+    arrays = [getattr(profile, name)
+              for name in ("score1", "score2", "score", "is_stopword", "epsilon", "sigma")]
+    ends = np.cumsum(lengths).tolist()
+    return [SensitivityProfile(profile.tokens[a:b], *(arr[a:b] for arr in arrays))
+            for a, b in zip([0] + ends[:-1], ends)]
+
+
 def build_profile(
     model: TinyLM,
     adapter: LoraAdapter | None,
@@ -118,35 +176,5 @@ def build_profile(
     seq,
     config: SensitivityConfig,
 ) -> SensitivityProfile:
-    """Score every position of a sequence with the model state of the moment.
-
-    Stopword positions are zeroed after fusion; budgets are left unassigned
-    (see privacy.assign_budgets).
-    """
-    ids = list(seq.tokens) if hasattr(seq, "tokens") else list(seq)
-    n = len(ids)
-    score1 = np.zeros(n)
-    if n >= 2:
-        losses, _ = token_losses(model, adapter, ids)
-        score1[1:] = losses
-
-    s2_cache: dict[int, float] = {}
-    score2 = np.empty(n)
-    for pos, tok in enumerate(ids):
-        if tok not in s2_cache:
-            s2_cache[tok] = contextual_score(stats, tok, clamp=config.clamp_negative_score2)
-        score2[pos] = s2_cache[tok]
-
-    score = np.asarray(fuse_scores(score1, score2, config.alpha))
-    is_stop = np.array([tok in config.stopword_ids for tok in ids])
-    score[is_stop] = 0.0
-
-    return SensitivityProfile(
-        tokens=ids,
-        score1=score1,
-        score2=score2,
-        score=score,
-        is_stopword=is_stop,
-        epsilon=np.full(n, np.nan),
-        sigma=np.full(n, np.nan),
-    )
+    """Score every position of one sequence: ``score_sequences`` on a batch of one."""
+    return score_sequences(model, adapter, stats, PackedSequences.of(model, [seq]), config)

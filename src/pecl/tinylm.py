@@ -156,38 +156,140 @@ def _validate_noisy(model: TinyLM, n: int, noisy: np.ndarray | None) -> np.ndarr
     return noisy[: n - 1]
 
 
-def _pack(
-    model: TinyLM, batch: Sequence, noisy: Sequence[np.ndarray | None] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+@dataclass
+class PackedSequences:
+    """Sequences stored end to end, with their ids validated once.
+
+    ``tokens`` holds every sequence's ids back to back and then one PAD, so
+    its size follows the total token count, never sequences x longest
+    sequence.  ``cells`` lays any selection of the sequences out as a padded
+    batch by index arithmetic alone.
+    """
+
+    sequences: Sequence    # the source sequences, in order
+    tokens: np.ndarray     # (N + 1,)
+    starts: np.ndarray     # (S,) offset of each sequence in ``tokens``
+    lengths: np.ndarray    # (S,)
+
+    @classmethod
+    def of(cls, model: TinyLM, sequences: Sequence) -> "PackedSequences":
+        seqs = [seq.tokens if hasattr(seq, "tokens") else seq for seq in sequences]
+        lengths = np.array([len(ids) for ids in seqs], dtype=np.intp)
+        tokens = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in seqs] + [[PAD_ID]])
+        bad = tokens[(tokens < 0) | (tokens >= model.vocab)]
+        if bad.size:
+            raise ValueError(f"token id {bad[0]} out of vocab range [0, {model.vocab})")
+        starts = np.cumsum(lengths) - lengths
+        return cls(sequences, tokens, starts, lengths)
+
+    def cells(self, n_ctx: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each cell of the padded batch of sequences ``rows`` reads from.
+
+        Row b is PAD up to column ``width - n_b`` and then the n_b ids of
+        sequence ``rows[b]``, where ``width = n_ctx - 1 + max(n_b, 3)``: every
+        sequence ends in the last column, and there are at least two windows,
+        because numpy runs a one-row product through gemv, which rounds
+        differently from the gemm that every longer batch gets.  Returns
+        ``src``, the index into ``tokens`` (and into any array aligned with
+        it) of every cell, with padding cells pointing at the trailing PAD,
+        and ``pos``, each cell's position within its sequence (negative on
+        padding).
+        """
+        lengths = self.lengths[rows]
+        width = n_ctx - 1 + max(int(lengths.max()), 3)
+        pos = np.arange(width) - (width - lengths)[:, None]
+        src = np.where(pos >= 0, self.starts[rows][:, None] + pos, self.tokens.size - 1)
+        return src, pos
+
+    def batch(self, model: TinyLM, rows: np.ndarray) -> "PackedBatch":
+        """The sequences ``rows`` as a clean batch: every input is a table row."""
+        src, pos = self.cells(model.n_ctx, rows)
+        ids = self.tokens[src]
+        return PackedBatch([self.sequences[i] for i in rows], src, pos, ids, self.lengths[rows],
+                           model.embed[ids], np.ones(ids.shape, dtype=bool))
+
+
+@dataclass
+class PackedBatch:
     """A batch as one left-PAD-padded id matrix, its lengths and its input vectors.
 
-    Row b of ``ids`` is PAD up to column ``width - n_b`` and then the n_b ids
-    of sequence b, where ``width = n_ctx - 1 + max n_b``: every sequence ends
-    in the last column, and window t, ``ids[b, t : t + n_ctx]``, predicts
-    ``ids[b, t + n_ctx]``.  ``emb[b, c]`` is the vector fed for column c: the
-    ``noisy`` row of a consumed position, else the table row (``clean``).
+    Window t, ``ids[b, t : t + n_ctx]``, predicts ``ids[b, t + n_ctx]``;
+    ``src`` and ``pos`` say where each cell came from (see
+    ``PackedSequences.cells``).  ``emb[b, c]`` is the vector
+    fed for column c, and ``clean[b, c]`` marks the columns read from the
+    embedding table rather than given as noised rows.  ``margin[b, t]`` is
+    the unlearning margin of window t's target (0 unless it is a prediction
+    whose frozen score exceeds theta), or None when no scores were given.
+    Iterating yields the batch's sequences.
     """
-    seqs = [list(seq.tokens) if hasattr(seq, "tokens") else list(seq) for seq in batch]
-    lengths = np.array([len(ids) for ids in seqs])
-    if lengths.min() < 2:
+
+    sequences: Sequence
+    src: np.ndarray        # (B, width)
+    pos: np.ndarray        # (B, width)
+    ids: np.ndarray        # (B, width)
+    lengths: np.ndarray    # (B,)
+    emb: np.ndarray        # (B, width, d_emb)
+    clean: np.ndarray      # (B, width)
+    margin: np.ndarray | None = None   # (B, width - n_ctx)
+
+    def __iter__(self):
+        return iter(self.sequences)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def consumed(self) -> np.ndarray:
+        """(B, width) cells fed as inputs: every position but each sequence's last."""
+        return (self.pos >= 0) & (self.pos < self.lengths[:, None] - 1)
+
+
+def _aligned_scores(scores: np.ndarray, n_pred: int) -> np.ndarray:
+    s = np.asarray(scores, dtype=float)
+    if s.shape[0] == n_pred + 1:
+        s = s[1:]
+    if s.shape[0] != n_pred:
+        raise ValueError(f"scores length {s.shape[0]} does not align with {n_pred} predicted tokens")
+    return s
+
+
+def pack(
+    model: TinyLM,
+    batch: Sequence,
+    noisy: Sequence[np.ndarray | None] | None = None,
+    scores: Sequence[np.ndarray | None] | None = None,
+    theta: float = 0.6,
+) -> PackedBatch:
+    """A list of sequences (token lists or objects with ``.tokens``) as a packed batch.
+
+    ``noisy`` and ``scores`` hold one entry per sequence, None allowed per
+    entry: noisy rows cover every position or all but the last, which is
+    never consumed; scores cover every position or just the predicted ones.
+    A ``PackedBatch`` is returned as it is.
+    """
+    if isinstance(batch, PackedBatch):
+        if noisy is not None or scores is not None:
+            raise ValueError("a packed batch carries its own noisy rows and margins")
+        return batch
+    if not len(batch):
+        raise ValueError("batch must be non-empty")
+    seqs = PackedSequences.of(model, batch)
+    if seqs.lengths.min() < 2:
         raise ValueError("every sequence needs at least 2 tokens to produce a loss")
-    width = model.n_ctx - 1 + int(lengths.max())
-    cols = np.arange(width)
-    filled = cols >= (width - lengths)[:, None]
-    ids = np.full((len(seqs), width), PAD_ID)
-    ids[filled] = np.concatenate(seqs)
-    bad = ids[(ids < 0) | (ids >= model.vocab)]
-    if bad.size:
-        raise ValueError(f"token id {bad[0]} out of vocab range [0, {model.vocab})")
-    emb = model.embed[ids]
-    clean = np.ones(ids.shape, dtype=bool)
+    pb = seqs.batch(model, np.arange(len(seqs.lengths)))
     if noisy is not None:
-        rows = [_validate_noisy(model, n, r) for n, r in zip(lengths, noisy)]
+        rows = [_validate_noisy(model, n, r) for n, r in zip(seqs.lengths, noisy)]
         fed = np.array([r is not None for r in rows])[:, None]
-        clean = ~(filled & (cols < width - 1) & fed)
+        pb.clean = ~(pb.consumed() & fed)
         if fed.any():
-            emb[~clean] = np.concatenate([r for r in rows if r is not None])
-    return ids, lengths, emb, clean
+            pb.emb[~pb.clean] = np.concatenate([r for r in rows if r is not None])
+    if scores is not None:
+        flat = np.zeros(seqs.tokens.size)
+        for start, n, s in zip(seqs.starts, seqs.lengths, scores):
+            if s is not None:
+                s = _aligned_scores(s, n - 1)
+                flat[start + 1 : start + n] = np.where(s > theta, s - theta, 0.0)
+        pb.margin = flat[pb.src[:, model.n_ctx :]]
+    return pb
 
 
 def _mlp(
@@ -229,9 +331,9 @@ def label_probs(
     """(B, vocab) distributions for each sequence's last token.
 
     Only the window before the last token of each sequence is gathered and
-    run; ``noisy`` is as in ``forward_batch``.
+    run; ``batch`` and ``noisy`` are as in ``forward_batch``.
     """
-    _, _, emb, _ = _pack(model, batch, noisy)
+    emb = pack(model, batch, noisy).emb
     x = emb[:, -model.n_ctx - 1 : -1].reshape(len(emb), 1, model.d_in)
     return _mlp(model, adapter, x)[1][:, 0]
 
@@ -284,7 +386,11 @@ class BatchForward:
 
     def sequence_losses(self) -> list[np.ndarray]:
         """Per-sequence token losses, in position order."""
-        return np.split(self.losses[self.valid], np.cumsum(self.lengths - 1)[:-1])
+        return _split_losses(self.losses, self.valid, self.lengths)
+
+
+def _split_losses(losses: np.ndarray, valid: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    return np.split(losses[valid], np.cumsum(lengths - 1)[:-1])
 
 
 def forward_batch(
@@ -295,19 +401,21 @@ def forward_batch(
 ) -> BatchForward:
     """Forward every predicted position of a batch through one window gather.
 
-    ``noisy`` holds one entry per sequence: None, or one embedding row per
-    position (the final row is never consumed and may be omitted).
+    ``batch`` is a ``PackedBatch`` or a list of sequences packed by ``pack``;
+    ``noisy`` holds one entry per listed sequence: None, or one embedding row
+    per position (the final row is never consumed and may be omitted).
     """
-    ids, lengths, emb, clean = _pack(model, batch, noisy)
+    pb = pack(model, batch, noisy)
+    ids, lengths, emb = pb.ids, pb.lengths, pb.emb
     n_batch, width = ids.shape
     n_windows = width - model.n_ctx
     windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
-    x = emb[:, windows].reshape(n_batch, n_windows, model.d_in)
+    x = np.take(emb, windows, axis=1).reshape(n_batch, n_windows, model.d_in)
     h, p = _mlp(model, adapter, x)
     targets = ids[:, model.n_ctx :, None]
     losses = -np.log(np.take_along_axis(p, targets, axis=-1)[..., 0])
     valid = np.arange(n_windows) >= (n_windows + 1 - lengths)[:, None]
-    return BatchForward(ids, lengths, clean, windows, x, h, p, losses, valid)
+    return BatchForward(ids, lengths, pb.clean, windows, x, h, p, losses, valid)
 
 
 def token_losses(
@@ -323,7 +431,8 @@ def token_losses(
     (the final row is never consumed and may be omitted).
     """
     noisy = None if noisy_embeddings is None else [noisy_embeddings]
-    losses = forward_batch(model, adapter, [seq], noisy).losses[0]
+    fb = forward_batch(model, adapter, [seq], noisy)
+    losses = fb.losses[0, fb.valid[0]]
     return losses, float(losses.mean())
 
 
@@ -340,8 +449,8 @@ class LossSpec:
     L_unlearn is the thresholded, sensitivity-weighted token loss.  With the
     default ``unlearn_sign=-1`` the flagged tokens' gradient contribution is
     suppressed; +1 adds the term as a plain penalty instead.  ``scores`` and
-    ``noisy`` hold one entry per batch sequence (None allowed per entry);
-    score arrays may cover all positions or just the predicted ones.
+    ``noisy`` hold one entry per listed batch sequence (see ``pack``); leave
+    them None for a ``PackedBatch``, which carries its own.
     """
 
     noisy: Sequence[np.ndarray | None] | None = None
@@ -368,11 +477,17 @@ class GradientBundle:
     b_out: np.ndarray | None = None
     a: np.ndarray | None = None
     b: np.ndarray | None = None
-    token_losses: list[np.ndarray] = field(default_factory=list)
     l_task: float = 0.0
     l_reg: float = 0.0
     l_unlearn: float = 0.0
     objective: float = 0.0
+    # (losses, valid, lengths) of the batch, split per sequence only when read
+    batch_losses: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def token_losses(self) -> list[np.ndarray]:
+        """Per-sequence token losses, in position order."""
+        return [] if self.batch_losses is None else _split_losses(*self.batch_losses)
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -381,30 +496,6 @@ class GradientBundle:
             if arr is not None:
                 out.append((name, arr))
         return out
-
-
-def _aligned_scores(scores: np.ndarray | None, n_pred: int) -> np.ndarray | None:
-    if scores is None:
-        return None
-    s = np.asarray(scores, dtype=float)
-    if s.shape[0] == n_pred + 1:
-        s = s[1:]
-    if s.shape[0] != n_pred:
-        raise ValueError(f"scores length {s.shape[0]} does not align with {n_pred} predicted tokens")
-    return s
-
-
-def _unlearn_margins(spec: LossSpec, fb: BatchForward) -> np.ndarray:
-    """(B, T) margins score - theta where a frozen score exceeds theta, else 0."""
-    margin = np.zeros(fb.valid.shape)
-    if spec.scores is None:
-        return margin
-    rows = [_aligned_scores(s, n - 1) for s, n in zip(spec.scores, fb.lengths)]
-    scored = np.array([r is not None for r in rows])
-    if scored.any():
-        s = np.concatenate([r for r in rows if r is not None])
-        margin[fb.valid & scored[:, None]] = np.where(s > spec.theta, s - spec.theta, 0.0)
-    return margin
 
 
 def backward(
@@ -420,17 +511,16 @@ def backward(
     Positions read from per-position noisy embeddings contribute no gradient
     to the embedding table: the perturbed vectors are fixed inputs.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
     spec = loss_spec or LossSpec()
-    fb = forward_batch(model, adapter, batch, spec.noisy)
+    pb = pack(model, batch, spec.noisy, spec.scores, spec.theta)
+    fb = forward_batch(model, adapter, pb)
     if not np.isfinite(fb.losses[fb.valid]).all():
         raise NumericError("non-finite token loss encountered")
     n_batch, n_windows = fb.valid.shape
     # Each sequence's positions share 1 / (B * n_pred); padding windows weigh 0.
     scale = (n_batch * (fb.lengths - 1))[:, None]
     losses = np.where(fb.valid, fb.losses, 0.0)
-    margin = _unlearn_margins(spec, fb)
+    margin = np.zeros(fb.valid.shape) if pb.margin is None else pb.margin
     l_task = float((losses.sum(axis=1) / (fb.lengths - 1)).sum() / n_batch)
     l_unlearn = float(((margin * losses).sum(axis=1) / scale[:, 0]).sum())
 
@@ -443,12 +533,9 @@ def backward(
     dU = fb.p
     dU[np.arange(n_batch)[:, None], np.arange(n_windows), fb.ids[:, model.n_ctx :]] -= 1.0
     dU *= weights[:, :, None]
-    d_w_out = _sum_slice_products(dU, fb.h)
-    d_b_out = dU.sum(axis=1).sum(axis=0)
     dZ = (dU @ model.w_out) * (1.0 - fb.h * fb.h)
     d_w_eff = _sum_slice_products(dZ, fb.x)
-    d_b_hidden = dZ.sum(axis=1).sum(axis=0)
-    d_embed = None
+    base: dict[str, np.ndarray] = {}
     if adapter is None:
         # Scatter each window slot's input gradient to the table row it was
         # read from, in (sequence, position, slot) order.
@@ -456,14 +543,15 @@ def backward(
         read = fb.clean[:, fb.windows] & fb.valid[:, :, None]
         d_embed = np.zeros_like(model.embed)
         np.add.at(d_embed, fb.ids[:, fb.windows][read], d_slots[read])
+        base = dict(embed=d_embed, w_hidden=d_w_eff, b_hidden=dZ.sum(axis=1).sum(axis=0),
+                    w_out=_sum_slice_products(dU, fb.h), b_out=dU.sum(axis=1).sum(axis=0))
 
     l_reg = 0.0
     d_a = d_b = None
     if adapter is not None:
-        delta = lora_delta(adapter)
         reg_grad = None
         if spec.reg_weight != 0.0 and spec.reg_reference is not None:
-            drift = delta - spec.reg_reference
+            drift = lora_delta(adapter) - spec.reg_reference
             l_reg = float(spec.reg_weight * (drift * drift).sum())
             reg_grad = 2.0 * spec.reg_weight * drift
         d_delta = d_w_eff if reg_grad is None else d_w_eff + reg_grad
@@ -475,18 +563,14 @@ def backward(
         raise NumericError("non-finite total loss")
 
     return GradientBundle(
-        embed=d_embed,
-        w_hidden=d_w_eff if adapter is None else None,
-        b_hidden=d_b_hidden if adapter is None else None,
-        w_out=d_w_out if adapter is None else None,
-        b_out=d_b_out if adapter is None else None,
+        **base,
         a=d_a,
         b=d_b,
-        token_losses=fb.sequence_losses(),
         l_task=float(l_task),
         l_reg=float(l_reg),
         l_unlearn=float(l_unlearn),
         objective=float(objective),
+        batch_losses=(fb.losses, fb.valid, fb.lengths),
     )
 
 

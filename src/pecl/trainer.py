@@ -47,11 +47,13 @@ from .sculpt import (
     unlearn_loss,
     update_running_importance,
 )
-from .sensitivity import SensitivityConfig, build_profile
+from .sensitivity import SensitivityConfig, score_sequences, split_profile
 from .tinylm import (
     AdamW,
     LoraAdapter,
     LossSpec,
+    PackedBatch,
+    PackedSequences,
     TinyLM,
     backward,
     cosine_lr,
@@ -232,6 +234,66 @@ def _batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return [indices[i : i + batch_size] for i in range(0, len(indices), batch_size)]
 
 
+@dataclass
+class TaskInputs:
+    """A task's training set, packed, scored and budgeted once when the task starts.
+
+    The flat arrays are aligned with ``seqs.tokens``, trailing PAD included,
+    so they grow with the task's token count: every token's frozen score,
+    epsilon and sigma (``score`` is None in seqft, where nothing is noised),
+    and every predicted position's unlearning margin (pecl only; 0 on each
+    sequence's first position).  A step gathers its rows by index.
+    """
+
+    seqs: PackedSequences
+    names: np.ndarray                    # ledger sequence id of every sequence
+    score: np.ndarray | None = None      # (N + 1,), 0 on the trailing PAD
+    epsilon: np.ndarray | None = None
+    sigma: np.ndarray | None = None
+    margin: np.ndarray | None = None
+
+    def set_budgets(self, score: np.ndarray, epsilon: np.ndarray, sigma: np.ndarray) -> None:
+        """Freeze every token's score, epsilon and sigma (one entry per token)."""
+        self.score, self.epsilon, self.sigma = (
+            np.append(values, fill)
+            for values, fill in ((score, 0.0), (epsilon, np.nan), (sigma, np.nan))
+        )
+
+    def set_margins(self, theta: float) -> None:
+        """Freeze the unlearning margin of every predicted position from its score."""
+        self.margin = np.where(self.score > theta, self.score - theta, 0.0)
+        self.margin[self.seqs.starts] = 0.0
+
+    def batch(
+        self,
+        model: TinyLM,
+        rows: np.ndarray,
+        privacy: PrivacyConfig,
+        rng: np.random.Generator,
+        ledger: PrivacyLedger,
+        epoch: int,
+    ) -> PackedBatch:
+        """Gather sequences ``rows`` into a training batch and noise its exposures.
+
+        Every fed position with score > 0 is noised by one mechanism call, in
+        (sequence, position) order, and recorded in ``ledger``.
+        """
+        pb = self.seqs.batch(model, rows)
+        if self.score is not None:
+            fed = pb.consumed()
+            hit = fed & (self.score[pb.src] > 0.0)
+            cells = pb.src[hit]
+            pb.emb[hit] = perturb_embeddings(
+                pb.emb[hit], self.score[cells], self.epsilon[cells], self.sigma[cells],
+                privacy, rng, ledger=ledger, sequence_ids=self.names[rows[hit.nonzero()[0]]],
+                positions=pb.pos[hit], epoch=epoch,
+            )
+            pb.clean = ~fed
+        if self.margin is not None:
+            pb.margin = self.margin[pb.src[:, model.n_ctx :]]
+        return pb
+
+
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     """Train tasks sequentially per the configured mode and evaluate after each.
 
@@ -292,64 +354,48 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         stats_pool = corpora if config.stats_scope == "all" else seen
         stats: CorpusStats = compute_corpus_stats(stats_pool, config.tau)
 
+        inputs = TaskInputs(PackedSequences.of(model, task.train),
+                            np.array([f"{task_id}:{i}" for i in range(len(task.train))],
+                                     dtype=object))
         profiles = None
         s_bar = lam_dyn = None
         reg_weight = 0.0
         lambda_unlearn = 0.0
         if config.mode == "pecl":
-            profiles = [
-                assign_budgets(build_profile(model, adapter, stats, seq, sens_cfg),
-                               config.privacy)
-                for seq in task.train
-            ]
+            profile = assign_budgets(
+                score_sequences(model, adapter, stats, inputs.seqs, sens_cfg, config.batch_size),
+                config.privacy,
+            )
+            inputs.set_budgets(profile.score, profile.epsilon, profile.sigma)
+            inputs.set_margins(config.sculpt.theta)
+            profiles = split_profile(profile, inputs.seqs.lengths)
             kept_profiles[task_id] = profiles
             s_bar = mean_task_sensitivity(profiles)
             lam_dyn = dynamic_lambda(s_bar, config.sculpt)
             if k >= 2:
                 reg_weight = lam_dyn * state.omega_bar
             lambda_unlearn = config.sculpt.lambda_unlearn
+        elif config.mode == "uniform_dp":
+            tokens = inputs.seqs.tokens[:-1]
+            inputs.set_budgets((~np.isin(tokens, list(sens_cfg.stopword_ids))).astype(float),
+                               np.full(tokens.size, config.uniform_eps),
+                               np.full(tokens.size, uniform_sigma))
 
         optimizer = AdamW(weight_decay=config.weight_decay) if config.optimizer == "adamw" else None
         steps_per_epoch = math.ceil(len(task.train) / config.batch_size)
         total_steps = steps_per_epoch * config.epochs
         step = 0
-        sequence_ids = np.array([f"{task_id}:{i}" for i in range(len(task.train))], dtype=object)
+        spec = LossSpec(
+            theta=config.sculpt.theta,
+            lambda_unlearn=lambda_unlearn,
+            unlearn_sign=unlearn_sign,
+            reg_weight=reg_weight,
+            reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
+        )
         for epoch in range(config.epochs):
             perm = spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
             for batch_idx in _batches(perm, config.batch_size):
-                batch = [task.train[i] for i in batch_idx]
-                noisy = None
-                scores = None
-                if config.mode != "seqft":
-                    # Every position but the last is fed to the model: noise them
-                    # all with one mechanism call, in (sequence, position) order.
-                    n_fed = [len(seq.tokens) - 1 for seq in batch]
-                    ids = np.concatenate([seq.tokens[:-1] for seq in batch])
-                    if config.mode == "pecl":
-                        scores = [profiles[i].score for i in batch_idx]
-                        score, eps, sigma = (
-                            np.concatenate([getattr(profiles[i], name)[:-1] for i in batch_idx])
-                            for name in ("score", "epsilon", "sigma")
-                        )
-                    else:
-                        score = (~np.isin(ids, list(sens_cfg.stopword_ids))).astype(float)
-                        eps = np.full(ids.size, config.uniform_eps)
-                        sigma = np.full(ids.size, uniform_sigma)
-                    rows = perturb_embeddings(
-                        model.embed[ids], score, eps, sigma, config.privacy, noise_rng,
-                        ledger=ledger, sequence_ids=np.repeat(sequence_ids[batch_idx], n_fed),
-                        positions=np.concatenate([np.arange(n) for n in n_fed]), epoch=epoch,
-                    )
-                    noisy = np.split(rows, np.cumsum(n_fed)[:-1])
-                spec = LossSpec(
-                    noisy=noisy,
-                    scores=scores,
-                    theta=config.sculpt.theta,
-                    lambda_unlearn=lambda_unlearn,
-                    unlearn_sign=unlearn_sign,
-                    reg_weight=reg_weight,
-                    reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
-                )
+                batch = inputs.batch(model, batch_idx, config.privacy, noise_rng, ledger, epoch)
                 try:
                     grads = backward(model, adapter, batch, spec)
                 except NumericError as exc:
@@ -367,7 +413,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         # one forward pass per batch_size chunk of the training set.
         train_losses: list[np.ndarray] = []
         for chunk in _batches(np.arange(len(task.train)), config.batch_size):
-            fb = forward_batch(model, adapter, [task.train[i] for i in chunk])
+            fb = forward_batch(model, adapter, inputs.seqs.batch(model, chunk))
             state.observe_activation(np.linalg.norm(fb.x, axis=-1)[fb.valid])
             train_losses += fb.sequence_losses()
             del fb  # free this chunk's arrays before the next pass allocates its own

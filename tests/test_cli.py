@@ -213,6 +213,19 @@ def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_run_failing_mid_bundle_removes_the_files_it_wrote(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    blocker = out / "ledger.csv"
+    blocker.mkdir(parents=True)
+    (blocker / "keep.txt").write_text("untouched", encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(blocker) in err
+    assert sorted(p.name for p in out.iterdir()) == ["ledger.csv"]
+    assert (blocker / "keep.txt").read_text(encoding="utf-8") == "untouched"
+
+
 def test_run_output_under_a_file_is_a_data_error(tmp_path, capsys):
     config = write_config(tmp_path)
     blocker = tmp_path / "plain.txt"

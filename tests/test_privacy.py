@@ -28,6 +28,13 @@ def test_allocate_budget_endpoints_and_midpoint():
     assert allocate_budget(0.5, CFG) == pytest.approx(3.25, rel=1e-12)
 
 
+def test_allocate_budget_scalar_and_array_agree_bit_for_bit():
+    scores = np.random.default_rng(5).uniform(0, 1, size=100_000)
+    batched = allocate_budget(scores, CFG)
+    one_by_one = np.array([allocate_budget(float(s), CFG) for s in scores])
+    np.testing.assert_array_equal(batched, one_by_one)
+
+
 def test_allocate_budget_range_and_monotone():
     rng = np.random.default_rng(0)
     scores = rng.uniform(0, 1, size=20000)
@@ -263,6 +270,12 @@ def test_batched_mechanism_matches_successive_single_row_calls():
 
     np.testing.assert_array_equal(batched, one_by_one)
     np.testing.assert_array_equal(batched[score == 0], rows[score == 0])
+    # The noise is the stream of rng.normal(0, sigma_i) draws, exposure by exposure.
+    normal_rng = np.random.default_rng(11)
+    hit = score > 0
+    noise = normal_rng.normal(0.0, sigma[hit][:, None], size=(hit.sum(), rows.shape[1]))
+    np.testing.assert_array_equal(batched[hit], clip(rows[hit], CFG.clip_norm) + noise)
+    assert normal_rng.bit_generator.state == batch_rng.bit_generator.state
     assert batch_ledger.records == one_ledger.records
     assert [(r.sequence_id, r.position) for r in batch_ledger.records] == [
         ("1:0", 1), ("1:0", 2), ("1:4", 2), ("1:4", 3),

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from pecl.corpus import TaskCorpus, TokenizedSequence
+from pecl.privacy import PrivacyConfig, assign_budgets
 from pecl.sensitivity import (
     SensitivityConfig,
     build_profile,
     contextual_score,
     fuse_scores,
+    score_sequences,
+    split_profile,
     surprisal_score,
 )
 from pecl.corpus import compute_corpus_stats
-from pecl.tinylm import TinyLM, forward, init_lm
+from pecl.tinylm import PackedSequences, TinyLM, forward, init_adapter, init_lm, token_losses
 
 
 def make_task(task_id, sequences, label):
@@ -170,3 +173,35 @@ def test_build_profile_masking_is_idempotent_and_order_independent():
 def test_sensitivity_config_validation():
     with pytest.raises(ValueError, match="alpha"):
         SensitivityConfig(alpha=1.2)
+
+
+def test_batched_scorer_equals_per_sequence_profiles():
+    rng = np.random.default_rng(12)
+    lengths = (2, 5, 3, 9, 4, 2, 7, 6, 3)
+    tasks = [
+        make_task(1, [rng.integers(2, 9, size=n - 1).tolist() for n in lengths], label=10),
+        make_task(2, [rng.integers(5, 12, size=4).tolist() for _ in range(3)], label=12),
+    ]
+    seqs = tasks[0].train + [TokenizedSequence(tokens=[7], task_id=1, label_token=7)]
+    stats = compute_corpus_stats(tasks, tau=0.2)
+    config = config_with_stopwords({3, 8})
+    privacy = PrivacyConfig()
+    model = init_lm((13, 3, 3, 5), seed=8)
+    adapter = init_adapter(model, rank=2, seed=1, task_id=1)
+    adapter.b[:] = rng.normal(scale=0.5, size=adapter.b.shape)
+    packed = PackedSequences.of(model, seqs)
+    whole = assign_budgets(score_sequences(model, adapter, stats, packed, config, batch_size=4),
+                           privacy)
+    parts = split_profile(whole, packed.lengths)
+    assert len(parts) == len(seqs)
+    for part, seq in zip(parts, seqs):
+        one = assign_budgets(build_profile(model, adapter, stats, seq, config), privacy)
+        assert part.tokens == one.tokens == list(seq.tokens)
+        for name in ("score1", "score2", "score", "is_stopword", "epsilon", "sigma"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(one, name), err_msg=name)
+        if len(seq.tokens) >= 2:
+            np.testing.assert_array_equal(part.score1[1:], token_losses(model, adapter, seq)[0])
+        assert part.score1[0] == 0.0
+        assert part.score2.tolist() == [contextual_score(stats, t) for t in seq.tokens]
+    assert (whole.score[whole.is_stopword] == 0).all() and whole.is_stopword.any()
+    assert np.isnan(whole.epsilon[whole.score == 0]).all()

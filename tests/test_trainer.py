@@ -4,10 +4,12 @@ import pytest
 from pecl.corpus import TaskCorpus, TokenizedSequence
 from pecl.errors import DataError
 from pecl.synthetic import synthetic_stream
-from pecl.tinylm import forward, init_adapter, init_lm
+from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
+from pecl.tinylm import LossSpec, PackedSequences, backward, forward, init_adapter, init_lm
 from pecl.trainer import (
     AccuracyMatrix,
     RunConfig,
+    TaskInputs,
     avg_acc,
     bwt,
     evaluate,
@@ -289,6 +291,77 @@ def test_run_rejects_empty_eval_split_before_training(monkeypatch):
     monkeypatch.setattr("pecl.trainer.backward", no_training)
     with pytest.raises(DataError, match=f"task {tasks[1].task_id} has an empty eval set"):
         run_continual(config, tasks)
+    # Control: with every eval split present, training does reach the patched call.
+    with pytest.raises(AssertionError, match="backward called"):
+        run_continual(config, small_stream(config).tasks)
+
+
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_packed_training_step_equals_the_list_api(mode):
+    privacy = PrivacyConfig(clip_norm=0.5)
+    model = init_lm((23, 4, 3, 6), seed=5)
+    adapter = init_adapter(model, rank=2, seed=2, task_id=1)
+    rng = np.random.default_rng(9)
+    adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
+    seqs = [rng.integers(1, 23, size=n).tolist() for n in (2, 3, 7, 4, 9, 2, 5)]
+    names = np.array([f"1:{i}" for i in range(len(seqs))], dtype=object)
+    tokens = np.concatenate(seqs)
+    if mode == "pecl":
+        score = rng.uniform(0.0, 0.99, size=tokens.size)
+        score[rng.random(tokens.size) < 0.3] = 0.0
+        epsilon = np.full(tokens.size, np.nan)
+        epsilon[score > 0] = allocate_budget(score[score > 0], privacy)
+        sigma = noise_sigma(epsilon, privacy.delta, privacy.clip_norm)
+    else:
+        score = (tokens % 4 != 0).astype(float)  # ids divisible by 4 play stopwords
+        epsilon = np.full(tokens.size, 2.0)
+        sigma = np.full(tokens.size, noise_sigma(2.0, privacy.delta, privacy.clip_norm))
+    inputs = TaskInputs(PackedSequences.of(model, seqs), names)
+    inputs.set_budgets(score, epsilon, sigma)
+    if mode == "pecl":
+        inputs.set_margins(0.6)
+    # Task arrays grow with the token count (plus one trailing PAD), not with
+    # sequences x longest sequence.
+    assert inputs.seqs.tokens.size == inputs.score.size == tokens.size + 1
+    spec = LossSpec(theta=0.6, lambda_unlearn=1.5 if mode == "pecl" else 0.0, reg_weight=0.4,
+                    reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
+    rows = np.array([4, 0, 2, 6, 5])
+
+    step_ledger, step_rng = PrivacyLedger(), np.random.default_rng(21)
+    batch = inputs.batch(model, rows, privacy, step_rng, step_ledger, epoch=3)
+    packed = backward(model, adapter, batch, spec)
+
+    # The same step through the list-of-sequences API: per-sequence arrays,
+    # one mechanism call over every fed position, noisy rows per sequence.
+    list_ledger, list_rng = PrivacyLedger(), np.random.default_rng(21)
+    listed_seqs = [seqs[i] for i in rows]
+    per_seq = [np.split(a, np.cumsum([len(q) for q in seqs])[:-1]) for a in (score, epsilon, sigma)]
+    n_fed = [len(seqs[i]) - 1 for i in rows]
+    fed = [np.concatenate([a[i][:-1] for i in rows]) for a in per_seq]
+    ids = np.concatenate([seqs[i][:-1] for i in rows])
+    rows_noised = perturb_embeddings(
+        model.embed[ids], *fed, privacy, list_rng, ledger=list_ledger,
+        sequence_ids=np.repeat(names[rows], n_fed),
+        positions=np.concatenate([np.arange(n) for n in n_fed]), epoch=3,
+    )
+    noisy = np.split(rows_noised, np.cumsum(n_fed)[:-1])
+    scores = [per_seq[0][i] for i in rows] if mode == "pecl" else None
+    listed = backward(model, adapter, listed_seqs,
+                      LossSpec(noisy=noisy, scores=scores, theta=spec.theta,
+                               lambda_unlearn=spec.lambda_unlearn, reg_weight=spec.reg_weight,
+                               reg_reference=spec.reg_reference))
+
+    assert list(batch) == listed_seqs
+    np.testing.assert_array_equal(batch.emb[~batch.clean], rows_noised)
+    assert step_ledger.records == list_ledger.records and len(step_ledger) > 0
+    assert step_rng.bit_generator.state == list_rng.bit_generator.state
+    for name in ("a", "b"):
+        np.testing.assert_array_equal(getattr(packed, name), getattr(listed, name))
+    for name in ("l_task", "l_reg", "l_unlearn", "objective"):
+        assert getattr(packed, name) == getattr(listed, name)
+    assert (packed.l_unlearn > 0) == (mode == "pecl")
+    for got, expected in zip(packed.token_losses, listed.token_losses, strict=True):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_evaluate_matches_per_sequence_forward_argmax():
