@@ -25,6 +25,7 @@ advanced-composition bound term for term.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,13 +132,33 @@ class LedgerRecord:
 
 _LEDGER_COLUMNS = ("sequence_id", "position", "epoch", "epsilon", "sigma", "delta")
 _LEDGER_DTYPES = (object, np.int64, np.int64, float, float, float)
+_CSV_CHUNK_ROWS = 4096
+
+
+def _csv_field(value: str) -> str:
+    """``value`` quoted as ``csv.writer`` writes it inside a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _distinct_strings(values: np.ndarray, format_each) -> tuple[np.ndarray, np.ndarray]:
+    """``format_each`` applied once per distinct value, and each value's index into the result."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([format_each(v) for v in distinct.tolist()], dtype=object), index
+
+
+def _float_repr(bits: int) -> str:
+    """``repr`` of the float whose IEEE bits, read as an int64, are ``bits``."""
+    return repr(np.int64(bits).view(np.float64).item())
 
 
 class PrivacyLedger:
     """Every noised token exposure, kept as columns, plus the composition slack.
 
-    ``extend`` appends one chunk per column for a whole batch of exposures;
-    the chunks are joined when the columns are read.
+    ``extend`` appends one chunk per column for many exposures at once (the
+    trainer appends each epoch's exposures in one call); the chunks are
+    joined when the columns are read.
     """
 
     def __init__(self, delta_prime: float = 1e-6):
@@ -181,14 +202,26 @@ class PrivacyLedger:
         return self.columns()["epsilon"].copy()
 
     def to_csv(self, path: str | Path) -> None:
+        """Write the same bytes as ``csv.writer`` rows with each float as its ``repr``.
+
+        Each distinct sequence id is quoted once by ``csv.writer`` and each
+        distinct float bit pattern goes through ``repr`` once; rows are
+        written ``_CSV_CHUNK_ROWS`` at a time.
+        """
         cols = self.columns()
+        ids, id_of = _distinct_strings(cols["sequence_id"], _csv_field)
+        eps, eps_of = _distinct_strings(cols["epsilon"].view(np.int64), _float_repr)
+        sig, sig_of = _distinct_strings(cols["sigma"].view(np.int64), _float_repr)
+        row = "{},{},{},{},{}\r\n".format
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sequence_id", "position", "epoch", "epsilon", "sigma"])
-            writer.writerows(zip(
-                cols["sequence_id"].tolist(), cols["position"].tolist(), cols["epoch"].tolist(),
-                map(repr, cols["epsilon"].tolist()), map(repr, cols["sigma"].tolist()),
-            ))
+            fh.write("sequence_id,position,epoch,epsilon,sigma\r\n")
+            for i in range(0, len(self), _CSV_CHUNK_ROWS):
+                part = slice(i, i + _CSV_CHUNK_ROWS)
+                fh.write("".join(map(
+                    row, ids[id_of[part]].tolist(), cols["position"][part].tolist(),
+                    cols["epoch"][part].tolist(), eps[eps_of[part]].tolist(),
+                    sig[sig_of[part]].tolist(),
+                )))
 
     @classmethod
     def from_csv(

@@ -201,12 +201,19 @@ class PackedSequences:
         src = np.where(pos >= 0, self.starts[rows][:, None] + pos, self.tokens.size - 1)
         return src, pos
 
-    def batch(self, model: TinyLM, rows: np.ndarray) -> "PackedBatch":
-        """The sequences ``rows`` as a clean batch: every input is a table row."""
+    def batch(
+        self, model: TinyLM, rows: np.ndarray, table: np.ndarray | None = None
+    ) -> "PackedBatch":
+        """The sequences ``rows`` as a batch, marked clean.
+
+        Each cell's vector is its token's embedding or, when ``table`` (one
+        row per entry of ``tokens``) is given, its row of ``table``.
+        """
         src, pos = self.cells(model.n_ctx, rows)
         ids = self.tokens[src]
+        emb = model.embed[ids] if table is None else table[src]
         return PackedBatch([self.sequences[i] for i in rows], src, pos, ids, self.lengths[rows],
-                           model.embed[ids], np.ones(ids.shape, dtype=bool))
+                           emb, np.ones(ids.shape, dtype=bool))
 
 
 @dataclass

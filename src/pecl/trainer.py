@@ -241,8 +241,16 @@ class TaskInputs:
     The flat arrays are aligned with ``seqs.tokens``, trailing PAD included,
     so they grow with the task's token count: every token's frozen score,
     epsilon and sigma (``score`` is None in seqft, where nothing is noised),
-    and every predicted position's unlearning margin (pecl only; 0 on each
-    sequence's first position).  A step gathers its rows by index.
+    every predicted position's unlearning margin (pecl only; 0 on each
+    sequence's first position), and, once ``noise_epoch`` has run, ``table``,
+    the vector fed for every token in the current epoch.  A step gathers its
+    rows by index.
+
+    Noising a whole epoch before its first step rests on one invariant:
+    ``run_continual`` trains only the adapter, so the embedding table, like
+    every other base parameter, leaves a run bit-identical to ``init_lm``'s.
+    Noise therefore depends only on frozen scores and frozen embeddings,
+    never on the training state between two steps.
     """
 
     seqs: PackedSequences
@@ -251,6 +259,7 @@ class TaskInputs:
     epsilon: np.ndarray | None = None
     sigma: np.ndarray | None = None
     margin: np.ndarray | None = None
+    table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
 
     def set_budgets(self, score: np.ndarray, epsilon: np.ndarray, sigma: np.ndarray) -> None:
         """Freeze every token's score, epsilon and sigma (one entry per token)."""
@@ -264,31 +273,45 @@ class TaskInputs:
         self.margin = np.where(self.score > theta, self.score - theta, 0.0)
         self.margin[self.seqs.starts] = 0.0
 
-    def batch(
+    def noise_epoch(
         self,
         model: TinyLM,
-        rows: np.ndarray,
+        perm: np.ndarray,
         privacy: PrivacyConfig,
         rng: np.random.Generator,
         ledger: PrivacyLedger,
         epoch: int,
-    ) -> PackedBatch:
-        """Gather sequences ``rows`` into a training batch and noise its exposures.
+    ) -> None:
+        """Noise every exposure of an epoch that feeds sequences ``perm`` in turn.
 
-        Every fed position with score > 0 is noised by one mechanism call, in
-        (sequence, position) order, and recorded in ``ledger``.
+        The exposures, in feed order, are positions ``0 .. len - 2`` of each
+        sequence of ``perm`` with score > 0: the concatenation of every
+        batch's (sequence, position) order, whatever the batch size.  One
+        mechanism call noises them and appends them to ``ledger``; the rows
+        are written into ``table``, which is allocated on the first epoch
+        and whose other rows stay the clean embeddings.
         """
-        pb = self.seqs.batch(model, rows)
-        if self.score is not None:
-            fed = pb.consumed()
-            hit = fed & (self.score[pb.src] > 0.0)
-            cells = pb.src[hit]
-            pb.emb[hit] = perturb_embeddings(
-                pb.emb[hit], self.score[cells], self.epsilon[cells], self.sigma[cells],
-                privacy, rng, ledger=ledger, sequence_ids=self.names[rows[hit.nonzero()[0]]],
-                positions=pb.pos[hit], epoch=epoch,
-            )
-            pb.clean = ~fed
+        if self.table is None:
+            self.table = model.embed[self.seqs.tokens]
+        n_fed = self.seqs.lengths[perm] - 1
+        seq = np.repeat(perm, n_fed)
+        pos = np.arange(seq.size) - np.repeat(np.cumsum(n_fed) - n_fed, n_fed)
+        src = self.seqs.starts[seq] + pos
+        hit = self.score[src] > 0.0
+        src = src[hit]
+        self.table[src] = perturb_embeddings(
+            model.embed[self.seqs.tokens[src]], self.score[src], self.epsilon[src],
+            self.sigma[src], privacy, rng, ledger=ledger, sequence_ids=self.names[seq[hit]],
+            positions=pos[hit], epoch=epoch,
+        )
+
+    def batch(self, model: TinyLM, rows: np.ndarray) -> PackedBatch:
+        """Gather sequences ``rows`` into a training batch from the current epoch's inputs."""
+        if self.score is not None and self.table is None:
+            raise ValueError("noise an epoch before gathering its batches")
+        pb = self.seqs.batch(model, rows, self.table)
+        if self.table is not None:
+            pb.clean = ~pb.consumed()
         if self.margin is not None:
             pb.margin = self.margin[pb.src[:, model.n_ctx :]]
         return pb
@@ -394,8 +417,10 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         )
         for epoch in range(config.epochs):
             perm = spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
+            if inputs.score is not None:
+                inputs.noise_epoch(model, perm, config.privacy, noise_rng, ledger, epoch)
             for batch_idx in _batches(perm, config.batch_size):
-                batch = inputs.batch(model, batch_idx, config.privacy, noise_rng, ledger, epoch)
+                batch = inputs.batch(model, batch_idx)
                 try:
                     grads = backward(model, adapter, batch, spec)
                 except NumericError as exc:

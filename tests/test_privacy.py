@@ -1,8 +1,14 @@
+import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pecl import privacy
 from pecl.errors import DataError, NumericError
 from pecl.privacy import (
     LedgerRecord,
@@ -237,6 +243,69 @@ def test_ledger_csv_round_trip(tmp_path):
     eps_a, delta_a = compose_sequence(ledger, 1e-6)
     eps_b, delta_b = compose_sequence(loaded, 1e-6)
     assert eps_a == eps_b and delta_a == delta_b
+
+
+def reference_ledger_csv(rows) -> bytes:
+    """The ledger file as ``csv.writer`` writes it with each float as its ``repr``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["sequence_id", "position", "epoch", "epsilon", "sigma"])
+    writer.writerows((i, p, e, repr(eps), repr(sig)) for i, p, e, eps, sig in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def assert_ledger_file_round_trips(ledger, rows, path):
+    ledger.to_csv(path)
+    assert path.read_bytes() == reference_ledger_csv(rows)
+    loaded = PrivacyLedger.from_csv(path, delta=1e-6)
+    cols, expected = loaded.columns(), list(zip(*rows)) or [()] * 5
+    assert cols["sequence_id"].tolist() == list(expected[0])
+    assert cols["position"].tolist() == list(expected[1])
+    assert cols["epoch"].tolist() == list(expected[2])
+    for name, values in zip(("epsilon", "sigma"), expected[3:]):
+        values = np.array(values, dtype=float)
+        nan = np.isnan(values)  # repr writes every NaN payload as "nan"
+        np.testing.assert_array_equal(np.isnan(cols[name]), nan)
+        np.testing.assert_array_equal(cols[name][~nan].view(np.int64), values[~nan].view(np.int64))
+
+
+AWKWARD_IDS = ["1:0", "a,b", 'say "hi"', "two\nlines", "cr\r", "", " ", "naïve", "日本:3"]
+AWKWARD_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+    1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)),
+    0.1, float(np.nextafter(0.1, 1.0)), 1.7976931348623157e308,
+]
+# No NUL: csv readers before Python 3.11 reject it.
+ledger_ids = st.one_of(st.sampled_from(AWKWARD_IDS),
+                       st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=6))
+ledger_floats = st.one_of(st.sampled_from(AWKWARD_FLOATS),
+                          st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+ledger_rows = st.lists(st.tuples(ledger_ids, st.integers(0, 2**62), st.integers(0, 2**62),
+                                 ledger_floats, ledger_floats), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=ledger_rows)
+def test_ledger_csv_writes_what_csv_writer_writes(rows, tmp_path_factory):
+    ledger = PrivacyLedger()
+    for row in rows:  # one chunk per exposure, as appended one by one
+        ledger.append(LedgerRecord(*row, delta=1e-6))
+    # Chunks of three rows, so most examples span several.
+    with mock.patch.object(privacy, "_CSV_CHUNK_ROWS", 3):
+        assert_ledger_file_round_trips(ledger, rows, tmp_path_factory.mktemp("ledger") / "l.csv")
+
+
+def test_ledger_csv_longer_than_one_chunk(tmp_path):
+    n = 2 * privacy._CSV_CHUNK_ROWS + 7
+    rng = np.random.default_rng(5)
+    ids = [AWKWARD_IDS[i] for i in rng.integers(0, len(AWKWARD_IDS), size=n)]
+    eps = np.array(AWKWARD_FLOATS)[rng.integers(0, len(AWKWARD_FLOATS), size=n)]
+    sig = rng.uniform(0.0, 5.0, size=n)
+    positions, epochs = rng.integers(0, 9, size=n), np.repeat(np.arange(3), [n - 20, 10, 10])
+    ledger = PrivacyLedger()
+    ledger.extend(ids, positions, epochs, eps, sig, 1e-6)
+    rows = list(zip(ids, positions.tolist(), epochs.tolist(), eps.tolist(), sig.tolist()))
+    assert_ledger_file_round_trips(ledger, rows, tmp_path / "ledger.csv")
 
 
 def test_ledger_csv_rejects_bad_header(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from pecl.corpus import TaskCorpus, TokenizedSequence
 from pecl.errors import DataError
 from pecl.synthetic import synthetic_stream
+from pecl.seeding import spawn_rng
 from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
 from pecl.tinylm import LossSpec, PackedSequences, backward, forward, init_adapter, init_lm
 from pecl.trainer import (
@@ -296,14 +297,8 @@ def test_run_rejects_empty_eval_split_before_training(monkeypatch):
         run_continual(config, small_stream(config).tasks)
 
 
-@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
-def test_packed_training_step_equals_the_list_api(mode):
-    privacy = PrivacyConfig(clip_norm=0.5)
-    model = init_lm((23, 4, 3, 6), seed=5)
-    adapter = init_adapter(model, rank=2, seed=2, task_id=1)
-    rng = np.random.default_rng(9)
-    adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
-    seqs = [rng.integers(1, 23, size=n).tolist() for n in (2, 3, 7, 4, 9, 2, 5)]
+def budgeted_inputs(mode, model, seqs, privacy, rng):
+    """TaskInputs over ``seqs`` with pecl-like random scores or uniform_dp budgets."""
     names = np.array([f"1:{i}" for i in range(len(seqs))], dtype=object)
     tokens = np.concatenate(seqs)
     if mode == "pecl":
@@ -320,6 +315,33 @@ def test_packed_training_step_equals_the_list_api(mode):
     inputs.set_budgets(score, epsilon, sigma)
     if mode == "pecl":
         inputs.set_margins(0.6)
+    return inputs, score, epsilon, sigma
+
+
+def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger, epoch):
+    """Noise the fed positions of sequences ``rows`` as one batch: one mechanism call
+    over every position but each sequence's last, in (sequence, position) order."""
+    per_seq = [np.split(a, np.cumsum([len(q) for q in seqs])[:-1]) for a in budgets]
+    n_fed = [len(seqs[i]) - 1 for i in rows]
+    fed = [np.concatenate([a[i][:-1] for i in rows]) for a in per_seq]
+    ids = np.concatenate([seqs[i][:-1] for i in rows])
+    return perturb_embeddings(
+        model.embed[ids], *fed, privacy, rng, ledger=ledger,
+        sequence_ids=np.repeat(names[rows], n_fed),
+        positions=np.concatenate([np.arange(n) for n in n_fed]), epoch=epoch,
+    ), n_fed
+
+
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_packed_training_step_equals_the_list_api(mode):
+    privacy = PrivacyConfig(clip_norm=0.5)
+    model = init_lm((23, 4, 3, 6), seed=5)
+    adapter = init_adapter(model, rank=2, seed=2, task_id=1)
+    rng = np.random.default_rng(9)
+    adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
+    seqs = [rng.integers(1, 23, size=n).tolist() for n in (2, 3, 7, 4, 9, 2, 5)]
+    tokens = np.concatenate(seqs)
+    inputs, *budgets = budgeted_inputs(mode, model, seqs, privacy, rng)
     # Task arrays grow with the token count (plus one trailing PAD), not with
     # sequences x longest sequence.
     assert inputs.seqs.tokens.size == inputs.score.size == tokens.size + 1
@@ -327,25 +349,21 @@ def test_packed_training_step_equals_the_list_api(mode):
                     reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
     rows = np.array([4, 0, 2, 6, 5])
 
+    # One epoch whose permutation is ``rows``, then the step's gather.
     step_ledger, step_rng = PrivacyLedger(), np.random.default_rng(21)
-    batch = inputs.batch(model, rows, privacy, step_rng, step_ledger, epoch=3)
+    inputs.noise_epoch(model, rows, privacy, step_rng, step_ledger, epoch=3)
+    batch = inputs.batch(model, rows)
     packed = backward(model, adapter, batch, spec)
 
     # The same step through the list-of-sequences API: per-sequence arrays,
     # one mechanism call over every fed position, noisy rows per sequence.
     list_ledger, list_rng = PrivacyLedger(), np.random.default_rng(21)
     listed_seqs = [seqs[i] for i in rows]
-    per_seq = [np.split(a, np.cumsum([len(q) for q in seqs])[:-1]) for a in (score, epsilon, sigma)]
-    n_fed = [len(seqs[i]) - 1 for i in rows]
-    fed = [np.concatenate([a[i][:-1] for i in rows]) for a in per_seq]
-    ids = np.concatenate([seqs[i][:-1] for i in rows])
-    rows_noised = perturb_embeddings(
-        model.embed[ids], *fed, privacy, list_rng, ledger=list_ledger,
-        sequence_ids=np.repeat(names[rows], n_fed),
-        positions=np.concatenate([np.arange(n) for n in n_fed]), epoch=3,
-    )
+    rows_noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets, inputs.names, privacy,
+                                             list_rng, list_ledger, epoch=3)
     noisy = np.split(rows_noised, np.cumsum(n_fed)[:-1])
-    scores = [per_seq[0][i] for i in rows] if mode == "pecl" else None
+    per_seq_scores = np.split(budgets[0], np.cumsum([len(q) for q in seqs])[:-1])
+    scores = [per_seq_scores[i] for i in rows] if mode == "pecl" else None
     listed = backward(model, adapter, listed_seqs,
                       LossSpec(noisy=noisy, scores=scores, theta=spec.theta,
                                lambda_unlearn=spec.lambda_unlearn, reg_weight=spec.reg_weight,
@@ -376,3 +394,69 @@ def test_evaluate_matches_per_sequence_forward_argmax():
     ]
     assert 0 < sum(hits) < len(hits)
     assert evaluate(model, adapter, task) == sum(hits) / len(hits)
+
+
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_epoch_noising_equals_per_batch_noising(mode):
+    privacy = PrivacyConfig(clip_norm=0.5)
+    model = init_lm((23, 4, 3, 6), seed=4)
+    rng = np.random.default_rng(13)
+    seqs = [rng.integers(1, 23, size=n).tolist() for n in (2, 3, 7, 4, 9, 2, 5, 8, 6, 3, 2)]
+    inputs, *budgets = budgeted_inputs(mode, model, seqs, privacy, rng)
+    clean = model.embed[inputs.seqs.tokens]
+    batch_size = 4  # does not divide the 11 sequences
+    epoch_ledger, epoch_rng = PrivacyLedger(), np.random.default_rng(21)
+    batch_ledger, batch_rng = PrivacyLedger(), np.random.default_rng(21)
+    for epoch in range(2):
+        perm = np.random.default_rng(epoch).permutation(len(seqs))
+        inputs.noise_epoch(model, perm, privacy, epoch_rng, epoch_ledger, epoch)
+        if epoch == 0:
+            table = inputs.table  # allocated once per task, refreshed each epoch
+        assert inputs.table is table
+
+        expected = clean.copy()
+        for start in range(0, len(perm), batch_size):
+            rows = perm[start : start + batch_size]
+            noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets, inputs.names,
+                                                privacy, batch_rng, batch_ledger, epoch)
+            expected[np.concatenate([inputs.seqs.starts[i] + np.arange(n)
+                                     for i, n in zip(rows, n_fed)])] = noised
+        np.testing.assert_array_equal(inputs.table, expected)
+        assert epoch_ledger.records == batch_ledger.records
+        assert epoch_rng.bit_generator.state == batch_rng.bit_generator.state
+        noised_rows = inputs.score > 0
+        noised_rows[inputs.seqs.starts + inputs.seqs.lengths - 1] = False  # never fed
+        assert noised_rows.any() and not noised_rows.all()
+        np.testing.assert_array_equal(inputs.table[~noised_rows], clean[~noised_rows])
+        assert (inputs.table[noised_rows] != clean[noised_rows]).all(axis=1).all()
+    assert len(epoch_ledger) == 2 * noised_rows.sum()
+
+
+def test_run_ledger_follows_each_epochs_feed_order():
+    # Each epoch's exposures are its shuffled sequences in turn, positions
+    # 0..len-2 in order, where the frozen score is positive.
+    config = small_config(mode="pecl", num_tasks=1, epochs=2, batch_size=7)
+    task = small_stream(config).tasks[0]
+    result = run_continual(config, [task])
+    expected = [
+        (f"{task.task_id}:{i}", pos, epoch)
+        for epoch in range(config.epochs)
+        for i in spawn_rng(config.seed, "shuffle", 1, epoch).permutation(len(task.train))
+        for pos in np.flatnonzero(result.profiles[task.task_id][i].score[:-1] > 0).tolist()
+    ]
+    assert [(r.sequence_id, r.position, r.epoch) for r in result.ledger.records] == expected
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+def test_run_leaves_every_base_parameter_as_initialised(mode):
+    # Epoch noising reads the embedding table before an epoch's steps; that
+    # is exact only because no step changes it.
+    config = small_config(mode=mode)
+    tasks = small_stream(config).tasks
+    result = run_continual(config, tasks)
+    initial = init_lm((len(tasks[0].vocab), config.d_emb, config.n_ctx, config.d_hidden),
+                      seed=config.seed)
+    for (name, got), (_, expected) in zip(result.model.param_items(), initial.param_items(),
+                                          strict=True):
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+    assert (result.adapter.b != 0).any()  # the adapter did train
