@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 from .config import config_to_dict
-from .errors import DataError
+from .errors import DataError, reading
 from .tinylm import load_checkpoint, save_checkpoint
 from .trainer import AccuracyMatrix, RunConfig, RunResult, TaskReport, metrics_summary
 
@@ -36,8 +36,10 @@ def read_matrix_csv(path: str | Path) -> AccuracyMatrix:
     p = Path(path)
     if not p.exists():
         raise DataError(f"matrix file not found: {p}")
+    with reading(p):
+        text = p.read_text("utf-8")
     rows: list[list[float]] = []
-    for lineno, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .corpus import load_stopwords
-from .errors import DataError
+from .errors import DataError, reading
 from .privacy import PrivacyConfig
 from .sculpt import SculptConfig
 from .sensitivity import SensitivityConfig
@@ -139,7 +139,8 @@ def parse_config(path: str | Path | None) -> RunConfig:
     if not p.exists():
         raise DataError(f"config file not found: {p}")
     try:
-        obj = json.loads(p.read_text("utf-8"))
+        with reading(p):
+            obj = json.loads(p.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{p}: malformed JSON: {exc.msg}") from exc
     return config_from_dict(obj)

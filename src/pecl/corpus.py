@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, reading
 
 PAD_ID = 0
 UNK_ID = 1
@@ -172,7 +172,7 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[TaskCorpus]:
         raise DataError(f"corpus file not found: {path}")
 
     records: list[tuple[int, str, str, str]] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with reading(path), path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -237,7 +237,8 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
         p = Path(path)
         if not p.exists():
             raise DataError(f"stopword file not found: {p}")
-        data = p.read_text("utf-8")
+        with reading(p):
+            data = p.read_text("utf-8")
     return frozenset(w.strip().lower() for w in data.splitlines() if w.strip())
 
 

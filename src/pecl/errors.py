@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class PeclError(Exception):
     """Base class for all library errors."""
@@ -11,3 +13,12 @@ class DataError(PeclError):
 
 class NumericError(PeclError):
     """Non-finite values where finite numbers are required."""
+
+
+@contextmanager
+def reading(path):
+    """Turn an OSError raised while reading ``path`` into a DataError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, reading
 from .sensitivity import ProfileEntry, SensitivityProfile
 
 VARIANTS = ("main_text", "appendix")
@@ -232,7 +232,7 @@ class PrivacyLedger:
             raise DataError(f"ledger file not found: {p}")
         ledger = cls(delta_prime=delta_prime)
         rows: list[tuple] = []
-        with p.open("r", encoding="utf-8", newline="") as fh:
+        with reading(p), p.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             expected = {"sequence_id", "position", "epoch", "epsilon", "sigma"}
             if reader.fieldnames is None or set(reader.fieldnames) != expected:

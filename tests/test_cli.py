@@ -205,6 +205,23 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("given", ["config", "corpus", "stopword_file", "ledger", "matrix"])
+def test_input_path_that_is_a_directory_is_a_data_error(tmp_path, capsys, given):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = str(tmp_path / "out")
+    if given in ("corpus", "stopword_file"):
+        argv = ["run", "--config", str(write_config(tmp_path, {given: str(folder)})), "--out", out]
+    else:
+        argv = {"config": ["run", "--config", str(folder), "--out", out],
+                "ledger": ["compose", "--ledger", str(folder)],
+                "matrix": ["metrics", "--matrix", str(folder)]}[given]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {folder}: ")
+    assert "Traceback" not in err
+
+
 def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     config = write_config(tmp_path, extra={"task_order": [1, 7]})
     out = tmp_path / "broken"

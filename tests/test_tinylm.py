@@ -14,6 +14,7 @@ from pecl.tinylm import (
     backward,
     cosine_lr,
     forward,
+    forward_batch,
     init_adapter,
     init_lm,
     load_checkpoint,
@@ -317,6 +318,43 @@ def test_backward_zero_b_adapter_matches_no_adapter_gradients():
     # dL/dA = B^T dW_eff = 0 when B = 0, and dL/dB = dW_eff A^T.
     assert not with_adapter.a.any()
     np.testing.assert_allclose(with_adapter.b, without.w_hidden @ adapter.a.T, rtol=1e-12)
+
+
+@pytest.mark.parametrize("reg_weight", [0.0, 0.7], ids=["drift_off", "drift_on"])
+def test_low_rank_step_matches_dense_adapter_formula(monkeypatch, reg_weight):
+    model = init_lm((11, 3, 4, 7), seed=21)
+    adapter = init_adapter(model, rank=2, seed=5, task_id=1)
+    rng = np.random.default_rng(22)
+    adapter.b[:] = rng.normal(scale=0.4, size=adapter.b.shape)
+    batch = [rng.integers(0, model.vocab, size=n).tolist() for n in (2, 9, 5, 3, 7, 2, 8)]
+    scores = [rng.uniform(0.0, 0.99, size=len(seq)) for seq in batch]
+    reference = rng.normal(scale=0.1, size=model.w_hidden.shape)
+    spec = LossSpec(scores=scores, theta=0.6, lambda_unlearn=1.5, reg_weight=reg_weight,
+                    reg_reference=reference)
+    # The same layer with W0 + B @ A materialised, run through the dense path.
+    dense = model.copy()
+    dense.w_hidden = model.w_hidden + adapter.b @ adapter.a
+    dense_grads = backward(dense, None, batch, spec)
+    drift = adapter.b @ adapter.a - reference
+    d_w = dense_grads.w_hidden + 2.0 * reg_weight * drift
+    if reg_weight == 0.0:
+        def no_dense_delta(_):
+            raise AssertionError("the adapter step materialised B @ A")
+
+        monkeypatch.setattr("pecl.tinylm.lora_delta", no_dense_delta)
+
+    fb = forward_batch(model, adapter, batch)
+    h = np.tanh(fb.x @ dense.w_hidden.T + model.b_hidden)
+    logits = h @ model.w_out.T + model.b_out
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(fb.h, h, rtol=1e-12)
+    np.testing.assert_allclose(fb.p, p, rtol=1e-12)
+    grads = backward(model, adapter, batch, spec)
+    np.testing.assert_allclose(grads.a, adapter.b.T @ d_w, rtol=1e-12)
+    np.testing.assert_allclose(grads.b, d_w @ adapter.a.T, rtol=1e-12)
+    assert grads.l_reg == pytest.approx(reg_weight * (drift * drift).sum(), rel=1e-12)
+    assert grads.l_unlearn > 0.0
 
 
 def test_backward_rejects_empty_batch():
