@@ -9,6 +9,7 @@ rejected with the offending key named in the message.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .corpus import load_stopwords
@@ -44,6 +45,8 @@ def _coerce(key: str, value):
     if key in _FLOAT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataError(f"config key {key!r} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN and Infinity are valid JSON here
+            raise DataError(f"config key {key!r} must be a finite number, got {value!r}")
         return float(value)
     if key in _STR_KEYS:
         if key == "stopword_file" and value is None:

@@ -49,7 +49,7 @@ class PrivacyConfig:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps_lower <= 0 or self.eps_upper <= 0:
+        if not (self.eps_lower > 0 and self.eps_upper > 0):
             raise ValueError("epsilon bounds must be positive")
         if self.eps_lower > self.eps_upper:
             raise ValueError(
@@ -57,7 +57,7 @@ class PrivacyConfig:
             )
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.sensitivity_variant not in VARIANTS:
             raise ValueError(

@@ -31,7 +31,7 @@ class SculptConfig:
     lambda_unlearn: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lambda_min < 0 or self.lambda_max < 0 or self.lambda_unlearn < 0:
+        if not (self.lambda_min >= 0 and self.lambda_max >= 0 and self.lambda_unlearn >= 0):
             raise ValueError("lambda values must be non-negative")
         if self.lambda_min > self.lambda_max:
             raise ValueError(

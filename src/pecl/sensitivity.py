@@ -133,8 +133,8 @@ def score_sequences(
     predicted[packed.starts[packed.lengths > 0]] = False
     scored = np.flatnonzero(packed.lengths >= 2)
     losses = []
-    for i in range(0, scored.size, batch_size):
-        fb = forward_batch(model, adapter, packed.batch(model, scored[i : i + batch_size]))
+    for chunk in packed.batch(model, scored).chunks(batch_size) if scored.size else ():
+        fb = forward_batch(model, adapter, chunk)
         losses.append(fb.losses[fb.valid])
         del fb  # free this chunk's arrays before the next pass allocates its own
     if losses:

@@ -192,58 +192,82 @@ class PackedSequences:
         padding).
         """
         lengths = self.lengths[rows]
-        width = n_ctx - 1 + max(int(lengths.max()), 3)
+        width = _width(n_ctx, lengths)
         pos = np.arange(width) - (width - lengths)[:, None]
         src = np.where(pos >= 0, self.starts[rows][:, None] + pos, self.tokens.size - 1)
         return src, pos
 
-    def batch(
-        self, model: TinyLM, rows: np.ndarray, table: np.ndarray | None = None
-    ) -> "PackedBatch":
-        """The sequences ``rows`` as a batch, marked clean.
+    def batch(self, model: TinyLM, rows: np.ndarray, table: np.ndarray | None = None,
+              margin: np.ndarray | None = None) -> "PackedBatch":
+        """The sequences ``rows`` as one batch, laid out once; slice it for sub-batches.
 
-        Each cell's vector is its token's embedding or, when ``table`` (one
-        row per entry of ``tokens``) is given, its row of ``table``.
+        ``table`` and ``margin`` hold one row per entry of ``tokens``.  A
+        given table marks the cells it feeds, every position but each
+        sequence's last, as not clean; without one every cell reads its
+        token's row of the embedding table.
         """
         src, pos = self.cells(model.n_ctx, rows)
         ids = self.tokens[src]
-        emb = model.embed[ids] if table is None else table[src]
-        return PackedBatch([self.sequences[i] for i in rows], src, pos, ids, self.lengths[rows],
-                           emb, np.ones(ids.shape, dtype=bool))
+        lengths = self.lengths[rows]
+        if table is None:
+            table, feed, clean = model.embed, ids, np.ones(src.shape, dtype=bool)
+        else:
+            feed, clean = src, ~((pos >= 0) & (pos < lengths[:, None] - 1))
+        return PackedBatch(self.sequences, rows, src, ids, lengths, table, feed, clean,
+                           pos[:, model.n_ctx :] >= 1,
+                           None if margin is None else margin[src[:, model.n_ctx :]])
+
+
+def _width(n_ctx: int, lengths: np.ndarray) -> int:
+    return n_ctx - 1 + max(int(lengths.max()), 3)
 
 
 @dataclass
 class PackedBatch:
-    """A batch as one left-PAD-padded id matrix, its lengths and its input vectors.
+    """A batch as one left-PAD-padded id matrix over a table of input vectors.
 
+    Row b is sequence ``rows[b]``, laid out by ``PackedSequences.cells``: cell
+    (b, c) is token ``ids[b, c]``, fed as row ``feed[b, c]`` of ``table``
+    (``src`` or ``ids``), and ``clean`` marks the cells fed their token's
+    embedding, not a noised row.
     Window t, ``ids[b, t : t + n_ctx]``, predicts ``ids[b, t + n_ctx]``;
-    ``src`` and ``pos`` say where each cell came from (see
-    ``PackedSequences.cells``).  ``emb[b, c]`` is the vector
-    fed for column c, and ``clean[b, c]`` marks the columns read from the
-    embedding table rather than given as noised rows.  ``margin[b, t]`` is
-    the unlearning margin of window t's target (0 unless it is a prediction
-    whose frozen score exceeds theta), or None when no scores were given.
-    Iterating yields the batch's sequences.
+    ``valid`` marks the windows whose target is a position >= 1, ``margin``
+    (None without scores) holds each target's unlearning margin, and
+    ``base``, when set, is ``frozen_base``'s table, read by ``src``.
+    ``pb[i:j]`` is rows i..j-1 exactly as ``cells`` lays them out on their
+    own; iterating yields the batch's sequences, looked up on demand.
     """
 
-    sequences: Sequence
+    sequences: Sequence    # every source sequence; the batch holds ``rows`` of them
+    rows: np.ndarray       # (B,)
     src: np.ndarray        # (B, width)
-    pos: np.ndarray        # (B, width)
     ids: np.ndarray        # (B, width)
     lengths: np.ndarray    # (B,)
-    emb: np.ndarray        # (B, width, d_emb)
+    table: np.ndarray      # (N + 1 or vocab, d_emb)
+    feed: np.ndarray       # (B, width)
     clean: np.ndarray      # (B, width)
+    valid: np.ndarray      # (B, width - n_ctx)
     margin: np.ndarray | None = None   # (B, width - n_ctx)
+    base: np.ndarray | None = None     # (N + 1, d_hidden)
 
     def __iter__(self):
-        return iter(self.sequences)
+        return (self.sequences[i] for i in self.rows)
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return len(self.rows)
 
-    def consumed(self) -> np.ndarray:
-        """(B, width) cells fed as inputs: every position but each sequence's last."""
-        return (self.pos >= 0) & (self.pos < self.lengths[:, None] - 1)
+    def __getitem__(self, part: slice) -> "PackedBatch":
+        lengths = self.lengths[part]
+        width = self.src.shape[1]
+        cells = (part, slice(width - _width(width - self.valid.shape[1], lengths), None))
+        return PackedBatch(self.sequences, self.rows[part], self.src[cells], self.ids[cells],
+                           lengths, self.table, self.feed[cells], self.clean[cells],
+                           self.valid[cells], None if self.margin is None else self.margin[cells],
+                           self.base)
+
+    def chunks(self, size: int):
+        """Consecutive slices of ``size`` rows, the last one possibly shorter."""
+        return (self[i : i + size] for i in range(0, len(self), size))
 
 
 def _aligned_scores(scores: np.ndarray, n_pred: int) -> np.ndarray:
@@ -278,38 +302,41 @@ def pack(
     seqs = PackedSequences.of(model, batch)
     if seqs.lengths.min() < 2:
         raise ValueError("every sequence needs at least 2 tokens to produce a loss")
-    pb = seqs.batch(model, np.arange(len(seqs.lengths)))
+    table = margin = None
     if noisy is not None:
         rows = [_validate_noisy(model, n, r) for n, r in zip(seqs.lengths, noisy)]
-        fed = np.array([r is not None for r in rows])[:, None]
-        pb.clean = ~(pb.consumed() & fed)
-        if fed.any():
-            pb.emb[~pb.clean] = np.concatenate([r for r in rows if r is not None])
+        table = model.embed[seqs.tokens]
+        for start, r in zip(seqs.starts, rows):
+            if r is not None:
+                table[start : start + len(r)] = r
     if scores is not None:
-        flat = np.zeros(seqs.tokens.size)
+        margin = np.zeros(seqs.tokens.size)
         for start, n, s in zip(seqs.starts, seqs.lengths, scores):
             if s is not None:
                 s = _aligned_scores(s, n - 1)
-                flat[start + 1 : start + n] = np.where(s > theta, s - theta, 0.0)
-        pb.margin = flat[pb.src[:, model.n_ctx :]]
+                margin[start + 1 : start + n] = np.where(s > theta, s - theta, 0.0)
+    pb = seqs.batch(model, np.arange(len(seqs.lengths)), table, margin)
+    if noisy is not None:
+        pb.clean |= np.array([r is None for r in rows])[:, None]
     return pb
 
 
 def _mlp(
-    model: TinyLM, adapter: LoraAdapter | None, x: np.ndarray
+    model: TinyLM, adapter: LoraAdapter | None, x: np.ndarray, base: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Adapter projections u, hidden activations h and next-token distributions p of x (B, T, d_in).
 
     With an adapter the hidden layer is ``x @ W0.T + u @ B.T`` with
     ``u = x @ A.T`` (B, T, rank), which is returned for the backward pass;
-    W0 + B @ A is never formed.  Without one ``u`` is None and the layer is
-    ``x @ W_hidden.T``.  numpy multiplies a 3-D ``x`` one (T, d_in) slice at
-    a time, which keeps every BLAS call under OpenBLAS's multithreading
-    cut-off; a flat (B*T, d_in) product crosses it and runs several times
-    slower at these sizes.  Bias, tanh and softmax work in place, so no other
-    batch-sized temporaries stay alive.
+    W0 + B @ A is never formed, and ``base``, when given, is ``x @ W0.T``
+    computed beforehand (a fresh array, used in place).  Without an adapter
+    ``u`` is None and the layer is ``x @ W_hidden.T``.  numpy multiplies a
+    3-D ``x`` one (T, d_in) slice at a time, which keeps every BLAS call
+    under OpenBLAS's multithreading cut-off; a flat (B*T, d_in) product
+    crosses it and runs several times slower at these sizes.  Bias, tanh and
+    softmax work in place, so no other batch-sized temporaries stay alive.
     """
-    h = x @ model.w_hidden.T
+    h = x @ model.w_hidden.T if base is None else base
     u = None
     if adapter is not None:
         u = x @ adapter.a.T
@@ -343,8 +370,8 @@ def label_probs(
     Only the window before the last token of each sequence is gathered and
     run; ``batch`` and ``noisy`` are as in ``forward_batch``.
     """
-    emb = pack(model, batch, noisy).emb
-    x = emb[:, -model.n_ctx - 1 : -1].reshape(len(emb), 1, model.d_in)
+    pb = pack(model, batch, noisy)
+    x = pb.table[pb.feed[:, -model.n_ctx - 1 : -1]].reshape(len(pb), 1, model.d_in)
     return _mlp(model, adapter, x)[2][:, 0]
 
 
@@ -378,10 +405,11 @@ def forward(
 class BatchForward:
     """One forward pass over every predicted position of a padded batch.
 
-    Arrays are (B, T, ...) with T = longest length - 1; window t of sequence b
+    Arrays are (B, T, ...) with T = width - n_ctx; window t of sequence b
     is a prediction iff ``valid[b, t]`` (its last ``lengths[b] - 1`` windows).
     ``clean[b, c]`` marks id-matrix columns read from the embedding table
-    rather than from a sequence's noisy rows.
+    rather than from a sequence's noisy rows.  ``p[target]`` is every window's
+    probability of its target token.
     """
 
     ids: np.ndarray        # (B, n_ctx + T) left-PAD-padded token ids
@@ -394,6 +422,7 @@ class BatchForward:
     p: np.ndarray          # (B, T, vocab)
     losses: np.ndarray     # (B, T) -log p(target); meaningful where valid
     valid: np.ndarray      # (B, T)
+    target: tuple[np.ndarray, np.ndarray, np.ndarray]   # (batch, window, token) index into p
 
     def sequence_losses(self) -> list[np.ndarray]:
         """Per-sequence token losses, in position order."""
@@ -414,19 +443,44 @@ def forward_batch(
 
     ``batch`` is a ``PackedBatch`` or a list of sequences packed by ``pack``;
     ``noisy`` holds one entry per listed sequence: None, or one embedding row
-    per position (the final row is never consumed and may be omitted).
+    per position (the final row is never consumed and may be omitted).  A
+    batch's ``base`` stands in for ``x @ W0.T`` only when W0 is frozen.
     """
     pb = pack(model, batch, noisy)
-    ids, lengths, emb = pb.ids, pb.lengths, pb.emb
-    n_batch, width = ids.shape
-    n_windows = width - model.n_ctx
+    windows, x = _windows(model, pb)
+    n_batch, n_windows = pb.valid.shape
+    base = None if adapter is None or pb.base is None else pb.base[pb.src[:, model.n_ctx :]]
+    u, h, p = _mlp(model, adapter, x, base)
+    target = (np.arange(n_batch)[:, None], np.arange(n_windows), pb.ids[:, model.n_ctx :])
+    losses = -np.log(p[target])
+    return BatchForward(pb.ids, pb.lengths, pb.clean, windows, x, u, h, p, losses, pb.valid,
+                        target)
+
+
+def _windows(model: TinyLM, pb: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, n_ctx) columns of every window slot and the (B, T, d_in) window inputs."""
+    n_batch, n_windows = pb.valid.shape
     windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
-    x = np.take(emb, windows, axis=1).reshape(n_batch, n_windows, model.d_in)
-    u, h, p = _mlp(model, adapter, x)
-    targets = ids[:, model.n_ctx :, None]
-    losses = -np.log(np.take_along_axis(p, targets, axis=-1)[..., 0])
-    valid = np.arange(n_windows) >= (n_windows + 1 - lengths)[:, None]
-    return BatchForward(ids, lengths, pb.clean, windows, x, u, h, p, losses, valid)
+    return windows, pb.table[pb.feed[:, windows]].reshape(n_batch, n_windows, model.d_in)
+
+
+def frozen_base(
+    model: TinyLM, layout: PackedBatch, batch_size: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x @ W0.T`` of the window that predicts each packed token, aligned with ``src``.
+
+    Filled ``batch_size`` rows of ``layout`` at a time with ``_mlp``'s 3-D
+    product, so a step over the same rows gets the bits it would compute.
+    Regrouped rows keep them while every gemm stays on one side of the
+    BLAS's size cut-off (see the README).  Rows that no valid window
+    predicts (each sequence's first token, the trailing PAD) stay 0.  ``out``,
+    an earlier result for the same sequences, is refilled in place.
+    """
+    base = np.zeros((layout.src.max() + 1, model.d_hidden)) if out is None else out
+    for pb in layout.chunks(batch_size):
+        x = _windows(model, pb)[1]
+        base[pb.src[:, model.n_ctx :][pb.valid]] = (x @ model.w_hidden.T)[pb.valid]
+    return base
 
 
 def token_losses(
@@ -542,7 +596,7 @@ def backward(
         weights = weights + spec.unlearn_sign * spec.lambda_unlearn * margin / scale
 
     dU = fb.p
-    dU[np.arange(n_batch)[:, None], np.arange(n_windows), fb.ids[:, model.n_ctx :]] -= 1.0
+    dU[fb.target] -= 1.0
     dU *= weights[:, :, None]
     dZ = (dU @ model.w_out) * (1.0 - fb.h * fb.h)
     base: dict[str, np.ndarray] = {}
@@ -567,11 +621,12 @@ def backward(
         d_a = (g @ adapter.b).T @ fb.x.reshape(-1, model.d_in)
         d_b = g.T @ fb.u.reshape(-1, adapter.rank)
         if spec.reg_weight != 0.0 and spec.reg_reference is not None:
-            drift = lora_delta(adapter) - spec.reg_reference
+            drift = lora_delta(adapter)
+            drift -= spec.reg_reference
             l_reg = float(spec.reg_weight * (drift * drift).sum())
-            reg_grad = 2.0 * spec.reg_weight * drift
-            d_a += adapter.b.T @ reg_grad
-            d_b += reg_grad @ adapter.a.T
+            drift *= 2.0 * spec.reg_weight  # now the penalty's gradient in B @ A
+            d_a += adapter.b.T @ drift
+            d_b += drift @ adapter.a.T
 
     objective = l_task + l_reg + spec.unlearn_sign * spec.lambda_unlearn * l_unlearn
     if not np.isfinite(objective):

@@ -58,6 +58,7 @@ from .tinylm import (
     backward,
     cosine_lr,
     forward_batch,
+    frozen_base,
     init_adapter,
     init_lm,
     label_probs,
@@ -116,13 +117,13 @@ class RunConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.uniform_eps <= 0:
+        if not self.uniform_eps > 0:
             raise ValueError(f"uniform_eps must be positive, got {self.uniform_eps}")
         if not 0.0 < self.delta_prime < 1.0:
             raise ValueError(f"delta_prime must be in (0, 1), got {self.delta_prime}")
@@ -230,10 +231,6 @@ def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus) -> fl
     return int(correct.sum()) / len(task.eval)
 
 
-def _batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [indices[i : i + batch_size] for i in range(0, len(indices), batch_size)]
-
-
 @dataclass
 class TaskInputs:
     """A task's training set, packed, scored and budgeted once when the task starts.
@@ -243,14 +240,16 @@ class TaskInputs:
     epsilon and sigma (``score`` is None in seqft, where nothing is noised),
     every predicted position's unlearning margin (pecl only; 0 on each
     sequence's first position), and, once ``noise_epoch`` has run, ``table``,
-    the vector fed for every token in the current epoch.  A step gathers its
-    rows by index.
+    the vector fed for every token in the current epoch.  ``base`` holds
+    ``frozen_base`` under the current inputs once ``lay_out`` has run.  A
+    step gathers its rows by index.
 
-    Noising a whole epoch before its first step rests on one invariant:
-    ``run_continual`` trains only the adapter, so the embedding table, like
-    every other base parameter, leaves a run bit-identical to ``init_lm``'s.
-    Noise therefore depends only on frozen scores and frozen embeddings,
-    never on the training state between two steps.
+    Noising a whole epoch before its first step, and taking ``x @ W0.T`` out
+    of the step, rest on one invariant: ``run_continual`` trains only the
+    adapter, so the embedding table and W0, like every other base parameter,
+    leave a run bit-identical to ``init_lm``'s.  Noise therefore depends
+    only on frozen scores and frozen embeddings, and the base product only on
+    the epoch's inputs, never on the training state between two steps.
     """
 
     seqs: PackedSequences
@@ -260,6 +259,7 @@ class TaskInputs:
     sigma: np.ndarray | None = None
     margin: np.ndarray | None = None
     table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
+    base: np.ndarray | None = None       # (N + 1, d_hidden)
 
     def set_budgets(self, score: np.ndarray, epsilon: np.ndarray, sigma: np.ndarray) -> None:
         """Freeze every token's score, epsilon and sigma (one entry per token)."""
@@ -305,16 +305,21 @@ class TaskInputs:
             positions=pos[hit], epoch=epoch,
         )
 
-    def batch(self, model: TinyLM, rows: np.ndarray) -> PackedBatch:
-        """Gather sequences ``rows`` into a training batch from the current epoch's inputs."""
+    def lay_out(self, model: TinyLM, perm: np.ndarray, batch_size: int) -> PackedBatch:
+        """The epoch that feeds sequences ``perm`` in turn as one batch over the current inputs.
+
+        A step is one of its ``chunks(batch_size)``.  ``base`` is filled
+        first, in the same chunks: in place each epoch in the noised modes,
+        whose table changes, and once per task in seqft, whose later epochs
+        regroup the rows (see ``frozen_base``).
+        """
         if self.score is not None and self.table is None:
-            raise ValueError("noise an epoch before gathering its batches")
-        pb = self.seqs.batch(model, rows, self.table)
-        if self.table is not None:
-            pb.clean = ~pb.consumed()
-        if self.margin is not None:
-            pb.margin = self.margin[pb.src[:, model.n_ctx :]]
-        return pb
+            raise ValueError("noise an epoch before laying it out")
+        layout = self.seqs.batch(model, perm, self.table, self.margin)
+        if self.base is None or self.table is not None:
+            self.base = frozen_base(model, layout, batch_size, self.base)
+        layout.base = self.base
+        return layout
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
@@ -419,8 +424,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             perm = spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
             if inputs.score is not None:
                 inputs.noise_epoch(model, perm, config.privacy, noise_rng, ledger, epoch)
-            for batch_idx in _batches(perm, config.batch_size):
-                batch = inputs.batch(model, batch_idx)
+            for batch in inputs.lay_out(model, perm, config.batch_size).chunks(config.batch_size):
                 try:
                     grads = backward(model, adapter, batch, spec)
                 except NumericError as exc:
@@ -436,9 +440,10 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
 
         # Task wrap-up: importance from the final delta and clean activations,
         # one forward pass per batch_size chunk of the training set.
+        # Rebinding ``batch`` frees the last step's inputs before the next task.
         train_losses: list[np.ndarray] = []
-        for chunk in _batches(np.arange(len(task.train)), config.batch_size):
-            fb = forward_batch(model, adapter, inputs.seqs.batch(model, chunk))
+        for batch in inputs.seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
+            fb = forward_batch(model, adapter, batch)
             state.observe_activation(np.linalg.norm(fb.x, axis=-1)[fb.valid])
             train_losses += fb.sequence_losses()
             del fb  # free this chunk's arrays before the next pass allocates its own

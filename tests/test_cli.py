@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from pecl.cli import main
-from pecl.config import config_from_dict, config_to_dict, parse_config
+from pecl.config import _FLOAT_KEYS, config_from_dict, config_to_dict, parse_config
 from pecl.errors import DataError
+from pecl.privacy import PrivacyConfig
+from pecl.sculpt import SculptConfig
+from pecl.trainer import RunConfig
 
 SMALL = {
     "train_per_task": 25,
@@ -79,6 +82,33 @@ def test_parse_config_type_errors(tmp_path):
     path.write_text(json.dumps({"epochs": "three"}), encoding="utf-8")
     with pytest.raises(DataError, match="epochs"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_non_finite_float_key_is_a_data_error(tmp_path, capsys, monkeypatch, key, value):
+    # JSON's NaN and Infinity parse, and NaN slips past every ``x <= 0`` check.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on a non-finite config value")
+
+    monkeypatch.setattr("pecl.trainer.backward", no_training)
+    config = write_config(tmp_path, {key: value})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: RunConfig(lr=v), lambda v: RunConfig(weight_decay=v),
+    lambda v: RunConfig(uniform_eps=v), lambda v: PrivacyConfig(eps_lower=v),
+    lambda v: PrivacyConfig(eps_upper=v), lambda v: PrivacyConfig(clip_norm=v),
+    lambda v: SculptConfig(lambda_min=v), lambda v: SculptConfig(lambda_max=v),
+    lambda v: SculptConfig(lambda_unlearn=v),
+], ids=["lr", "weight_decay", "uniform_eps", "eps_lower", "eps_upper", "clip_norm",
+        "lambda_min", "lambda_max", "lambda_unlearn"])
+def test_config_dataclasses_reject_nan(make):
+    with pytest.raises(ValueError):
+        make(math.nan)
 
 
 def test_config_round_trips_through_dict():

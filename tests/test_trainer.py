@@ -6,7 +6,15 @@ from pecl.errors import DataError
 from pecl.synthetic import synthetic_stream
 from pecl.seeding import spawn_rng
 from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
-from pecl.tinylm import LossSpec, PackedSequences, backward, forward, init_adapter, init_lm
+from pecl.tinylm import (
+    LossSpec,
+    PackedSequences,
+    backward,
+    forward,
+    frozen_base,
+    init_adapter,
+    init_lm,
+)
 from pecl.trainer import (
     AccuracyMatrix,
     RunConfig,
@@ -349,10 +357,12 @@ def test_packed_training_step_equals_the_list_api(mode):
                     reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
     rows = np.array([4, 0, 2, 6, 5])
 
-    # One epoch whose permutation is ``rows``, then the step's gather.
+    # One epoch whose permutation is ``rows``, laid out as one step with its
+    # frozen-base table, then the step's gather.
     step_ledger, step_rng = PrivacyLedger(), np.random.default_rng(21)
     inputs.noise_epoch(model, rows, privacy, step_rng, step_ledger, epoch=3)
-    batch = inputs.batch(model, rows)
+    (batch,) = inputs.lay_out(model, rows, batch_size=len(rows)).chunks(len(rows))
+    assert batch.base is inputs.base is not None
     packed = backward(model, adapter, batch, spec)
 
     # The same step through the list-of-sequences API: per-sequence arrays,
@@ -370,7 +380,7 @@ def test_packed_training_step_equals_the_list_api(mode):
                                reg_reference=spec.reg_reference))
 
     assert list(batch) == listed_seqs
-    np.testing.assert_array_equal(batch.emb[~batch.clean], rows_noised)
+    np.testing.assert_array_equal(batch.table[batch.feed][~batch.clean], rows_noised)
     assert step_ledger.records == list_ledger.records and len(step_ledger) > 0
     assert step_rng.bit_generator.state == list_rng.bit_generator.state
     for name in ("a", "b"):
@@ -430,6 +440,61 @@ def test_epoch_noising_equals_per_batch_noising(mode):
         np.testing.assert_array_equal(inputs.table[~noised_rows], clean[~noised_rows])
         assert (inputs.table[noised_rows] != clean[noised_rows]).all(axis=1).all()
     assert len(epoch_ledger) == 2 * noised_rows.sum()
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+def test_epoch_layout_and_base_equal_the_per_step_batch(monkeypatch, mode):
+    privacy = PrivacyConfig(clip_norm=0.5)
+    model = init_lm((23, 4, 3, 6), seed=6)
+    rng = np.random.default_rng(17)
+    seqs = [rng.integers(1, 23, size=n).tolist() for n in (2, 3, 7, 4, 9, 2, 5, 8, 6, 3, 2)]
+    if mode == "seqft":
+        inputs = TaskInputs(PackedSequences.of(model, seqs), np.arange(len(seqs)))
+    else:
+        inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
+    batch_size = 4  # does not divide the 11 sequences
+    ledger, noise_rng = PrivacyLedger(), np.random.default_rng(3)
+    fills = []
+    monkeypatch.setattr("pecl.trainer.frozen_base",
+                        lambda *args: fills.append(1) or frozen_base(*args))
+    for epoch in range(2):
+        perm = np.random.default_rng(epoch).permutation(len(seqs))
+        if mode != "seqft":
+            inputs.noise_epoch(model, perm, privacy, noise_rng, ledger, epoch)
+        layout = inputs.lay_out(model, perm, batch_size)
+        assert layout.base is inputs.base
+        table = model.embed[inputs.seqs.tokens] if inputs.table is None else inputs.table
+        trained = 0
+        for start, step in zip(range(0, len(perm), batch_size), layout.chunks(batch_size),
+                               strict=True):
+            # Reference: the step's rows laid out on their own by one cells pass.
+            rows = perm[start : start + batch_size]
+            src, pos = inputs.seqs.cells(model.n_ctx, rows)
+            consumed = (pos >= 0) & (pos < inputs.seqs.lengths[rows][:, None] - 1)
+            targets = src[:, model.n_ctx :]
+            np.testing.assert_array_equal(step.src, src)
+            np.testing.assert_array_equal(step.ids, inputs.seqs.tokens[src])
+            np.testing.assert_array_equal(step.table[step.feed], table[src])
+            clean = np.ones_like(consumed) if mode == "seqft" else ~consumed
+            np.testing.assert_array_equal(step.clean, clean)
+            np.testing.assert_array_equal(step.valid, pos[:, model.n_ctx :] >= 1)
+            if mode == "pecl":
+                np.testing.assert_array_equal(step.margin, inputs.margin[targets])
+            else:
+                assert step.margin is None
+            # The gathered base is x @ W0.T, the step's own 3-D product, on every valid window.
+            n_windows = targets.shape[1]
+            windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
+            x = table[src][:, windows].reshape(len(rows), n_windows, model.d_in)
+            valid = step.valid
+            assert valid.any()
+            np.testing.assert_array_equal(step.base[targets][valid], (x @ model.w_hidden.T)[valid])
+            assert list(step) == [seqs[i] for i in rows]
+            assert sum(len(seq) - 1 for seq in step) == valid.sum()
+            trained += valid.sum()
+        assert trained == sum(len(seq) - 1 for seq in seqs)
+    # seqft's inputs never change, so its base is filled once per task.
+    assert len(fills) == (1 if mode == "seqft" else 2)
 
 
 def test_run_ledger_follows_each_epochs_feed_order():

@@ -1,0 +1,165 @@
+"""Alternating parent/change perfbench pairs, written up as ``BENCH_<n>.json``.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --n 6 --parent HEAD~1 --note "what the change does" \
+        --workload recipe-seqft=61-70 --workload recipe-pecl=61-65 --seconds 20
+
+Each side runs from a fresh copy of its files: the parent revision exported
+with ``git archive``, and the change exported the same way when ``--change``
+names a revision, or else copied from the working tree (tracked files plus
+untracked ones that are not ignored).  Every seed of a workload is one pair of
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+invocations, and the side that runs first alternates from pair to pair.  A run
+value is the median that invocation prints for an end-to-end metric of the
+copy's BENCHMARK.json.  The file records every run, the medians, the distance
+between the quartiles of the parent's runs, the pairs the change wins and the
+environment block perfbench prints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path.cwd()
+ENV_KEYS = ("python", "numpy", "blas", "blas_config", "blas_threads", "nproc")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export_revision(rev: str, dest: Path) -> str:
+    """Write revision ``rev``'s files to ``dest``; return its full commit id."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=BytesIO(git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def copy_worktree(dest: Path) -> str:
+    """Copy the working tree's tracked and unignored files to ``dest``."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
+    for name in filter(None, names):
+        src = ROOT / name.decode()
+        if src.is_file():  # a tracked file deleted in the working tree is skipped
+            (dest / name.decode()).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name.decode())
+    return "working tree on " + git("rev-parse", "HEAD").decode().strip()
+
+
+def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench invocation in ``copy``: its metrics, failed samples and environment."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=copy, capture_output=True, text=True, timeout=600,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"perfbench failed in {copy} ({workload}, seed {seed}):\n"
+                         f"{proc.stdout}\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    env = next(json.loads(line.split(":", 1)[1]) for line in lines
+               if line.startswith("environment:"))
+    return {"values": {k: m["value"] for k, m in result["metrics"].items()},
+            "failed": result["failed"], "environment": env}
+
+
+def summarise(parent: list[float], change: list[float], better: str) -> dict:
+    wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    q1, _, q3 = quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else (0, 0, 0)
+    return {
+        "parent_median": round(median(parent), 4),
+        "change_median": round(median(change), 4),
+        "change_vs_parent": round(median(change) / median(parent) - 1.0, 4),
+        "parent_iqr": round(q3 - q1, 4),
+        "change_wins": wins,
+        "parent_runs": [round(v, 4) for v in parent],
+        "change_runs": [round(v, 4) for v in change],
+    }
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, required=True, help="writes BENCH_<n>.json")
+    parser.add_argument("--parent", required=True, help="parent revision")
+    parser.add_argument("--change", help="change revision (default: the working tree)")
+    parser.add_argument("--note", required=True, help="one sentence on what the change does")
+    parser.add_argument("--workload", action="append", required=True, metavar="NAME=FIRST-LAST",
+                        help="a workload and its seeds, one pair per seed; repeatable")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--machine", default="", help="a few words on the machine")
+    parser.add_argument("--workdir", type=Path, help="where the copies go (default: a temp dir)")
+    args = parser.parse_args(argv)
+    plan = [(name, seed_range(seeds)) for name, _, seeds in
+            (w.partition("=") for w in args.workload)]
+
+    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for path in sides.values():
+            path.mkdir()
+        parent_commit = export_revision(args.parent, sides["parent"])
+        change_commit = (export_revision(args.change, sides["change"]) if args.change
+                         else copy_worktree(sides["change"]))
+        spec = json.loads((sides["change"] / "BENCHMARK.json").read_text("utf-8"))
+        workloads, environment = {}, {}
+        for name, seeds in plan:
+            runs = {side: [] for side in sides}
+            failed = {side: 0 for side in sides}
+            for i, seed in enumerate(seeds):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    out = invoke(sides[side], name, seed, args.seconds)
+                    runs[side].append(out["values"])
+                    failed[side] += out["failed"]
+                    environment = {k: out["environment"][k] for k in ENV_KEYS}
+                    print(f"{name} seed {seed} {side}: {out['values']}", flush=True)
+            workloads[name] = {
+                "pairs": len(seeds),
+                "seeds": seeds,
+                "failed_samples": failed,
+                "metrics": {m["name"]: summarise([r[m["name"]] for r in runs["parent"]],
+                                                 [r[m["name"]] for r in runs["change"]],
+                                                 m["better"])
+                            for m in spec["end_to_end"]},
+            }
+
+    bench = {
+        "change": args.note,
+        "parent_commit": parent_commit,
+        "change_commit": change_commit,
+        "method": (
+            "Alternating parent/change pairs, which side runs first alternating from pair to "
+            "pair; each side is one `python3 perfbench/run.py --workload W --seed S --seconds "
+            f"{args.seconds:g} --trace 0` invocation from a clean copy of that side's files, and "
+            "each run value is that invocation's median over its samples (run_s and setup_s "
+            "rescaled by perfbench's speed probe). One pair per seed. change_wins counts pairs "
+            "where the change is better; parent_iqr is the distance between the quartiles of "
+            "the parent's runs. Written by tools/bench_pairs.py."
+        ),
+        "machine": args.machine or f"{environment.get('nproc')} CPUs",
+        "environment": environment,
+        "workloads": workloads,
+    }
+    path = ROOT / f"BENCH_{args.n}.json"
+    path.write_text(json.dumps(bench, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
