@@ -43,7 +43,7 @@ print(f"target sigma {entry.sigma:.3f}; sample stds {np.round(samples.std(axis=0
 print(f"sample means {np.round(samples.mean(axis=0), 3)} vs clipped center {np.round(clip(e, 1.0), 3)}\n")
 
 print("== ledger and composition ==")
-ledger = PrivacyLedger(delta_prime=1e-6)
+ledger = PrivacyLedger()
 for pos, score in enumerate((0.9, 0.4, 0.7, 0.95)):
     eps = allocate_budget(score, config)
     sigma = noise_sigma(eps, config.delta, config.clip_norm, "appendix")

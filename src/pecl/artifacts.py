@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
-from .config import config_to_dict
+from .config import config_to_dict, parse_config
 from .errors import DataError, reading
 from .tinylm import load_checkpoint, save_checkpoint
 from .trainer import AccuracyMatrix, RunConfig, RunResult, TaskReport, metrics_summary
@@ -48,7 +49,10 @@ def read_matrix_csv(path: str | Path) -> AccuracyMatrix:
             raise DataError(f"{p}:{lineno}: malformed matrix row: {exc}") from exc
     if not rows:
         raise DataError(f"{p}: empty matrix")
-    return AccuracyMatrix.from_rows(rows)
+    try:
+        return AccuracyMatrix.from_rows(rows)
+    except (DataError, ValueError) as exc:
+        raise DataError(f"{p}: {exc}") from exc
 
 
 def _report_dict(report: TaskReport) -> dict:
@@ -64,7 +68,9 @@ def _report_dict(report: TaskReport) -> dict:
 
 
 def write_metrics_json(path: str | Path, matrix: AccuracyMatrix, reports: list[TaskReport]) -> None:
-    payload = dict(metrics_summary(matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # whoever reports the metrics gives the BWT warning
+        payload = dict(metrics_summary(matrix))
     payload["per_task"] = [_report_dict(r) for r in reports]
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -168,8 +174,6 @@ def check_bundle(out_dir: str | Path) -> list[str]:
 
     load_checkpoint(out / "model.ckpt")
     checked.append("model.ckpt")
-
-    from .config import parse_config
 
     parse_config(out / "run_config.json")
     checked.append("run_config.json")

@@ -8,8 +8,8 @@ command are removed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,10 @@ from .artifacts import (
 from .config import config_from_dict, config_to_dict, parse_config
 from .corpus import compute_corpus_stats, load_corpus
 from .errors import DataError, NumericError, PeclError
-from .privacy import PrivacyLedger, assign_budgets, compose_sequence
+from .privacy import PrivacyConfig, PrivacyLedger, assign_budgets, compose_sequence
 from .sensitivity import score_sequences
 from .synthetic import synthetic_stream
-from .trainer import RunConfig, metrics_summary, run_continual
+from .trainer import MODES, RunConfig, metrics_summary, run_continual
 from .tinylm import PackedSequences, init_adapter, init_lm
 
 
@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--config", type=Path, default=None)
     run_p.add_argument("--out", type=Path, required=True)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--mode", choices=("pecl", "seqft", "uniform_dp"), default=None)
+    run_p.add_argument("--mode", choices=MODES, default=None)
     run_p.add_argument("--self-check", action="store_true",
                        help="validate every emitted file against its schema")
 
@@ -58,8 +58,8 @@ def _build_parser() -> _Parser:
 
     comp_p = sub.add_parser("compose", help="compose a ledger into a total budget")
     comp_p.add_argument("--ledger", type=Path, required=True)
-    comp_p.add_argument("--delta", type=float, default=1e-6)
-    comp_p.add_argument("--delta-prime", type=float, default=1e-6)
+    comp_p.add_argument("--delta", type=float, default=PrivacyConfig.delta)
+    comp_p.add_argument("--delta-prime", type=float, default=RunConfig.delta_prime)
 
     met_p = sub.add_parser("metrics", help="recompute bwt/last/avg from a matrix.csv")
     met_p.add_argument("--matrix", type=Path, required=True)
@@ -186,8 +186,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    ledger = PrivacyLedger.from_csv(args.ledger, delta=args.delta,
-                                    delta_prime=args.delta_prime)
+    ledger = PrivacyLedger.from_csv(args.ledger, delta=args.delta)
     eps_total, delta_total = compose_sequence(ledger, args.delta_prime)
     print(f"epsilon_total={eps_total!r} delta_total={delta_total!r} L={len(ledger)}")
     return 0
@@ -239,11 +238,18 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # each warning once per command
+            warnings.showwarning = _print_warning
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

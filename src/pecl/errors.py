@@ -17,8 +17,11 @@ class NumericError(PeclError):
 
 @contextmanager
 def reading(path):
-    """Turn an OSError raised while reading ``path`` into a DataError naming it."""
+    """Turn an OSError or a decoding error raised while reading ``path`` into a
+    DataError naming it."""
     try:
         yield
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc

@@ -133,6 +133,7 @@ class LedgerRecord:
 _LEDGER_COLUMNS = ("sequence_id", "position", "epoch", "epsilon", "sigma", "delta")
 _LEDGER_DTYPES = (object, np.int64, np.int64, float, float, float)
 _CSV_CHUNK_ROWS = 4096
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _csv_field(value: str) -> str:
@@ -154,17 +155,14 @@ def _float_repr(bits: int) -> str:
 
 
 class PrivacyLedger:
-    """Every noised token exposure, kept as columns, plus the composition slack.
+    """Every noised token exposure, kept as columns.
 
     ``extend`` appends one chunk per column for many exposures at once (the
     trainer appends each epoch's exposures in one call); the chunks are
     joined when the columns are read.
     """
 
-    def __init__(self, delta_prime: float = 1e-6):
-        if not 0.0 < delta_prime < 1.0:
-            raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
-        self.delta_prime = delta_prime
+    def __init__(self):
         self._chunks = [tuple(np.zeros(0, dtype=dtype) for dtype in _LEDGER_DTYPES)]
         self._size = 0
 
@@ -224,25 +222,41 @@ class PrivacyLedger:
                 )))
 
     @classmethod
-    def from_csv(
-        cls, path: str | Path, delta: float, delta_prime: float = 1e-6
-    ) -> "PrivacyLedger":
+    def from_csv(cls, path: str | Path, delta: float) -> "PrivacyLedger":
+        """Read a ledger written by ``to_csv``; every row gets ``delta``.
+
+        A budget that is not finite and positive, or a negative position or
+        epoch, is a DataError naming the file and line.
+        """
+        if not 0.0 < delta < 1.0:
+            raise DataError(f"delta must be in (0, 1), got {delta!r}")
         p = Path(path)
         if not p.exists():
             raise DataError(f"ledger file not found: {p}")
-        ledger = cls(delta_prime=delta_prime)
+        ledger = cls()
         rows: list[tuple] = []
         with reading(p), p.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             expected = {"sequence_id", "position", "epoch", "epsilon", "sigma"}
-            if reader.fieldnames is None or set(reader.fieldnames) != expected:
-                raise DataError(f"{p}: ledger header must be {sorted(expected)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    rows.append((row["sequence_id"], int(row["position"]), int(row["epoch"]),
-                                 float(row["epsilon"]), float(row["sigma"])))
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{p}:{lineno}: malformed ledger row: {exc}") from exc
+            try:
+                if reader.fieldnames is None or set(reader.fieldnames) != expected:
+                    raise DataError(f"{p}: ledger header must be {sorted(expected)}")
+                for lineno, row in enumerate(reader, start=2):
+                    try:
+                        seq, pos, epoch, eps, sigma = (
+                            row["sequence_id"], int(row["position"]), int(row["epoch"]),
+                            float(row["epsilon"]), float(row["sigma"]))
+                    except (TypeError, ValueError) as exc:
+                        raise DataError(f"{p}:{lineno}: malformed ledger row: {exc}") from exc
+                    if not (0 <= pos <= _INT64_MAX and 0 <= epoch <= _INT64_MAX):
+                        raise DataError(f"{p}:{lineno}: position and epoch must be "
+                                        f"non-negative 64-bit integers, got {pos}, {epoch}")
+                    if not (0.0 < eps < math.inf and 0.0 < sigma < math.inf):
+                        raise DataError(f"{p}:{lineno}: epsilon and sigma must be finite and "
+                                        f"positive, got {eps!r}, {sigma!r}")
+                    rows.append((seq, pos, epoch, eps, sigma))
+            except csv.Error as exc:
+                raise DataError(f"{p}:{reader.line_num}: malformed ledger row: {exc}") from exc
         if rows:
             ledger.extend(*zip(*rows), delta)
         return ledger

@@ -358,7 +358,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     model = init_lm((len(vocab), config.d_emb, config.n_ctx, config.d_hidden),
                     seed=config.seed)
     adapter = init_adapter(model, config.rank, seed=config.seed, task_id=order[0])
-    ledger = PrivacyLedger(delta_prime=config.delta_prime)
+    ledger = PrivacyLedger()
     noise_rng = spawn_rng(config.seed, "embedding-noise", config.privacy.noise_seed)
     state = ImportanceState()
     snapshot: AdapterSnapshot | None = None

@@ -5,9 +5,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pecl.artifacts import read_matrix_csv
 from pecl.cli import main
-from pecl.config import _FLOAT_KEYS, config_from_dict, config_to_dict, parse_config
+from pecl.config import SCHEMA, config_from_dict, config_to_dict, parse_config
 from pecl.errors import DataError
 from pecl.privacy import PrivacyConfig
 from pecl.sculpt import SculptConfig
@@ -85,7 +88,7 @@ def test_parse_config_type_errors(tmp_path):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+@pytest.mark.parametrize("key", sorted(k for k, (_, tp) in SCHEMA.items() if tp is float))
 def test_non_finite_float_key_is_a_data_error(tmp_path, capsys, monkeypatch, key, value):
     # JSON's NaN and Infinity parse, and NaN slips past every ``x <= 0`` check.
     def no_training(*args, **kwargs):
@@ -117,6 +120,91 @@ def test_config_round_trips_through_dict():
     assert config_to_dict(again) == config_to_dict(config)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_table_matches_the_schema():
+    section = README.read_text("utf-8").split("### Config file", 1)[1].split("\n###", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        keys, defaults = re.split(r"(?<!\\)\|", line)[1:3]
+        keys = re.findall(r"`(\w+)`", keys)
+        defaults = [json.loads(d.strip().strip("`")) for d in defaults.split(" / ")]
+        assert len(keys) == len(defaults), line
+        documented.update(zip(keys, defaults))
+    assert len(SCHEMA) == 34
+    assert documented.keys() == SCHEMA.keys()
+    assert documented == config_to_dict(RunConfig())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=2),
+    max_leaves=4,
+)
+# Values of each field's type, so that many drawn configs are valid.
+typed_values = {int: st.integers(1, 5), float: st.floats(0.0, 1.0), bool: st.booleans(),
+                str: st.sampled_from(["pecl", "seqft", "adamw", "all", "main_text", "synthetic"])}
+known_entries = st.sampled_from(sorted(SCHEMA)).flatmap(lambda key: st.tuples(
+    st.just(key), typed_values.get(SCHEMA[key][1], st.none()) | json_values))
+any_entries = known_entries | st.tuples(st.text(max_size=6), json_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=(st.lists(known_entries, max_size=5) | st.lists(any_entries, max_size=5)).map(dict))
+def test_config_from_dict_gives_a_data_error_or_a_config_that_round_trips(obj):
+    try:
+        config = config_from_dict(obj)
+    except DataError:
+        return
+    flat = config_to_dict(config)
+    assert config_to_dict(config_from_dict(json.loads(json.dumps(flat)))) == flat
+
+
+matrix_cells = st.floats(0.0, 1.0).map(repr) | st.one_of(
+    st.floats().map(repr), st.sampled_from(["", " ", "1e0", "-0", "2", "x"]))
+matrix_rows = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(st.lists(matrix_cells, min_size=k, max_size=k) for k in range(1, n + 1)))
+) | st.lists(st.lists(matrix_cells, min_size=1, max_size=4), max_size=4)
+matrix_text = matrix_rows.map(lambda rows: "\n".join(map(",".join, rows)).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=matrix_text | st.binary(max_size=24))
+def test_read_matrix_csv_gives_a_data_error_or_a_valid_matrix(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("matrix") / "matrix.csv"
+    path.write_bytes(data)
+    try:
+        matrix = read_matrix_csv(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+        return
+    for k, row in enumerate(matrix.rows(), start=1):
+        assert len(row) == k and all(0.0 <= v <= 1.0 for v in row)
+
+
+def test_matrix_accuracy_outside_the_unit_interval_names_the_file(tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("0.5\n1.5,0.6\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{matrix}: accuracies must lie in [0, 1]")):
+        read_matrix_csv(matrix)
+    assert main(["metrics", "--matrix", str(matrix)]) == 2
+    assert str(matrix) in capsys.readouterr().err
+
+
+def test_single_task_run_and_metrics_warn_once_each(tmp_path, capsys):
+    warning = "warning: BWT is undefined for a single task; reporting 0.0\n"
+    config = write_config(tmp_path, {"num_tasks": 1})
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == warning
+    assert main(["metrics", "--matrix", str(out / "matrix.csv")]) == 0
+    assert capsys.readouterr().err == warning
+
+
 def test_metrics_command_matches_hand_values(tmp_path, capsys):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("0.5\n0.4,0.6\n", encoding="utf-8")
@@ -140,6 +228,27 @@ def test_compose_command_two_record_ledger(tmp_path, capsys):
     assert eps_total == pytest.approx(3 + math.sqrt(4 * math.log(1e6)) * 2, rel=1e-12)
     assert delta_total == pytest.approx(2e-6, rel=1e-12)
     assert "L=2" in out
+
+
+GOOD_ROW = {"sequence_id": "s", "position": "0", "epoch": "0", "epsilon": "1.0", "sigma": "1.0"}
+
+
+@pytest.mark.parametrize("bad, flags", [
+    ({"epsilon": "nan"}, []), ({"epsilon": "-3.0"}, []), ({"epsilon": "inf"}, []),
+    ({"sigma": "-1.0"}, []), ({"position": "-1"}, []), ({"epoch": "-1"}, []),
+    ({}, ["--delta", "5"]), ({}, ["--delta", "nan"]),
+], ids=["epsilon-nan", "epsilon-negative", "epsilon-inf", "sigma-negative",
+        "position-negative", "epoch-negative", "delta-5", "delta-nan"])
+def test_compose_rejects_meaningless_budgets(tmp_path, capsys, bad, flags):
+    ledger = tmp_path / "ledger.csv"
+    row = {**GOOD_ROW, **bad}
+    ledger.write_text(",".join(row) + "\n" + ",".join(GOOD_ROW.values()) + "\n"
+                      + ",".join(row.values()) + "\n", encoding="utf-8")
+    assert main(["compose", "--ledger", str(ledger), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("data error: ")
+    if bad:
+        assert f"{ledger}:3: " in captured.err
 
 
 def test_run_twice_is_byte_identical(tmp_path, capsys):

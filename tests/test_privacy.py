@@ -198,8 +198,8 @@ def test_assign_budgets_only_for_positive_scores():
     )
 
 
-def ledger_with(epsilons, delta=1e-6, delta_prime=1e-6):
-    ledger = PrivacyLedger(delta_prime=delta_prime)
+def ledger_with(epsilons, delta=1e-6):
+    ledger = PrivacyLedger()
     for i, eps in enumerate(epsilons):
         ledger.append(LedgerRecord("s", i, 0, eps, 1.0, delta))
     return ledger
@@ -257,16 +257,19 @@ def reference_ledger_csv(rows) -> bytes:
 def assert_ledger_file_round_trips(ledger, rows, path):
     ledger.to_csv(path)
     assert path.read_bytes() == reference_ledger_csv(rows)
+    bad = [i for i, row in enumerate(rows) if not all(0 < v < math.inf for v in row[3:])]
+    if bad:  # a budget that is not finite and positive is refused on read, by line
+        with pytest.raises(DataError, match=rf":{bad[0] + 2}: epsilon and sigma"):
+            PrivacyLedger.from_csv(path, delta=1e-6)
+        return
     loaded = PrivacyLedger.from_csv(path, delta=1e-6)
     cols, expected = loaded.columns(), list(zip(*rows)) or [()] * 5
     assert cols["sequence_id"].tolist() == list(expected[0])
     assert cols["position"].tolist() == list(expected[1])
     assert cols["epoch"].tolist() == list(expected[2])
     for name, values in zip(("epsilon", "sigma"), expected[3:]):
-        values = np.array(values, dtype=float)
-        nan = np.isnan(values)  # repr writes every NaN payload as "nan"
-        np.testing.assert_array_equal(np.isnan(cols[name]), nan)
-        np.testing.assert_array_equal(cols[name][~nan].view(np.int64), values[~nan].view(np.int64))
+        np.testing.assert_array_equal(cols[name].view(np.int64),
+                                      np.array(values, dtype=float).view(np.int64))
 
 
 AWKWARD_IDS = ["1:0", "a,b", 'say "hi"', "two\nlines", "cr\r", "", " ", "naïve", "日本:3"]
@@ -293,6 +296,36 @@ def test_ledger_csv_writes_what_csv_writer_writes(rows, tmp_path_factory):
     # Chunks of three rows, so most examples span several.
     with mock.patch.object(privacy, "_CSV_CHUNK_ROWS", 3):
         assert_ledger_file_round_trips(ledger, rows, tmp_path_factory.mktemp("ledger") / "l.csv")
+
+
+odd_cells = st.one_of(st.sampled_from(["", " 2", "1e3", "1_0", "0x10", "+inf", "-0"]),
+                     st.text(st.characters(codec="utf-8"), max_size=6))
+int_cells = st.one_of(st.integers(0, 9), st.integers(-3, 2**64)).map(str) | odd_cells
+float_cells = st.one_of(st.floats(0.1, 10.0), ledger_floats).map(repr) | odd_cells
+any_ledger_rows = st.lists(st.one_of(
+    st.tuples(ledger_ids, int_cells, int_cells, float_cells, float_cells),
+    st.lists(st.one_of(int_cells, float_cells), max_size=7),
+), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=any_ledger_rows)
+def test_ledger_from_csv_gives_a_data_error_or_a_valid_ledger(rows, tmp_path_factory):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["sequence_id", "position", "epoch", "epsilon", "sigma"])
+    writer.writerows(rows)
+    path = tmp_path_factory.mktemp("ledger") / "l.csv"
+    path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+    try:
+        ledger = PrivacyLedger.from_csv(path, delta=1e-6)
+    except DataError:
+        return
+    cols = ledger.columns()
+    assert len(ledger) <= len(rows)
+    assert (cols["position"] >= 0).all() and (cols["epoch"] >= 0).all()
+    for name in ("epsilon", "sigma"):
+        assert np.isfinite(cols[name]).all() and (cols[name] > 0).all()
 
 
 def test_ledger_csv_longer_than_one_chunk(tmp_path):
