@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from pathlib import Path
 
 from .config import config_to_dict, parse_config
@@ -67,12 +66,12 @@ def _report_dict(report: TaskReport) -> dict:
     }
 
 
-def write_metrics_json(path: str | Path, matrix: AccuracyMatrix, reports: list[TaskReport]) -> None:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # whoever reports the metrics gives the BWT warning
-        payload = dict(metrics_summary(matrix))
-    payload["per_task"] = [_report_dict(r) for r in reports]
+def write_metrics_json(path: str | Path, matrix: AccuracyMatrix, reports: list[TaskReport]) -> dict:
+    """Write metrics.json; returns the bwt/last/avg summary it holds."""
+    summary = metrics_summary(matrix)
+    payload = {**summary, "per_task": [_report_dict(r) for r in reports]}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return summary
 
 
 def write_sculpt_report_csv(path: str | Path, reports: list[TaskReport]) -> None:
@@ -115,8 +114,8 @@ def write_audit_csv(path: str | Path, rows: list[dict]) -> None:
 
 def write_run_bundle(
     out_dir: str | Path, result: RunResult, config: RunConfig, written: list[Path] | None = None
-) -> list[Path]:
-    """Write the whole results bundle; returns the created paths.
+) -> dict:
+    """Write the whole results bundle; returns the metrics summary it wrote.
 
     Each path is appended to ``written`` before its file is opened, so a
     caller holding that list can remove a bundle that fails part-way.
@@ -131,14 +130,14 @@ def write_run_bundle(
         return p
 
     write_matrix_csv(_mark("matrix.csv"), result.matrix)
-    write_metrics_json(_mark("metrics.json"), result.matrix, result.reports)
+    summary = write_metrics_json(_mark("metrics.json"), result.matrix, result.reports)
     result.ledger.to_csv(_mark("ledger.csv"))
     write_sculpt_report_csv(_mark("sculpt_report.csv"), result.reports)
     save_checkpoint(_mark("model.ckpt"), result.model, result.adapter)
     _mark("run_config.json").write_text(
         json.dumps(config_to_dict(config), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    return written
+    return summary
 
 
 def check_bundle(out_dir: str | Path) -> list[str]:

@@ -134,11 +134,10 @@ def _cmd_run(args) -> int:
     corpora = _resolve_corpora(config)
     with _Outputs(args.out) as outputs:
         result = run_continual(config, corpora)
-        write_run_bundle(args.out, result, config, written=outputs.paths)
+        summary = write_run_bundle(args.out, result, config, written=outputs.paths)
         if args.self_check:
             for name in check_bundle(args.out):
                 print(f"schema ok: {name}")
-        summary = metrics_summary(result.matrix)
         print(f"bwt={summary['bwt']!r} last={summary['last']!r} avg={summary['avg']!r}")
         print(f"ledger records: {len(result.ledger)}")
         return 0
@@ -247,7 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         with warnings.catch_warnings():
-            warnings.simplefilter("default")  # each warning once per command
+            if not sys.warnoptions:  # unless -W or PYTHONWARNINGS says otherwise,
+                warnings.simplefilter("default")  # each warning once per command
             warnings.showwarning = _print_warning
             return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -226,7 +226,8 @@ class PrivacyLedger:
         """Read a ledger written by ``to_csv``; every row gets ``delta``.
 
         A budget that is not finite and positive, or a negative position or
-        epoch, is a DataError naming the file and line.
+        epoch, is a DataError naming the file and the line the bad record
+        ends on.
         """
         if not 0.0 < delta < 1.0:
             raise DataError(f"delta must be in (0, 1), got {delta!r}")
@@ -241,19 +242,20 @@ class PrivacyLedger:
             try:
                 if reader.fieldnames is None or set(reader.fieldnames) != expected:
                     raise DataError(f"{p}: ledger header must be {sorted(expected)}")
-                for lineno, row in enumerate(reader, start=2):
+                for row in reader:
                     try:
                         seq, pos, epoch, eps, sigma = (
                             row["sequence_id"], int(row["position"]), int(row["epoch"]),
                             float(row["epsilon"]), float(row["sigma"]))
                     except (TypeError, ValueError) as exc:
-                        raise DataError(f"{p}:{lineno}: malformed ledger row: {exc}") from exc
+                        raise DataError(
+                            f"{p}:{reader.line_num}: malformed ledger row: {exc}") from exc
                     if not (0 <= pos <= _INT64_MAX and 0 <= epoch <= _INT64_MAX):
-                        raise DataError(f"{p}:{lineno}: position and epoch must be "
+                        raise DataError(f"{p}:{reader.line_num}: position and epoch must be "
                                         f"non-negative 64-bit integers, got {pos}, {epoch}")
                     if not (0.0 < eps < math.inf and 0.0 < sigma < math.inf):
-                        raise DataError(f"{p}:{lineno}: epsilon and sigma must be finite and "
-                                        f"positive, got {eps!r}, {sigma!r}")
+                        raise DataError(f"{p}:{reader.line_num}: epsilon and sigma must be "
+                                        f"finite and positive, got {eps!r}, {sigma!r}")
                     rows.append((seq, pos, epoch, eps, sigma))
             except csv.Error as exc:
                 raise DataError(f"{p}:{reader.line_num}: malformed ledger row: {exc}") from exc
@@ -340,6 +342,11 @@ def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, 
         raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
     eps = ledger.epsilons()
     length = len(eps)
-    eps_total = float(eps.sum() + math.sqrt(2.0 * length * math.log(1.0 / delta_prime)) * eps.max())
+    with np.errstate(over="ignore"):
+        eps_total = float(eps.sum()
+                          + math.sqrt(2.0 * length * math.log(1.0 / delta_prime)) * eps.max())
+    if not math.isfinite(eps_total):
+        raise NumericError(f"epsilon_total overflows a float ({length} records, "
+                           f"largest epsilon {float(eps.max())!r})")
     delta = float(ledger.columns()["delta"].max())
     return eps_total, delta + delta_prime

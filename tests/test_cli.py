@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import re
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,16 @@ def test_single_task_run_and_metrics_warn_once_each(tmp_path, capsys):
     assert capsys.readouterr().err == warning
 
 
+def test_warning_filters_from_the_command_line_are_kept(tmp_path, monkeypatch):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("0.5\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "warnoptions", ["error"])  # as `python -W error` sets it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="BWT is undefined"):
+            main(["metrics", "--matrix", str(matrix)])
+
+
 def test_metrics_command_matches_hand_values(tmp_path, capsys):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("0.5\n0.4,0.6\n", encoding="utf-8")
@@ -249,6 +261,17 @@ def test_compose_rejects_meaningless_budgets(tmp_path, capsys, bad, flags):
     assert captured.out == "" and captured.err.startswith("data error: ")
     if bad:
         assert f"{ledger}:3: " in captured.err
+
+
+def test_compose_overflowing_total_is_a_numeric_failure(tmp_path, capsys):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text("sequence_id,position,epoch,epsilon,sigma\n"
+                      "s,0,0,1e308,1.0\ns,1,0,1e308,1.0\n", encoding="utf-8")
+    assert main(["compose", "--ledger", str(ledger)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: epsilon_total overflows")
+    assert "\n" == captured.err[-1] and captured.err.count("\n") == 1
 
 
 def test_run_twice_is_byte_identical(tmp_path, capsys):

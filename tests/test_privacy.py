@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -254,14 +255,32 @@ def reference_ledger_csv(rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def last_line_of(rows) -> int:
+    """The file line on which the last of ``rows`` ends, as ``csv`` readers count lines."""
+    text = reference_ledger_csv(rows).decode("utf-8")
+    return len(io.StringIO(text, newline="").readlines())
+
+
+def valid_budget(value: float) -> float:
+    """``value`` if it is a finite, positive budget, else a valid one of the same size."""
+    return abs(value) if 0 < abs(value) < math.inf else 1.0
+
+
 def assert_ledger_file_round_trips(ledger, rows, path):
     ledger.to_csv(path)
     assert path.read_bytes() == reference_ledger_csv(rows)
     bad = [i for i, row in enumerate(rows) if not all(0 < v < math.inf for v in row[3:])]
-    if bad:  # a budget that is not finite and positive is refused on read, by line
-        with pytest.raises(DataError, match=rf":{bad[0] + 2}: epsilon and sigma"):
+    if bad:
+        # A budget that is not finite and positive is refused on read, by line;
+        # the same rows with valid budgets must still read back bit for bit.
+        line = last_line_of(rows[: bad[0] + 1])
+        with pytest.raises(DataError, match=rf":{line}: epsilon and sigma"):
             PrivacyLedger.from_csv(path, delta=1e-6)
-        return
+        rows = [(*row[:3], *map(valid_budget, row[3:])) for row in rows]
+        ledger = PrivacyLedger()
+        ledger.extend(*zip(*rows), 1e-6)
+        ledger.to_csv(path)
+        assert path.read_bytes() == reference_ledger_csv(rows)
     loaded = PrivacyLedger.from_csv(path, delta=1e-6)
     cols, expected = loaded.columns(), list(zip(*rows)) or [()] * 5
     assert cols["sequence_id"].tolist() == list(expected[0])
@@ -345,6 +364,19 @@ def test_ledger_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "ledger.csv"
     path.write_text("foo,bar\n1,2\n", encoding="utf-8")
     with pytest.raises(DataError, match="header"):
+        PrivacyLedger.from_csv(path, delta=1e-6)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ("s,0,0,nan,1.0", "epsilon and sigma"),
+    ("s,-1,0,1.0,1.0", "position and epoch"),
+    ("s,x,0,1.0,1.0", "malformed ledger row"),
+])
+def test_ledger_row_error_names_the_file_line_after_a_multi_line_id(tmp_path, cells, message):
+    path = tmp_path / "ledger.csv"
+    path.write_text('sequence_id,position,epoch,epsilon,sigma\n"two\nlines",0,0,1.0,1.0\n'
+                    + cells + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: {message}")):
         PrivacyLedger.from_csv(path, delta=1e-6)
 
 
