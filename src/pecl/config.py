@@ -11,7 +11,6 @@ offending key named in the message.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import fields, is_dataclass
 from functools import reduce
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .corpus import load_stopwords
-from .errors import DataError, reading
+from .errors import DataError, load_json, reading
 from .trainer import RunConfig
 
 _FILE_NAMES = {"sensitivity_variant": "sigma_variant"}  # the published spelling
@@ -109,12 +108,9 @@ def parse_config(path: str | Path | None) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise DataError(f"config file not found: {p}")
-    try:
-        with reading(p):
-            obj = json.loads(p.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{p}: malformed JSON: {exc.msg}") from exc
-    return config_from_dict(obj)
+    with reading(p):
+        text = p.read_text("utf-8")
+    return config_from_dict(load_json(text, f"{p}: malformed JSON"))
 
 
 def config_to_dict(config: RunConfig) -> dict:

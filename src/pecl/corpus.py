@@ -9,14 +9,13 @@ out-of-vocabulary words map to a reserved UNK id.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataError, reading
+from .errors import DataError, load_json, reading
 
 PAD_ID = 0
 UNK_ID = 1
@@ -176,10 +175,7 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[TaskCorpus]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc.msg}") from exc
+            obj = load_json(line, f"{path}:{lineno}: malformed record")
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: record must be an object")
             if "task_id" not in obj:
@@ -191,6 +187,10 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[TaskCorpus]:
             label = obj.get("label")
             if not isinstance(text, str) or not isinstance(label, str):
                 raise DataError(f"{path}:{lineno}: text and label must be strings")
+            try:
+                label = label_surface(label)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             split = obj.get("split", "train")
             if split not in ("train", "eval"):
                 raise DataError(f"{path}:{lineno}: split must be 'train' or 'eval', got {split!r}")
@@ -200,13 +200,13 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[TaskCorpus]:
 
     vocab = build_vocab(
         texts=[text for _, text, _, _ in records],
-        labels=[label_surface(lab) for _, _, lab, _ in records],
+        labels=[lab for _, _, lab, _ in records],
     )
 
     by_task: dict[int, dict[str, list[TokenizedSequence]]] = {}
     labels_by_task: dict[int, set[int]] = {}
     for task_id, text, label, split in records:
-        lab_id = vocab.id_of(label_surface(label))
+        lab_id = vocab.id_of(label)
         ids = vocab.encode(text) + [lab_id]
         seq = TokenizedSequence(tokens=ids, task_id=task_id, label_token=lab_id)
         by_task.setdefault(task_id, {"train": [], "eval": []})[split].append(seq)

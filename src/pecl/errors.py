@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+import json
+import sys
 from contextlib import contextmanager
 
 
@@ -25,3 +27,16 @@ def reading(path):
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def load_json(text: str, where: str):
+    """``json.loads(text)``; any rejection, nesting too deep for the parser or an
+    integer too long to convert included, is a DataError prefixed by ``where``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise DataError(f"{where}: nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: {exc.msg}") from exc
+    except ValueError as exc:  # int() refuses a literal over the interpreter's digit limit
+        raise DataError(f"{where}: integer over {sys.get_int_max_str_digits()} digits") from exc

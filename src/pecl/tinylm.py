@@ -159,13 +159,15 @@ class PackedSequences:
     ``tokens`` holds every sequence's ids back to back and then one PAD, so
     its size follows the total token count, never sequences x longest
     sequence.  ``cells`` lays any selection of the sequences out as a padded
-    batch by index arithmetic alone.
+    batch by index arithmetic alone.  ``base``, when set, is ``frozen_base``
+    of these sequences: the clean ``x @ W0.T`` behind every packed token.
     """
 
     sequences: Sequence    # the source sequences, in order
     tokens: np.ndarray     # (N + 1,)
     starts: np.ndarray     # (S,) offset of each sequence in ``tokens``
     lengths: np.ndarray    # (S,)
+    base: np.ndarray | None = None   # (N + 1, d_hidden)
 
     @classmethod
     def of(cls, model: TinyLM, sequences: Sequence) -> "PackedSequences":
@@ -204,18 +206,19 @@ class PackedSequences:
         ``table`` and ``margin`` hold one row per entry of ``tokens``.  A
         given table marks the cells it feeds, every position but each
         sequence's last, as not clean; without one every cell reads its
-        token's row of the embedding table.
+        token's row of the embedding table, and only then does the batch
+        carry ``base``, which holds the clean inputs' product.
         """
         src, pos = self.cells(model.n_ctx, rows)
         ids = self.tokens[src]
         lengths = self.lengths[rows]
         if table is None:
-            table, feed, clean = model.embed, ids, np.ones(src.shape, dtype=bool)
+            table, feed, clean, base = model.embed, ids, np.ones(src.shape, dtype=bool), self.base
         else:
-            feed, clean = src, ~((pos >= 0) & (pos < lengths[:, None] - 1))
+            feed, clean, base = src, ~((pos >= 0) & (pos < lengths[:, None] - 1)), None
         return PackedBatch(self.sequences, rows, src, ids, lengths, table, feed, clean,
                            pos[:, model.n_ctx :] >= 1,
-                           None if margin is None else margin[src[:, model.n_ctx :]])
+                           None if margin is None else margin[src[:, model.n_ctx :]], base)
 
 
 def _width(n_ctx: int, lengths: np.ndarray) -> int:
@@ -233,7 +236,8 @@ class PackedBatch:
     Window t, ``ids[b, t : t + n_ctx]``, predicts ``ids[b, t + n_ctx]``;
     ``valid`` marks the windows whose target is a position >= 1, ``margin``
     (None without scores) holds each target's unlearning margin, and
-    ``base``, when set, is ``frozen_base``'s table, read by ``src``.
+    ``base`` is the sequences' ``frozen_base`` table, read by ``src``; it is
+    set only on a batch of clean inputs (see ``PackedSequences.batch``).
     ``pb[i:j]`` is rows i..j-1 exactly as ``cells`` lays them out on their
     own; iterating yields the batch's sequences, looked up on demand.
     """
@@ -464,20 +468,17 @@ def _windows(model: TinyLM, pb: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
     return windows, pb.table[pb.feed[:, windows]].reshape(n_batch, n_windows, model.d_in)
 
 
-def frozen_base(
-    model: TinyLM, layout: PackedBatch, batch_size: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``x @ W0.T`` of the window that predicts each packed token, aligned with ``src``.
+def frozen_base(model: TinyLM, seqs: PackedSequences, batch_size: int) -> np.ndarray:
+    """Clean ``x @ W0.T`` of the window that predicts each packed token, aligned with ``tokens``.
 
-    Filled ``batch_size`` rows of ``layout`` at a time with ``_mlp``'s 3-D
-    product, so a step over the same rows gets the bits it would compute.
+    Filled ``batch_size`` sequences at a time, in order, with ``_mlp``'s 3-D
+    product, so a pass over the same chunks reads the bits it would compute.
     Regrouped rows keep them while every gemm stays on one side of the
     BLAS's size cut-off (see the README).  Rows that no valid window
-    predicts (each sequence's first token, the trailing PAD) stay 0.  ``out``,
-    an earlier result for the same sequences, is refilled in place.
+    predicts (each sequence's first token, the trailing PAD) stay 0.
     """
-    base = np.zeros((layout.src.max() + 1, model.d_hidden)) if out is None else out
-    for pb in layout.chunks(batch_size):
+    base = np.zeros((seqs.tokens.size, model.d_hidden))
+    for pb in seqs.batch(model, np.arange(len(seqs.lengths))).chunks(batch_size):
         x = _windows(model, pb)[1]
         base[pb.src[:, model.n_ctx :][pb.valid]] = (x @ model.w_hidden.T)[pb.valid]
     return base

@@ -240,16 +240,15 @@ class TaskInputs:
     epsilon and sigma (``score`` is None in seqft, where nothing is noised),
     every predicted position's unlearning margin (pecl only; 0 on each
     sequence's first position), and, once ``noise_epoch`` has run, ``table``,
-    the vector fed for every token in the current epoch.  ``base`` holds
-    ``frozen_base`` under the current inputs once ``lay_out`` has run.  A
-    step gathers its rows by index.
+    the vector fed for every token in the current epoch.  A step gathers its
+    rows by index; a step over clean inputs (seqft) also reads ``seqs.base``.
 
-    Noising a whole epoch before its first step, and taking ``x @ W0.T`` out
-    of the step, rest on one invariant: ``run_continual`` trains only the
-    adapter, so the embedding table and W0, like every other base parameter,
-    leave a run bit-identical to ``init_lm``'s.  Noise therefore depends
-    only on frozen scores and frozen embeddings, and the base product only on
-    the epoch's inputs, never on the training state between two steps.
+    Noising a whole epoch before its first step, and computing the clean
+    ``x @ W0.T`` once per task, rest on one invariant: ``run_continual``
+    trains only the adapter, so the embedding table and W0, like every other
+    base parameter, leave a run bit-identical to ``init_lm``'s.  Noise
+    therefore depends only on frozen scores and frozen embeddings, and the
+    clean base product only on the task's tokens.
     """
 
     seqs: PackedSequences
@@ -259,7 +258,6 @@ class TaskInputs:
     sigma: np.ndarray | None = None
     margin: np.ndarray | None = None
     table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
-    base: np.ndarray | None = None       # (N + 1, d_hidden)
 
     def set_budgets(self, score: np.ndarray, epsilon: np.ndarray, sigma: np.ndarray) -> None:
         """Freeze every token's score, epsilon and sigma (one entry per token)."""
@@ -305,21 +303,14 @@ class TaskInputs:
             positions=pos[hit], epoch=epoch,
         )
 
-    def lay_out(self, model: TinyLM, perm: np.ndarray, batch_size: int) -> PackedBatch:
+    def lay_out(self, model: TinyLM, perm: np.ndarray) -> PackedBatch:
         """The epoch that feeds sequences ``perm`` in turn as one batch over the current inputs.
 
-        A step is one of its ``chunks(batch_size)``.  ``base`` is filled
-        first, in the same chunks: in place each epoch in the noised modes,
-        whose table changes, and once per task in seqft, whose later epochs
-        regroup the rows (see ``frozen_base``).
+        A step is one of its ``chunks(batch_size)``.
         """
         if self.score is not None and self.table is None:
             raise ValueError("noise an epoch before laying it out")
-        layout = self.seqs.batch(model, perm, self.table, self.margin)
-        if self.base is None or self.table is not None:
-            self.base = frozen_base(model, layout, batch_size, self.base)
-        layout.base = self.base
-        return layout
+        return self.seqs.batch(model, perm, self.table, self.margin)
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
@@ -328,6 +319,11 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     Deterministic: identical (config, corpora, seed) reproduce the accuracy
     matrix, ledger, reports and final parameters bit for bit.
     """
+    if not corpora:
+        raise DataError("no tasks to train on")
+    vocab = corpora[0].vocab
+    if vocab is None:
+        raise DataError("corpora carry no vocabulary")
     by_id = {task.task_id: task for task in corpora}
     order = config.task_order if config.task_order is not None else sorted(by_id)
     missing = [tid for tid in order if tid not in by_id]
@@ -343,16 +339,14 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             raise DataError(f"task {task.task_id} has no training sequences")
         if not task.eval:
             raise DataError(f"task {task.task_id} has an empty eval set")
-        for seq in task.train + task.eval:
-            if len(seq.tokens) < 2:
-                raise DataError(
-                    f"task {task.task_id} has a sequence with no text before its label; "
-                    "next-token training needs at least 2 tokens"
-                )
-
-    vocab = corpora[0].vocab
-    if vocab is None:
-        raise DataError("corpora carry no vocabulary")
+        for split in ("train", "eval"):
+            for seq in getattr(task, split):
+                if len(seq.tokens) < 2:
+                    raise DataError(f"task {task.task_id} has a sequence with no text before its "
+                                    "label; next-token training needs at least 2 tokens")
+                if min(seq.tokens) < 0 or max(seq.tokens) >= len(vocab):
+                    raise DataError(f"task {task.task_id} {split} split has a token id outside "
+                                    f"the vocabulary [0, {len(vocab)})")
     sens_cfg = config.sensitivity.bind(vocab)
 
     model = init_lm((len(vocab), config.d_emb, config.n_ctx, config.d_hidden),
@@ -385,6 +379,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         inputs = TaskInputs(PackedSequences.of(model, task.train),
                             np.array([f"{task_id}:{i}" for i in range(len(task.train))],
                                      dtype=object))
+        inputs.seqs.base = frozen_base(model, inputs.seqs, config.batch_size)
         profiles = None
         s_bar = lam_dyn = None
         reg_weight = 0.0
@@ -424,7 +419,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             perm = spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
             if inputs.score is not None:
                 inputs.noise_epoch(model, perm, config.privacy, noise_rng, ledger, epoch)
-            for batch in inputs.lay_out(model, perm, config.batch_size).chunks(config.batch_size):
+            for batch in inputs.lay_out(model, perm).chunks(config.batch_size):
                 try:
                     grads = backward(model, adapter, batch, spec)
                 except NumericError as exc:
@@ -438,15 +433,16 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                                    cosine_lr(config.lr, step, total_steps))
                 step += 1
 
-        # Task wrap-up: importance from the final delta and clean activations,
-        # one forward pass per batch_size chunk of the training set.
-        # Rebinding ``batch`` frees the last step's inputs before the next task.
+        # Task wrap-up: importance from the final delta and clean activations, one
+        # forward pass per batch_size chunk of the training set (the chunks the base
+        # table was filled in).
         train_losses: list[np.ndarray] = []
         for batch in inputs.seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
             fb = forward_batch(model, adapter, batch)
             state.observe_activation(np.linalg.norm(fb.x, axis=-1)[fb.valid])
             train_losses += fb.sequence_losses()
             del fb  # free this chunk's arrays before the next pass allocates its own
+        del batch  # it holds the base table, which must be freed before the next task's fill
         delta_final = lora_delta(adapter)
         omega_k = task_importance(delta_final, state.activation_norm_accum)
         final_l_reg = reg_loss(delta_final, snapshot,
@@ -460,17 +456,9 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             ]))
         state = update_running_importance(state, omega_k)
         snapshot = AdapterSnapshot(task_id=task_id, delta_w=delta_final.copy())
-        reports.append(
-            TaskReport(
-                task_id=task_id,
-                omega=omega_k,
-                omega_bar=state.omega_bar,
-                s_bar=s_bar,
-                lambda_dyn=lam_dyn,
-                final_l_reg=final_l_reg,
-                final_l_unlearn=final_l_unlearn,
-            )
-        )
+        reports.append(TaskReport(task_id=task_id, omega=omega_k, omega_bar=state.omega_bar,
+                                  s_bar=s_bar, lambda_dyn=lam_dyn, final_l_reg=final_l_reg,
+                                  final_l_unlearn=final_l_unlearn))
 
         for i in range(k):
             matrix_values[k - 1, i] = evaluate(model, adapter, by_id[order[i]])

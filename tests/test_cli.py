@@ -384,6 +384,24 @@ def test_input_path_that_is_a_directory_is_a_data_error(tmp_path, capsys, given)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("given, text", [
+    ("corpus", "[" * 200_000),
+    ("corpus", '{"task_id": ' + "7" * 5000 + ', "text": "a", "label": "b"}'),
+    ("config", '{"seed": ' + "[" * 200_000),
+    ("config", '{"seed": ' + "7" * 5000 + "}"),
+], ids=["corpus-nested", "corpus-long-task-id", "config-nested", "config-long-int"])
+def test_json_the_parser_refuses_is_a_data_error(tmp_path, capsys, command, given, text):
+    bad = tmp_path / f"bad.{given}"
+    bad.write_text(text + "\n", encoding="utf-8")
+    config = bad if given == "config" else write_config(tmp_path, {"corpus": str(bad)})
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    where = f"{bad}:1: malformed record" if given == "corpus" else f"{bad}: malformed JSON"
+    assert err.startswith(f"data error: {where}: ")
+    assert "Traceback" not in err
+
+
 def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     config = write_config(tmp_path, extra={"task_order": [1, 7]})
     out = tmp_path / "broken"

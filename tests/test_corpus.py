@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pecl.corpus import (
     PAD_ID,
@@ -109,6 +111,48 @@ def test_load_corpus_eval_split(tmp_path):
     )
     (task,) = load_corpus(path)
     assert len(task.train) == 1 and len(task.eval) == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=4),
+    max_leaves=6,
+)
+# Records close enough to the format that many drawn files load.
+records = st.fixed_dictionaries(
+    {"task_id": st.integers(-3, 3) | json_values, "text": st.text(max_size=12) | json_values,
+     "label": st.sampled_from(["pos", "neg", "a b", "", "!"]) | json_values},
+    optional={"split": st.sampled_from(["train", "eval", "test"]) | json_values},
+)
+corpus_lines = st.one_of(
+    records.map(json.dumps).map(str.encode),
+    json_values.map(json.dumps).map(str.encode),
+    st.text(max_size=20).map(str.encode),
+    st.binary(max_size=12),                                          # mostly invalid UTF-8
+    st.integers(0, 100_000).map(lambda n: b"[" * n),                 # nested past the parser
+    st.integers(1, 6000).map(lambda n: b'{"task_id": %s}' % (b"9" * n)),  # over int()'s limit
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(corpus_lines, max_size=6))
+@example(lines=[b"[" * 200_000])
+@example(lines=[b'{"task_id": ' + b"7" * 5000 + b', "text": "a", "label": "b"}'])
+def test_load_corpus_gives_a_data_error_or_valid_corpora(lines, tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        corpora = load_corpus(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+        return
+    assert corpora and [t.task_id for t in corpora] == sorted({t.task_id for t in corpora})
+    for task in corpora:
+        assert task.train or task.eval
+        for seq in task.train + task.eval:
+            assert seq.tokens[-1] == seq.label_token in task.label_set
+            assert all(0 <= tok < len(task.vocab) for tok in seq.tokens)
 
 
 def test_tokenize_empty_text():

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from pecl.corpus import TaskCorpus, TokenizedSequence
+from pecl.corpus import TaskCorpus, TokenizedSequence, compute_corpus_stats
 from pecl.errors import DataError
 from pecl.synthetic import synthetic_stream
 from pecl.seeding import spawn_rng
 from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
+from pecl.sensitivity import score_sequences
 from pecl.tinylm import (
     LossSpec,
     PackedSequences,
     backward,
     forward,
+    forward_batch,
     frozen_base,
     init_adapter,
     init_lm,
@@ -305,6 +307,25 @@ def test_run_rejects_empty_eval_split_before_training(monkeypatch):
         run_continual(config, small_stream(config).tasks)
 
 
+def test_run_rejects_an_empty_task_list():
+    with pytest.raises(DataError, match="no tasks"):
+        run_continual(small_config(), [])
+
+
+def test_run_rejects_an_out_of_vocab_id_in_a_later_eval_split_before_training(monkeypatch):
+    config = small_config(mode="seqft", num_tasks=3)
+    tasks = small_stream(config).tasks
+    tasks[2].eval[-1].tokens[0] = len(tasks[2].vocab)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("backward called before the inputs were validated")
+
+    monkeypatch.setattr("pecl.trainer.backward", no_training)
+    with pytest.raises(DataError, match=f"task {tasks[2].task_id} eval split has a token id "
+                                        rf"outside the vocabulary \[0, {len(tasks[2].vocab)}\)"):
+        run_continual(config, tasks)
+
+
 def budgeted_inputs(mode, model, seqs, privacy, rng):
     """TaskInputs over ``seqs`` with pecl-like random scores or uniform_dp budgets."""
     names = np.array([f"1:{i}" for i in range(len(seqs))], dtype=object)
@@ -357,12 +378,14 @@ def test_packed_training_step_equals_the_list_api(mode):
                     reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
     rows = np.array([4, 0, 2, 6, 5])
 
-    # One epoch whose permutation is ``rows``, laid out as one step with its
-    # frozen-base table, then the step's gather.
+    # One epoch whose permutation is ``rows``, laid out as one step, then the
+    # step's gather.  The step computes x @ W0.T from its own noised inputs,
+    # even though the task's clean base table is there.
     step_ledger, step_rng = PrivacyLedger(), np.random.default_rng(21)
     inputs.noise_epoch(model, rows, privacy, step_rng, step_ledger, epoch=3)
-    (batch,) = inputs.lay_out(model, rows, batch_size=len(rows)).chunks(len(rows))
-    assert batch.base is inputs.base is not None
+    inputs.seqs.base = frozen_base(model, inputs.seqs, len(rows))
+    (batch,) = inputs.lay_out(model, rows).chunks(len(rows))
+    assert batch.base is None
     packed = backward(model, adapter, batch, spec)
 
     # The same step through the list-of-sequences API: per-sequence arrays,
@@ -443,7 +466,7 @@ def test_epoch_noising_equals_per_batch_noising(mode):
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
-def test_epoch_layout_and_base_equal_the_per_step_batch(monkeypatch, mode):
+def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
     privacy = PrivacyConfig(clip_norm=0.5)
     model = init_lm((23, 4, 3, 6), seed=6)
     rng = np.random.default_rng(17)
@@ -454,15 +477,14 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(monkeypatch, mode):
         inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
     batch_size = 4  # does not divide the 11 sequences
     ledger, noise_rng = PrivacyLedger(), np.random.default_rng(3)
-    fills = []
-    monkeypatch.setattr("pecl.trainer.frozen_base",
-                        lambda *args: fills.append(1) or frozen_base(*args))
+    # The clean table is filled in natural order; the epochs below regroup its rows.
+    inputs.seqs.base = frozen_base(model, inputs.seqs, batch_size)
     for epoch in range(2):
         perm = np.random.default_rng(epoch).permutation(len(seqs))
         if mode != "seqft":
             inputs.noise_epoch(model, perm, privacy, noise_rng, ledger, epoch)
-        layout = inputs.lay_out(model, perm, batch_size)
-        assert layout.base is inputs.base
+        layout = inputs.lay_out(model, perm)
+        assert layout.base is (inputs.seqs.base if mode == "seqft" else None)
         table = model.embed[inputs.seqs.tokens] if inputs.table is None else inputs.table
         trained = 0
         for start, step in zip(range(0, len(perm), batch_size), layout.chunks(batch_size),
@@ -482,19 +504,80 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(monkeypatch, mode):
                 np.testing.assert_array_equal(step.margin, inputs.margin[targets])
             else:
                 assert step.margin is None
-            # The gathered base is x @ W0.T, the step's own 3-D product, on every valid window.
+            # A seqft step's gathered base is x @ W0.T, the step's own 3-D
+            # product, on every valid window; a noised step carries none.
             n_windows = targets.shape[1]
             windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
             x = table[src][:, windows].reshape(len(rows), n_windows, model.d_in)
             valid = step.valid
             assert valid.any()
-            np.testing.assert_array_equal(step.base[targets][valid], (x @ model.w_hidden.T)[valid])
+            if mode == "seqft":
+                np.testing.assert_array_equal(step.base[targets][valid],
+                                              (x @ model.w_hidden.T)[valid])
+            else:
+                assert step.base is None
             assert list(step) == [seqs[i] for i in rows]
             assert sum(len(seq) - 1 for seq in step) == valid.sum()
             trained += valid.sum()
         assert trained == sum(len(seq) - 1 for seq in seqs)
-    # seqft's inputs never change, so its base is filled once per task.
-    assert len(fills) == (1 if mode == "seqft" else 2)
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(monkeypatch,
+                                                                             mode):
+    config = small_config(mode=mode, epochs=2, batch_size=7)
+    fills, steps = [], []
+    monkeypatch.setattr("pecl.trainer.frozen_base",
+                        lambda *args: fills.append(frozen_base(*args)) or fills[-1])
+    monkeypatch.setattr("pecl.trainer.backward",
+                        lambda *args: steps.append(args[2]) or backward(*args))
+    run_continual(config, small_stream(config).tasks)
+    assert len(fills) == config.num_tasks
+    assert len(steps) == config.num_tasks * config.epochs * 5  # ceil(30 / 7) = 5
+    noised = [not batch.clean.all() for batch in steps]
+    assert all(noised) if mode != "seqft" else not any(noised)
+    for batch in steps:
+        if mode == "seqft":
+            assert any(batch.base is table for table in fills)
+        else:
+            assert batch.base is None
+
+
+@pytest.mark.parametrize("batch_size", [5, 7])  # divides the 30 sequences, and does not
+def test_scoring_and_wrap_up_read_the_bits_they_compute(batch_size):
+    config = small_config()
+    task = small_stream(config).tasks[0]
+    model = init_lm((len(task.vocab), 4, 3, 6), seed=2)
+    adapter = init_adapter(model, rank=2, seed=3, task_id=task.task_id)
+    adapter.b[:] = np.random.default_rng(4).normal(scale=0.5, size=adapter.b.shape)
+    stats = compute_corpus_stats([task], config.tau)
+    sens = config.sensitivity.bind(task.vocab)
+    seqs = PackedSequences.of(model, task.train)
+    rows = np.arange(len(task.train))
+    computed = score_sequences(model, adapter, stats, seqs, sens, batch_size)
+    passes = [forward_batch(model, adapter, chunk)
+              for chunk in seqs.batch(model, rows).chunks(batch_size)]
+    seqs.base = frozen_base(model, seqs, batch_size)
+    read = score_sequences(model, adapter, stats, seqs, sens, batch_size)
+    for name in ("score1", "score"):
+        np.testing.assert_array_equal(getattr(read, name), getattr(computed, name))
+    for chunk, fb in zip(seqs.batch(model, rows).chunks(batch_size), passes, strict=True):
+        assert chunk.base is seqs.base
+        got = forward_batch(model, adapter, chunk)
+        np.testing.assert_array_equal(got.x, fb.x)
+        for name in ("h", "p", "losses"):
+            np.testing.assert_array_equal(getattr(got, name)[got.valid],
+                                          getattr(fb, name)[fb.valid])
+
+
+def test_a_batch_over_a_noised_table_carries_no_clean_base():
+    model = init_lm((23, 4, 3, 6), seed=1)
+    seqs = PackedSequences.of(model, [[3, 4, 5], [6, 7], [8, 9, 10, 11]])
+    seqs.base = frozen_base(model, seqs, 2)
+    rows = np.array([2, 0])
+    assert seqs.batch(model, rows).base is seqs.base
+    noised = seqs.batch(model, rows, model.embed[seqs.tokens] + 0.1)
+    assert noised.base is None and all(part.base is None for part in noised.chunks(1))
 
 
 def test_run_ledger_follows_each_epochs_feed_order():

@@ -14,7 +14,9 @@ invocations, and the side that runs first alternates from pair to pair.  A run
 value is the median that invocation prints for an end-to-end metric of the
 copy's BENCHMARK.json.  The file records every run, the medians, the distance
 between the quartiles of the parent's runs, the pairs the change wins and the
-environment block perfbench prints.
+environment block perfbench prints.  It also keeps, per pair, the
+``matrix.csv``/``ledger.csv`` digests each side's invocation prints, and lists
+the seeds whose digests differ between parent and change: the parity record.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def copy_worktree(dest: Path) -> str:
 
 
 def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench invocation in ``copy``: its metrics, failed samples and environment."""
+    """One perfbench invocation in ``copy``: its metrics, failed samples, bundle digests
+    (one ``{"matrix.csv": …, "ledger.csv": …}`` per distinct pair) and environment."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -71,8 +74,11 @@ def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     env = next(json.loads(line.split(":", 1)[1]) for line in lines
                if line.startswith("environment:"))
+    # "  digests matrix.csv <sha256 prefix>  ledger.csv <sha256 prefix>  (<n> samples)"
+    digests = [dict(zip(fields[1:5:2], fields[2:5:2])) for fields in map(str.split, lines)
+               if fields[:1] == ["digests"]]
     return {"values": {k: m["value"] for k, m in result["metrics"].items()},
-            "failed": result["failed"], "environment": env}
+            "failed": result["failed"], "digests": digests, "environment": env}
 
 
 def summarise(parent: list[float], change: list[float], better: str) -> dict:
@@ -121,17 +127,23 @@ def main(argv: list[str] | None = None) -> int:
         for name, seeds in plan:
             runs = {side: [] for side in sides}
             failed = {side: 0 for side in sides}
+            digests = []
             for i, seed in enumerate(seeds):
+                digests.append({"seed": seed, "parent": None, "change": None})
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     out = invoke(sides[side], name, seed, args.seconds)
                     runs[side].append(out["values"])
                     failed[side] += out["failed"]
+                    digests[-1][side] = out["digests"]
                     environment = {k: out["environment"][k] for k in ENV_KEYS}
-                    print(f"{name} seed {seed} {side}: {out['values']}", flush=True)
+                    print(f"{name} seed {seed} {side}: {out['values']} {out['digests']}",
+                          flush=True)
             workloads[name] = {
                 "pairs": len(seeds),
                 "seeds": seeds,
                 "failed_samples": failed,
+                "digests": digests,
+                "digests_differ": [d["seed"] for d in digests if d["parent"] != d["change"]],
                 "metrics": {m["name"]: summarise([r[m["name"]] for r in runs["parent"]],
                                                  [r[m["name"]] for r in runs["change"]],
                                                  m["better"])
@@ -149,7 +161,9 @@ def main(argv: list[str] | None = None) -> int:
             "each run value is that invocation's median over its samples (run_s and setup_s "
             "rescaled by perfbench's speed probe). One pair per seed. change_wins counts pairs "
             "where the change is better; parent_iqr is the distance between the quartiles of "
-            "the parent's runs. Written by tools/bench_pairs.py."
+            "the parent's runs. digests holds each side's matrix.csv/ledger.csv sha256 "
+            "prefixes per pair, and digests_differ the seeds where they differ. Written by "
+            "tools/bench_pairs.py."
         ),
         "machine": args.machine or f"{environment.get('nproc')} CPUs",
         "environment": environment,
