@@ -10,21 +10,33 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .config import config_to_dict, parse_config
 from .errors import DataError, reading
+from .privacy import LEDGER_COLUMNS
 from .tinylm import load_checkpoint, save_checkpoint
 from .trainer import AccuracyMatrix, RunConfig, RunResult, TaskReport, metrics_summary
 
-AUDIT_COLUMNS = [
-    "position", "surface", "score1", "score2", "score", "epsilon", "sigma", "stopword",
-]
-SCULPT_COLUMNS = [
-    "task_id", "omega", "omega_bar", "s_bar", "lambda_dyn", "final_l_reg", "final_l_unlearn",
-]
-LEDGER_COLUMNS = ["sequence_id", "position", "epoch", "epsilon", "sigma"]
+# audit.csv: one row per training token; epsilon/sigma are empty at score 0.
+AUDIT_COLUMNS = ("position", "surface", "score1", "score2", "score", "epsilon", "sigma", "stopword")
+_SCULPT_COLUMNS = [f.name for f in fields(TaskReport)]
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    return "" if value is None or value != value else repr(value)  # NaN != NaN
+
+
+def write_csv(path: str | Path, columns, rows) -> None:
+    """A report CSV through ``csv.writer``: a string cell as it is, a number as
+    its ``repr``, and an empty cell for None or NaN."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(map(_cell, row) for row in rows)
 
 
 def write_matrix_csv(path: str | Path, matrix: AccuracyMatrix) -> None:
@@ -54,62 +66,12 @@ def read_matrix_csv(path: str | Path) -> AccuracyMatrix:
         raise DataError(f"{p}: {exc}") from exc
 
 
-def _report_dict(report: TaskReport) -> dict:
-    return {
-        "task_id": report.task_id,
-        "omega": report.omega,
-        "omega_bar": report.omega_bar,
-        "s_bar": report.s_bar,
-        "lambda_dyn": report.lambda_dyn,
-        "final_l_reg": report.final_l_reg,
-        "final_l_unlearn": report.final_l_unlearn,
-    }
-
-
 def write_metrics_json(path: str | Path, matrix: AccuracyMatrix, reports: list[TaskReport]) -> dict:
     """Write metrics.json; returns the bwt/last/avg summary it holds."""
     summary = metrics_summary(matrix)
-    payload = {**summary, "per_task": [_report_dict(r) for r in reports]}
+    payload = {**summary, "per_task": [asdict(r) for r in reports]}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return summary
-
-
-def write_sculpt_report_csv(path: str | Path, reports: list[TaskReport]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCULPT_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.task_id,
-                    repr(r.omega),
-                    repr(r.omega_bar),
-                    "" if r.s_bar is None else repr(r.s_bar),
-                    "" if r.lambda_dyn is None else repr(r.lambda_dyn),
-                    repr(r.final_l_reg),
-                    "" if r.final_l_unlearn is None else repr(r.final_l_unlearn),
-                ]
-            )
-
-
-def write_audit_csv(path: str | Path, rows: list[dict]) -> None:
-    """Per-token sensitivity report; epsilon/sigma cells are empty at score 0."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AUDIT_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["position"],
-                    row["surface"],
-                    repr(row["score1"]),
-                    repr(row["score2"]),
-                    repr(row["score"]),
-                    "" if math.isnan(row["epsilon"]) else repr(row["epsilon"]),
-                    "" if math.isnan(row["sigma"]) else repr(row["sigma"]),
-                    int(row["stopword"]),
-                ]
-            )
 
 
 def write_run_bundle(
@@ -132,7 +94,7 @@ def write_run_bundle(
     write_matrix_csv(_mark("matrix.csv"), result.matrix)
     summary = write_metrics_json(_mark("metrics.json"), result.matrix, result.reports)
     result.ledger.to_csv(_mark("ledger.csv"))
-    write_sculpt_report_csv(_mark("sculpt_report.csv"), result.reports)
+    write_csv(_mark("sculpt_report.csv"), _SCULPT_COLUMNS, map(astuple, result.reports))
     save_checkpoint(_mark("model.ckpt"), result.model, result.adapter)
     _mark("run_config.json").write_text(
         json.dumps(config_to_dict(config), sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -163,7 +125,8 @@ def check_bundle(out_dir: str | Path) -> list[str]:
         raise DataError(f"{metrics_path}: per_task length != matrix size")
     checked.append("metrics.json")
 
-    for name, columns in (("ledger.csv", LEDGER_COLUMNS), ("sculpt_report.csv", SCULPT_COLUMNS)):
+    for name, columns in (("ledger.csv", list(LEDGER_COLUMNS)),
+                          ("sculpt_report.csv", _SCULPT_COLUMNS)):
         p = out / name
         with p.open("r", encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh), None)

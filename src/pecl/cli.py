@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (
-    check_bundle,
-    read_matrix_csv,
-    write_audit_csv,
-    write_run_bundle,
-)
+from .artifacts import AUDIT_COLUMNS, check_bundle, read_matrix_csv, write_csv, write_run_bundle
 from .config import config_from_dict, config_to_dict, parse_config
 from .corpus import compute_corpus_stats, load_corpus
 from .errors import DataError, NumericError, PeclError
@@ -158,29 +153,17 @@ def _cmd_audit(args) -> int:
         config.privacy,
     )
     positions = np.arange(len(profile)) - np.repeat(packed.starts, packed.lengths) + 1
-    rows = [
-        {
-            "position": pos,
-            "surface": vocab.surface_of(tok),
-            "score1": score1,
-            "score2": score2,
-            "score": score,
-            "epsilon": eps,
-            "sigma": sigma,
-            "stopword": stop,
-        }
-        for pos, tok, score1, score2, score, eps, sigma, stop in zip(
-            positions.tolist(), profile.tokens, profile.score1.tolist(),
-            profile.score2.tolist(), profile.score.tolist(), profile.epsilon.tolist(),
-            profile.sigma.tolist(), profile.is_stopword.tolist(),
-        )
-    ]
+    rows = zip(
+        positions.tolist(), map(vocab.surface_of, profile.tokens), profile.score1.tolist(),
+        profile.score2.tolist(), profile.score.tolist(), profile.epsilon.tolist(),
+        profile.sigma.tolist(), profile.is_stopword.astype(int).tolist(),
+    )
     with _Outputs(args.out) as outputs:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "audit.csv"
         outputs.paths.append(path)
-        write_audit_csv(path, rows)
-        print(f"wrote {path} ({len(rows)} token rows)")
+        write_csv(path, AUDIT_COLUMNS, rows)
+        print(f"wrote {path} ({len(profile)} token rows)")
         return 0
 
 

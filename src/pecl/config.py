@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .corpus import load_stopwords
-from .errors import DataError, load_json, reading
+from .errors import DataError, load_json, reading, shown
 from .trainer import RunConfig
 
 _FILE_NAMES = {"sensitivity_variant": "sigma_variant"}  # the published spelling
@@ -49,27 +49,27 @@ def _coerce(key: str, tp, value):
         (tp,) = (a for a in args if a is not type(None))
     if tp is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise DataError(f"config key {key!r} must be an integer, got {value!r}")
+            raise DataError(f"config key {key!r} must be an integer, got {shown(value)}")
         return value
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"config key {key!r} must be a number, got {value!r}")
+            raise DataError(f"config key {key!r} must be a number, got {shown(value)}")
         if not abs(value) <= sys.float_info.max:  # NaN and Infinity are valid JSON here
-            raise DataError(f"config key {key!r} must be a finite number, got {value!r}")
+            raise DataError(f"config key {key!r} must be a finite number, got {shown(value)}")
         return float(value)
     if tp is str:
         if not isinstance(value, str):
-            raise DataError(f"config key {key!r} must be a string, got {value!r}")
+            raise DataError(f"config key {key!r} must be a string, got {shown(value)}")
         return value
     if tp is bool:
         if not isinstance(value, bool):
-            raise DataError(f"config key {key!r} must be a boolean, got {value!r}")
+            raise DataError(f"config key {key!r} must be a boolean, got {shown(value)}")
         return value
     if tp == list[int]:
         if not isinstance(value, list) or any(
             isinstance(v, bool) or not isinstance(v, int) for v in value
         ):
-            raise DataError(f"config key {key!r} must be a list of integers, got {value!r}")
+            raise DataError(f"config key {key!r} must be a list of integers, got {shown(value)}")
         return list(value)
     raise TypeError(f"config key {key!r} has a field type the file format cannot hold: {tp}")
 
@@ -88,7 +88,7 @@ def config_from_dict(obj: dict) -> RunConfig:
     given: dict[tuple[str, ...], dict] = {}  # dataclass path -> field values from the file
     for key, raw in obj.items():
         if key not in SCHEMA:
-            raise DataError(f"unknown config key {key!r}")
+            raise DataError(f"unknown config key {shown(key)}")
         (*owner, name), tp = SCHEMA[key]
         given.setdefault(tuple(owner), {})[name] = _coerce(key, tp, raw)
 

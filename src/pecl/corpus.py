@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataError, load_json, reading
+from .errors import DataError, load_json, reading, shown
 
 PAD_ID = 0
 UNK_ID = 1
@@ -154,7 +154,7 @@ def label_surface(label: str) -> str:
     """Collapse a label string to a single vocabulary surface."""
     words = split_words(label)
     if not words:
-        raise DataError(f"label {label!r} contains no tokenizable characters")
+        raise DataError(f"label {shown(label)} contains no tokenizable characters")
     return "_".join(words) if len(words) > 1 else words[0]
 
 
@@ -182,7 +182,8 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[TaskCorpus]:
                 raise DataError(f"{path}:{lineno}: missing task_id field")
             task_id = obj["task_id"]
             if isinstance(task_id, bool) or not isinstance(task_id, int):
-                raise DataError(f"{path}:{lineno}: task_id must be an integer, got {task_id!r}")
+                raise DataError(
+                    f"{path}:{lineno}: task_id must be an integer, got {shown(task_id)}")
             text = obj.get("text")
             label = obj.get("label")
             if not isinstance(text, str) or not isinstance(label, str):
@@ -193,40 +194,32 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[TaskCorpus]:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             split = obj.get("split", "train")
             if split not in ("train", "eval"):
-                raise DataError(f"{path}:{lineno}: split must be 'train' or 'eval', got {split!r}")
+                raise DataError(
+                    f"{path}:{lineno}: split must be 'train' or 'eval', got {shown(split)}")
             records.append((task_id, text, label, split))
     if not records:
         raise DataError(f"{path}: no records")
+    return corpora_from_records(records, [lab for _, _, lab, _ in records])
 
-    vocab = build_vocab(
-        texts=[text for _, text, _, _ in records],
-        labels=[lab for _, _, lab, _ in records],
-    )
 
-    by_task: dict[int, dict[str, list[TokenizedSequence]]] = {}
-    labels_by_task: dict[int, set[int]] = {}
+def corpora_from_records(records: list[tuple[int, str, str, str]],
+                         labels: list[str]) -> list[TaskCorpus]:
+    """One TaskCorpus per task id, ascending, from ``(task_id, text, label, split)``
+    records sharing one vocabulary.
+
+    ``labels`` are label surfaces whose order of first appearance fixes the
+    label ids (see ``build_vocab``); ``split`` is "train" or "eval".
+    """
+    vocab = build_vocab([text for _, text, _, _ in records], labels)
+    by_task: dict[int, TaskCorpus] = {}
     for task_id, text, label, split in records:
         lab_id = vocab.id_of(label)
-        ids = vocab.encode(text) + [lab_id]
-        seq = TokenizedSequence(tokens=ids, task_id=task_id, label_token=lab_id)
-        by_task.setdefault(task_id, {"train": [], "eval": []})[split].append(seq)
-        labels_by_task.setdefault(task_id, set()).add(lab_id)
-
-    corpora = []
-    for task_id in sorted(by_task):
-        groups = by_task[task_id]
-        if not groups["train"] and not groups["eval"]:
-            raise DataError(f"task {task_id} is empty")
-        corpora.append(
-            TaskCorpus(
-                task_id=task_id,
-                train=groups["train"],
-                eval=groups["eval"],
-                label_set=labels_by_task[task_id],
-                vocab=vocab,
-            )
-        )
-    return corpora
+        task = by_task.setdefault(task_id, TaskCorpus(task_id, [], [], set(), vocab))
+        getattr(task, split).append(
+            TokenizedSequence(tokens=vocab.encode(text) + [lab_id], task_id=task_id,
+                              label_token=lab_id))
+        task.label_set.add(lab_id)
+    return [by_task[task_id] for task_id in sorted(by_task)]
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:

@@ -17,6 +17,13 @@ class NumericError(PeclError):
     """Non-finite values where finite numbers are required."""
 
 
+def shown(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message; a repr longer than ``limit``
+    characters is cut there and followed by its full length."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} chars)"
+
+
 @contextmanager
 def reading(path):
     """Turn an OSError or a decoding error raised while reading ``path`` into a

@@ -27,13 +27,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, reading
+from .errors import DataError, NumericError, reading, shown
 from .sensitivity import ProfileEntry, SensitivityProfile
 
 VARIANTS = ("main_text", "appendix")
@@ -60,9 +60,8 @@ class PrivacyConfig:
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.sensitivity_variant not in VARIANTS:
-            raise ValueError(
-                f"sensitivity_variant must be one of {VARIANTS}, got {self.sensitivity_variant!r}"
-            )
+            raise ValueError(f"sensitivity_variant must be one of {VARIANTS}, "
+                             f"got {shown(self.sensitivity_variant)}")
 
 
 def allocate_budget(score, config: PrivacyConfig):
@@ -130,7 +129,9 @@ class LedgerRecord:
     delta: float
 
 
-_LEDGER_COLUMNS = ("sequence_id", "position", "epoch", "epsilon", "sigma", "delta")
+_LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRecord))
+# ledger.csv's columns: delta is the same for every record, so it is not written.
+LEDGER_COLUMNS = tuple(name for name in _LEDGER_FIELDS if name != "delta")
 _LEDGER_DTYPES = (object, np.int64, np.int64, float, float, float)
 _CSV_CHUNK_ROWS = 4096
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -188,13 +189,12 @@ class PrivacyLedger:
         """Each column as one array, in exposure order."""
         if len(self._chunks) > 1:
             self._chunks = [tuple(np.concatenate(parts) for parts in zip(*self._chunks))]
-        return dict(zip(_LEDGER_COLUMNS, self._chunks[0]))
+        return dict(zip(_LEDGER_FIELDS, self._chunks[0]))
 
     @property
     def records(self) -> list[LedgerRecord]:
         """The exposures as rows, built from the columns on each read."""
-        cols = self.columns()
-        return [LedgerRecord(*row) for row in zip(*(cols[name].tolist() for name in _LEDGER_COLUMNS))]
+        return [LedgerRecord(*row) for row in zip(*(c.tolist() for c in self.columns().values()))]
 
     def epsilons(self) -> np.ndarray:
         return self.columns()["epsilon"].copy()
@@ -212,7 +212,7 @@ class PrivacyLedger:
         sig, sig_of = _distinct_strings(cols["sigma"].view(np.int64), _float_repr)
         row = "{},{},{},{},{}\r\n".format
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            fh.write("sequence_id,position,epoch,epsilon,sigma\r\n")
+            fh.write(",".join(LEDGER_COLUMNS) + "\r\n")
             for i in range(0, len(self), _CSV_CHUNK_ROWS):
                 part = slice(i, i + _CSV_CHUNK_ROWS)
                 fh.write("".join(map(
@@ -238,10 +238,9 @@ class PrivacyLedger:
         rows: list[tuple] = []
         with reading(p), p.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            expected = {"sequence_id", "position", "epoch", "epsilon", "sigma"}
             try:
-                if reader.fieldnames is None or set(reader.fieldnames) != expected:
-                    raise DataError(f"{p}: ledger header must be {sorted(expected)}")
+                if reader.fieldnames is None or set(reader.fieldnames) != set(LEDGER_COLUMNS):
+                    raise DataError(f"{p}: ledger header must be {sorted(LEDGER_COLUMNS)}")
                 for row in reader:
                     try:
                         seq, pos, epoch, eps, sigma = (

@@ -28,7 +28,6 @@ from .tinylm import LoraAdapter, PackedSequences, TinyLM, forward_batch, token_l
 class SensitivityConfig:
     alpha: float = 0.5
     stopwords: frozenset[str] = field(default_factory=load_stopwords)
-    clamp_negative_score2: bool = True
     stopword_ids: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
@@ -141,8 +140,7 @@ def score_sequences(
         score1[predicted] = np.concatenate(losses)
 
     distinct, where = np.unique(tokens, return_inverse=True)
-    table = np.array([contextual_score(stats, tok, clamp=config.clamp_negative_score2)
-                      for tok in distinct.tolist()])
+    table = np.array([contextual_score(stats, tok) for tok in distinct.tolist()])
     score2 = table[where]
 
     score = np.asarray(fuse_scores(score1, score2, config.alpha))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import TaskCorpus, TokenizedSequence, Vocabulary, build_vocab
+from .corpus import TaskCorpus, Vocabulary, corpora_from_records
 from .seeding import spawn_rng
 
 FUNCTION_WORDS = [
@@ -127,63 +127,28 @@ def synthetic_stream(
         raise ValueError("train_per_task and eval_per_task must be >= 1")
 
     rng = spawn_rng(seed, "synthetic-stream")
-    per_task: list[dict] = []
+    records: list[tuple[int, str, str, str]] = []
+    labels: list[str] = []
     sensitive: list[str] = []
     for idx in range(num_tasks):
         label_a, words_a, label_b, words_b = _topic_for(idx)
+        labels += [label_a, label_b]
         pool = _sensitive_pool(rng, size=plants_per_task)
         sensitive.extend(pool)
-        records = {"train": [], "eval": []}
         for split, count in (("train", train_per_task), ("eval", eval_per_task)):
             for _ in range(count):
                 label, words = (label_a, words_a) if rng.random() < 0.5 else (label_b, words_b)
                 plant = None
                 if split == "train" and rng.random() < plant_rate:
                     plant = pool[int(rng.integers(len(pool)))]
-                records[split].append((" ".join(_sentence(rng, words, plant)), label))
-        per_task.append(
-            {"task_id": idx + 1, "records": records, "labels": [label_a, label_b]}
-        )
-
-    texts = [
-        text
-        for task in per_task
-        for split in ("train", "eval")
-        for text, _ in task["records"][split]
-    ]
-    labels = [lab for task in per_task for lab in task["labels"]]
-    vocab = build_vocab(texts, labels)
-
-    tasks = []
-    for task in per_task:
-        groups: dict[str, list[TokenizedSequence]] = {"train": [], "eval": []}
-        label_ids = set()
-        for split in ("train", "eval"):
-            for text, label in task["records"][split]:
-                lab_id = vocab.id_of(label)
-                label_ids.add(lab_id)
-                groups[split].append(
-                    TokenizedSequence(
-                        tokens=vocab.encode(text) + [lab_id],
-                        task_id=task["task_id"],
-                        label_token=lab_id,
-                    )
-                )
-        tasks.append(
-            TaskCorpus(
-                task_id=task["task_id"],
-                train=groups["train"],
-                eval=groups["eval"],
-                label_set=label_ids,
-                vocab=vocab,
-            )
-        )
-
+                records.append((idx + 1, " ".join(_sentence(rng, words, plant)), label, split))
+    tasks = corpora_from_records(records, labels)
+    vocab = tasks[0].vocab
     surfaces = frozenset(sensitive)
     return SyntheticStream(
         tasks=tasks,
         vocab=vocab,
         sensitive_surfaces=surfaces,
         sensitive_ids=vocab.ids_of(surfaces),
-        label_surfaces=frozenset(lab for task in per_task for lab in task["labels"]),
+        label_surfaces=frozenset(labels),
     )

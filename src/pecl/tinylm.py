@@ -14,7 +14,7 @@ so analytic gradients can be checked against central finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -43,27 +43,16 @@ class TinyLM:
         return self.n_ctx * self.d_emb
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("embed", self.embed),
-            ("w_hidden", self.w_hidden),
-            ("b_hidden", self.b_hidden),
-            ("w_out", self.w_out),
-            ("b_out", self.b_out),
-        ]
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
     def copy(self) -> "TinyLM":
-        return TinyLM(
-            vocab=self.vocab,
-            d_emb=self.d_emb,
-            n_ctx=self.n_ctx,
-            d_hidden=self.d_hidden,
-            seed=self.seed,
-            embed=self.embed.copy(),
-            w_hidden=self.w_hidden.copy(),
-            b_hidden=self.b_hidden.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-        )
+        return replace(self, **{name: arr.copy() for name, arr in self.param_items()})
+
+
+# TinyLM's parameter arrays, in checkpoint order, and its scalar fields (the
+# checkpoint's meta).  Annotations are strings under the __future__ import.
+PARAM_NAMES = tuple(f.name for f in fields(TinyLM) if f.type == "np.ndarray")
+_SCALAR_NAMES = tuple(f.name for f in fields(TinyLM) if f.name not in PARAM_NAMES)
 
 
 @dataclass
@@ -83,13 +72,8 @@ class LoraAdapter:
             raise ValueError("rank exceeds min(d_in, d_out)")
 
     def copy(self, task_id: int | None = None) -> "LoraAdapter":
-        return LoraAdapter(
-            a=self.a.copy(),
-            b=self.b.copy(),
-            rank=self.rank,
-            task_id=self.task_id if task_id is None else task_id,
-            layer_id=self.layer_id,
-        )
+        return replace(self, a=self.a.copy(), b=self.b.copy(),
+                       task_id=self.task_id if task_id is None else task_id)
 
 
 def lora_delta(adapter: LoraAdapter) -> np.ndarray:
@@ -556,12 +540,8 @@ class GradientBundle:
         return [] if self.batch_losses is None else _split_losses(*self.batch_losses)
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for name in ("embed", "w_hidden", "b_hidden", "w_out", "b_out", "a", "b"):
-            arr = getattr(self, name)
-            if arr is not None:
-                out.append((name, arr))
-        return out
+        pairs = ((name, getattr(self, name)) for name in (*PARAM_NAMES, "a", "b"))
+        return [(name, arr) for name, arr in pairs if arr is not None]
 
 
 def backward(
@@ -729,16 +709,10 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 def save_checkpoint(path: str | Path, model: TinyLM, adapter: LoraAdapter | None = None) -> None:
     """Write a bit-exact checkpoint (.npz with a JSON metadata entry)."""
-    meta = {
-        "vocab": model.vocab,
-        "d_emb": model.d_emb,
-        "n_ctx": model.n_ctx,
-        "d_hidden": model.d_hidden,
-        "seed": model.seed,
-        "task_id": adapter.task_id if adapter is not None else None,
-        "rank": adapter.rank if adapter is not None else None,
-    }
-    arrays = {name: arr for name, arr in model.param_items()}
+    meta = {name: getattr(model, name) for name in _SCALAR_NAMES}
+    meta["task_id"] = adapter.task_id if adapter is not None else None
+    meta["rank"] = adapter.rank if adapter is not None else None
+    arrays = dict(model.param_items())
     if adapter is not None:
         arrays["adapter_a"] = adapter.a
         arrays["adapter_b"] = adapter.b
@@ -752,18 +726,8 @@ def load_checkpoint(path: str | Path) -> tuple[TinyLM, LoraAdapter | None]:
     """Read a checkpoint written by ``save_checkpoint``."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        model = TinyLM(
-            vocab=meta["vocab"],
-            d_emb=meta["d_emb"],
-            n_ctx=meta["n_ctx"],
-            d_hidden=meta["d_hidden"],
-            seed=meta["seed"],
-            embed=data["embed"].copy(),
-            w_hidden=data["w_hidden"].copy(),
-            b_hidden=data["b_hidden"].copy(),
-            w_out=data["w_out"].copy(),
-            b_out=data["b_out"].copy(),
-        )
+        model = TinyLM(**{name: meta[name] for name in _SCALAR_NAMES},
+                       **{name: data[name].copy() for name in PARAM_NAMES})
         adapter = None
         if meta["rank"] is not None:
             adapter = LoraAdapter(

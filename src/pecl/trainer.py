@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CorpusStats, TaskCorpus, compute_corpus_stats
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, shown
 from .privacy import (
     PrivacyConfig,
     PrivacyLedger,
@@ -103,20 +103,15 @@ class RunConfig:
     stopword_file: str | None = None  # provenance for replay; the words live in .sensitivity
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.stats_scope not in STATS_SCOPES:
-            raise ValueError(f"stats_scope must be one of {STATS_SCOPES}, got {self.stats_scope!r}")
-        if self.unlearn_mode not in UNLEARN_MODES:
-            raise ValueError(
-                f"unlearn_mode must be one of {UNLEARN_MODES}, got {self.unlearn_mode!r}"
-            )
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        for name, choices in (("mode", MODES), ("stats_scope", STATS_SCOPES),
+                              ("unlearn_mode", UNLEARN_MODES), ("optimizer", OPTIMIZERS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"{name} must be one of {choices}, got {shown(getattr(self, name))}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ValueError(f"epochs must be >= 1, got {shown(self.epochs)}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {shown(self.batch_size)}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not self.weight_decay >= 0:
@@ -130,7 +125,7 @@ class RunConfig:
         for name in ("d_emb", "n_ctx", "d_hidden", "rank", "num_tasks",
                      "train_per_task", "eval_per_task"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 1, got {shown(getattr(self, name))}")
         if self.task_order is not None:
             if len(set(self.task_order)) != len(self.task_order):
                 raise ValueError("task_order must not repeat task ids")
@@ -328,11 +323,11 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     order = config.task_order if config.task_order is not None else sorted(by_id)
     missing = [tid for tid in order if tid not in by_id]
     if missing:
-        raise DataError(f"task_order references missing tasks: {missing}")
+        raise DataError(f"task_order references missing tasks: {shown(missing)}")
     if set(order) != set(by_id):
         raise DataError(
             "task_order must be a permutation of the provided task ids "
-            f"(order {sorted(order)} vs corpus {sorted(by_id)})"
+            f"(order {shown(sorted(order))} vs corpus {shown(sorted(by_id))})"
         )
     for task in corpora:
         if not task.train:

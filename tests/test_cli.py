@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pecl.artifacts import read_matrix_csv
+from pecl.artifacts import read_matrix_csv, write_run_bundle
 from pecl.cli import main
 from pecl.config import SCHEMA, config_from_dict, config_to_dict, parse_config
 from pecl.errors import DataError
-from pecl.privacy import PrivacyConfig
+from pecl.privacy import PrivacyConfig, PrivacyLedger
 from pecl.sculpt import SculptConfig
-from pecl.trainer import RunConfig
+from pecl.tinylm import init_lm
+from pecl.trainer import AccuracyMatrix, RunConfig, RunResult, TaskReport
 
 SMALL = {
     "train_per_task": 25,
@@ -136,7 +137,7 @@ def test_readme_config_table_matches_the_schema():
         defaults = [json.loads(d.strip().strip("`")) for d in defaults.split(" / ")]
         assert len(keys) == len(defaults), line
         documented.update(zip(keys, defaults))
-    assert len(SCHEMA) == 34
+    assert len(SCHEMA) == 33
     assert documented.keys() == SCHEMA.keys()
     assert documented == config_to_dict(RunConfig())
 
@@ -343,6 +344,73 @@ def test_audit_schema(tmp_path, capsys):
         assert row[7] in ("0", "1")
 
 
+def test_report_bytes_of_the_bundle_are_pinned(tmp_path):
+    reports = [TaskReport(1, 0.1, 1e-300, None, None, 0.0, None),
+               TaskReport(2, 2.5, 0.1, 0.30000000000000004, 1e-05, 1e-300, 7.0)]
+    result = RunResult(matrix=AccuracyMatrix.from_rows([[0.5], [0.25, 1.0]]),
+                       ledger=PrivacyLedger(), reports=reports,
+                       model=init_lm((4, 2, 2, 3), 0), adapter=None)
+    write_run_bundle(tmp_path, result, RunConfig())
+    assert (tmp_path / "sculpt_report.csv").read_bytes() == (
+        b"task_id,omega,omega_bar,s_bar,lambda_dyn,final_l_reg,final_l_unlearn\r\n"
+        b"1,0.1,1e-300,,,0.0,\r\n"
+        b"2,2.5,0.1,0.30000000000000004,1e-05,1e-300,7.0\r\n"
+    )
+    per_task = [
+        '    {\n      "final_l_reg": 0.0,\n      "final_l_unlearn": null,\n'
+        '      "lambda_dyn": null,\n      "omega": 0.1,\n      "omega_bar": 1e-300,\n'
+        '      "s_bar": null,\n      "task_id": 1\n    }',
+        '    {\n      "final_l_reg": 1e-300,\n      "final_l_unlearn": 7.0,\n'
+        '      "lambda_dyn": 1e-05,\n      "omega": 2.5,\n      "omega_bar": 0.1,\n'
+        '      "s_bar": 0.30000000000000004,\n      "task_id": 2\n    }',
+    ]
+    assert (tmp_path / "metrics.json").read_text("utf-8") == (
+        '{\n  "avg": 0.5625,\n  "bwt": -0.25,\n  "last": 0.625,\n  "per_task": [\n'
+        + ",\n".join(per_task) + "\n  ]\n}\n"
+    )
+    assert (tmp_path / "ledger.csv").read_bytes() == b"sequence_id,position,epoch,epsilon,sigma\r\n"
+
+
+def test_audit_csv_bytes_are_pinned(tmp_path, capsys):
+    corpus = tmp_path / "quoting.jsonl"
+    corpus.write_text("\n".join(json.dumps(r) for r in [
+        {"task_id": 1, "text": 'the cat, said "hi" to alice', "label": "pos"},
+        {"task_id": 1, "text": "a dog barked, loudly", "label": "neg"},
+        {"task_id": 1, "text": "the cat sat", "label": "pos", "split": "eval"},
+        {"task_id": 2, "text": 'bob wrote "secret", then left', "label": "neg"},
+        {"task_id": 2, "text": "a bird flew", "label": "neg", "split": "eval"},
+    ]) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, {"corpus": str(corpus), "d_emb": 4, "d_hidden": 8,
+                                     "rank": 2})
+    out = tmp_path / "audit"
+    assert main(["audit", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'audit.csv'} (25 token rows)\n"
+    text = (out / "audit.csv").read_bytes().decode("utf-8")
+    assert text.endswith("\r\n")
+    lines = text[:-2].split("\r\n")
+    assert lines[0] == "position,surface,score1,score2,score,epsilon,sigma,stopword"
+    surfaces = ["the", "cat", '","', "said", '""""', "hi", '""""', "to", "alice", "pos",
+                "a", "dog", "barked", '","', "loudly", "neg",
+                "bob", "wrote", '""""', "secret", '""""', '","', "then", "left", "neg"]
+    positions = [*range(1, 11), *range(1, 7), *range(1, 10)]
+    assert len(lines) - 1 == len(surfaces) == 25
+    for line, pos, surface in zip(lines[1:], positions, surfaces):
+        # Every float cell is the repr of the value it holds, and an unset
+        # budget is an empty cell: the line can be rebuilt from its values.
+        (_, _, score1, score2, score, eps, sigma, stop), = csv.reader([line])
+        cells = [repr(float(score1)), repr(float(score2)), repr(float(score))]
+        if float(score) == 0.0:
+            cells += ["", ""]
+        else:
+            cells += [repr(float(eps)), repr(float(sigma))]
+        assert stop in ("0", "1")
+        assert line == ",".join([str(pos), surface, *cells, stop])
+    assert lines[1] == "1,the,0.0,0.0,0.0,,,1"
+    assert lines[17] == "1,bob,0.0,0.0,0.0,,,0"
+    stopwords = [line.rsplit(",", 1)[1] for line in lines[1:]]
+    assert stopwords[:11] == ["1", "0", "0", "1", "0", "0", "0", "1", "0", "0", "1"]
+
+
 def test_sweep_emits_per_point_metrics(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "sweep"
@@ -400,6 +468,33 @@ def test_json_the_parser_refuses_is_a_data_error(tmp_path, capsys, command, give
     where = f"{bad}:1: malformed record" if given == "corpus" else f"{bad}: malformed JSON"
     assert err.startswith(f"data error: {where}: ")
     assert "Traceback" not in err
+
+
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("given, value, named", [
+    ("corpus", {"task_id": 1, "text": "a", "label": "b", "split": "x" * 1_000_000}, ":1: split"),
+    ("corpus", {"task_id": LONG, "text": "a", "label": "b"}, ":1: task_id"),
+    ("corpus", {"task_id": 1, "text": "a", "label": " " * 100_000}, ":1: label"),
+    ("config", {"lr": 10 ** 400}, "'lr'"),
+    ("config", {"epochs": -10 ** 400}, "epochs"),
+    ("config", {"seed": LONG}, "'seed'"),
+    ("config", {"mode": LONG}, "mode"),
+    ("config", {LONG: 1}, "unknown config key 'xxx"),
+    ("config", {"task_order": list(range(3, 30_000))}, "task_order"),
+], ids=["split", "task_id", "label", "lr", "epochs", "seed", "mode", "unknown-key", "task_order"])
+def test_a_long_value_in_an_error_message_is_cut(tmp_path, capsys, given, value, named):
+    if given == "corpus":
+        corpus = tmp_path / "long.jsonl"
+        corpus.write_text(json.dumps(value) + "\n", encoding="utf-8")
+        config, named = write_config(tmp_path, {"corpus": str(corpus)}), f"{corpus}{named}"
+    else:
+        config = write_config(tmp_path, value)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and named in err
+    assert len(err) < 300 and " chars)" in err
 
 
 def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):

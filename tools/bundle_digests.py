@@ -1,0 +1,66 @@
+"""sha256 of every results-bundle file, for byte-parity checks between revisions.
+
+    python3 tools/bundle_digests.py 0 1 2 3 4 > digests.txt
+
+It imports ``pecl`` from the ``src`` directory next to this script.  For each
+seed it runs the three perfbench workloads and the acceptance recipe in
+``uniform_dp`` mode, writes each bundle with ``write_run_bundle``, and prints
+one ``<workload> <seed> <file> <sha256>`` line per bundle file.  It then runs
+``pecl audit`` on the default config at that seed and prints the digest of
+``audit.csv``.  Run it in two checkouts and ``diff`` the outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from pecl import run_continual  # noqa: E402
+from pecl.artifacts import write_run_bundle  # noqa: E402
+from pecl.cli import main as pecl_main  # noqa: E402
+from workloads import WORKLOADS, _recipe_config, _recipe_stream  # noqa: E402
+
+
+def _recipe_uniform_dp(seed: int):
+    stream = _recipe_stream(seed)
+    return _recipe_config("uniform_dp", seed, stream, 0.0), stream.tasks
+
+
+RUNS = {**WORKLOADS, "recipe-uniform_dp": _recipe_uniform_dp}
+
+
+def _digests(out: Path):
+    for p in sorted(out.iterdir()):
+        yield p.name, hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip(), file=sys.stderr)
+        return 1
+    for seed in map(int, argv):
+        for name, make in RUNS.items():
+            config, tasks = make(seed)
+            with tempfile.TemporaryDirectory() as tmp:
+                write_run_bundle(tmp, run_continual(config, tasks), config)
+                for file, digest in _digests(Path(tmp)):
+                    print(name, seed, file, digest, flush=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = pecl_main(["audit", "--out", tmp, "--seed", str(seed)])
+            if code:
+                raise SystemExit(f"pecl audit exited {code} at seed {seed}")
+            for file, digest in _digests(Path(tmp)):
+                print("default-audit", seed, file, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
