@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import zipfile
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .config import config_to_dict, parse_config
-from .errors import DataError, reading
+from .errors import DataError, load_json, reading
 from .privacy import LEDGER_COLUMNS
 from .tinylm import load_checkpoint, save_checkpoint
 from .trainer import AccuracyMatrix, RunConfig, RunResult, TaskReport, metrics_summary
@@ -114,27 +115,32 @@ def check_bundle(out_dir: str | Path) -> list[str]:
     checked.append("matrix.csv")
 
     metrics_path = out / "metrics.json"
-    try:
-        payload = json.loads(metrics_path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{metrics_path}: unreadable metrics: {exc}") from exc
+    with reading(metrics_path):
+        payload = load_json(metrics_path.read_text("utf-8"), str(metrics_path))
+    if not isinstance(payload, dict):
+        raise DataError(f"{metrics_path}: not a JSON object")
     for key in ("bwt", "last", "avg", "per_task"):
         if key not in payload:
             raise DataError(f"{metrics_path}: missing key {key!r}")
-    if len(payload["per_task"]) != matrix.num_tasks:
-        raise DataError(f"{metrics_path}: per_task length != matrix size")
+    if not isinstance(payload["per_task"], list) or len(payload["per_task"]) != matrix.num_tasks:
+        raise DataError(f"{metrics_path}: per_task is not a list of {matrix.num_tasks} tasks")
     checked.append("metrics.json")
 
     for name, columns in (("ledger.csv", list(LEDGER_COLUMNS)),
                           ("sculpt_report.csv", _SCULPT_COLUMNS)):
         p = out / name
-        with p.open("r", encoding="utf-8", newline="") as fh:
+        with reading(p), p.open("r", encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh), None)
         if header != columns:
             raise DataError(f"{p}: header {header} != {columns}")
         checked.append(name)
 
-    load_checkpoint(out / "model.ckpt")
+    ckpt = out / "model.ckpt"
+    with reading(ckpt):
+        try:
+            load_checkpoint(ckpt)
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{ckpt}: unreadable checkpoint: {exc!r}") from exc
     checked.append("model.ckpt")
 
     parse_config(out / "run_config.json")

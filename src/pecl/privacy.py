@@ -181,10 +181,6 @@ class PrivacyLedger:
         self._chunks.append(tuple(chunk))
         self._size += n
 
-    def append(self, record: LedgerRecord) -> None:
-        self.extend([record.sequence_id], record.position, record.epoch, [record.epsilon],
-                    record.sigma, record.delta)
-
     def columns(self) -> dict[str, np.ndarray]:
         """Each column as one array, in exposure order."""
         if len(self._chunks) > 1:

@@ -63,7 +63,6 @@ class LoraAdapter:
     b: np.ndarray          # (d_out, rank)
     rank: int
     task_id: int
-    layer_id: str = "hidden"
 
     def __post_init__(self) -> None:
         if self.a.shape[0] != self.rank or self.b.shape[1] != self.rank:
@@ -78,10 +77,6 @@ class LoraAdapter:
 
 def lora_delta(adapter: LoraAdapter) -> np.ndarray:
     """Materialize the low-rank update ``b @ a`` (shape d_out x d_in)."""
-    if adapter.b.shape[1] != adapter.a.shape[0]:
-        raise ValueError(
-            f"shape mismatch: b is {adapter.b.shape}, a is {adapter.a.shape}"
-        )
     return adapter.b @ adapter.a
 
 
@@ -123,17 +118,6 @@ def init_adapter(model: TinyLM, rank: int, seed: int, task_id: int) -> LoraAdapt
     a = rng.uniform(-1.0 / np.sqrt(model.d_in), 1.0 / np.sqrt(model.d_in), size=(rank, model.d_in))
     b = np.zeros((model.d_hidden, rank))
     return LoraAdapter(a=a, b=b, rank=rank, task_id=task_id)
-
-
-def _validate_noisy(model: TinyLM, n: int, noisy: np.ndarray | None) -> np.ndarray | None:
-    if noisy is None:
-        return None
-    noisy = np.asarray(noisy, dtype=float)
-    if noisy.ndim != 2 or noisy.shape[1] != model.d_emb or noisy.shape[0] not in (n, n - 1):
-        raise ValueError(
-            f"per-position embeddings must be ({n} or {n - 1}) x {model.d_emb}, got {noisy.shape}"
-        )
-    return noisy[: n - 1]
 
 
 @dataclass
@@ -183,24 +167,33 @@ class PackedSequences:
         src = np.where(pos >= 0, self.starts[rows][:, None] + pos, self.tokens.size - 1)
         return src, pos
 
+    def margins(self, score: np.ndarray, theta: float) -> np.ndarray:
+        """Every packed token's unlearning margin ``max(score - theta, 0)``.
+
+        ``score`` holds one entry per entry of ``tokens``.  The margin is 0 on
+        each sequence's first position and on the trailing PAD, which no
+        valid window predicts.
+        """
+        margin = np.where(score > theta, score - theta, 0.0)
+        margin[self.starts] = margin[-1] = 0.0
+        return margin
+
     def batch(self, model: TinyLM, rows: np.ndarray, table: np.ndarray | None = None,
               margin: np.ndarray | None = None) -> "PackedBatch":
         """The sequences ``rows`` as one batch, laid out once; slice it for sub-batches.
 
-        ``table`` and ``margin`` hold one row per entry of ``tokens``.  A
-        given table marks the cells it feeds, every position but each
-        sequence's last, as not clean; without one every cell reads its
-        token's row of the embedding table, and only then does the batch
-        carry ``base``, which holds the clean inputs' product.
+        ``table`` and ``margin`` hold one row per entry of ``tokens``.
+        Without a table every cell reads its token's row of the embedding
+        table, and only then does the batch carry ``base``, which holds the
+        clean inputs' product.
         """
         src, pos = self.cells(model.n_ctx, rows)
         ids = self.tokens[src]
-        lengths = self.lengths[rows]
         if table is None:
-            table, feed, clean, base = model.embed, ids, np.ones(src.shape, dtype=bool), self.base
+            table, feed, base = model.embed, ids, self.base
         else:
-            feed, clean, base = src, ~((pos >= 0) & (pos < lengths[:, None] - 1)), None
-        return PackedBatch(self.sequences, rows, src, ids, lengths, table, feed, clean,
+            feed, base = src, None
+        return PackedBatch(self.sequences, rows, src, ids, self.lengths[rows], table, feed,
                            pos[:, model.n_ctx :] >= 1,
                            None if margin is None else margin[src[:, model.n_ctx :]], base)
 
@@ -215,8 +208,7 @@ class PackedBatch:
 
     Row b is sequence ``rows[b]``, laid out by ``PackedSequences.cells``: cell
     (b, c) is token ``ids[b, c]``, fed as row ``feed[b, c]`` of ``table``
-    (``src`` or ``ids``), and ``clean`` marks the cells fed their token's
-    embedding, not a noised row.
+    (``src`` into a per-token input table, or ``ids`` into the embedding table).
     Window t, ``ids[b, t : t + n_ctx]``, predicts ``ids[b, t + n_ctx]``;
     ``valid`` marks the windows whose target is a position >= 1, ``margin``
     (None without scores) holds each target's unlearning margin, and
@@ -233,7 +225,6 @@ class PackedBatch:
     lengths: np.ndarray    # (B,)
     table: np.ndarray      # (N + 1 or vocab, d_emb)
     feed: np.ndarray       # (B, width)
-    clean: np.ndarray      # (B, width)
     valid: np.ndarray      # (B, width - n_ctx)
     margin: np.ndarray | None = None   # (B, width - n_ctx)
     base: np.ndarray | None = None     # (N + 1, d_hidden)
@@ -249,64 +240,45 @@ class PackedBatch:
         width = self.src.shape[1]
         cells = (part, slice(width - _width(width - self.valid.shape[1], lengths), None))
         return PackedBatch(self.sequences, self.rows[part], self.src[cells], self.ids[cells],
-                           lengths, self.table, self.feed[cells], self.clean[cells],
-                           self.valid[cells], None if self.margin is None else self.margin[cells],
-                           self.base)
+                           lengths, self.table, self.feed[cells], self.valid[cells],
+                           None if self.margin is None else self.margin[cells], self.base)
 
     def chunks(self, size: int):
         """Consecutive slices of ``size`` rows, the last one possibly shorter."""
         return (self[i : i + size] for i in range(0, len(self), size))
 
 
-def _aligned_scores(scores: np.ndarray, n_pred: int) -> np.ndarray:
-    s = np.asarray(scores, dtype=float)
-    if s.shape[0] == n_pred + 1:
-        s = s[1:]
-    if s.shape[0] != n_pred:
-        raise ValueError(f"scores length {s.shape[0]} does not align with {n_pred} predicted tokens")
-    return s
-
-
 def pack(
     model: TinyLM,
     batch: Sequence,
-    noisy: Sequence[np.ndarray | None] | None = None,
-    scores: Sequence[np.ndarray | None] | None = None,
-    theta: float = 0.6,
+    scores: Sequence[np.ndarray] | None = None,
+    theta: float | None = None,
 ) -> PackedBatch:
     """A list of sequences (token lists or objects with ``.tokens``) as a packed batch.
 
-    ``noisy`` and ``scores`` hold one entry per sequence, None allowed per
-    entry: noisy rows cover every position or all but the last, which is
-    never consumed; scores cover every position or just the predicted ones.
-    A ``PackedBatch`` is returned as it is.
+    Every cell reads its token's embedding.  ``scores``, given with
+    ``theta``, holds one array per sequence with one score per position,
+    from which ``PackedSequences.margins`` sets the unlearning margins.  A
+    ``PackedBatch`` is returned as it is: it carries its own inputs and
+    margins.
     """
     if isinstance(batch, PackedBatch):
-        if noisy is not None or scores is not None:
-            raise ValueError("a packed batch carries its own noisy rows and margins")
+        if scores is not None:
+            raise ValueError("a packed batch carries its own margins")
         return batch
     if not len(batch):
         raise ValueError("batch must be non-empty")
     seqs = PackedSequences.of(model, batch)
     if seqs.lengths.min() < 2:
         raise ValueError("every sequence needs at least 2 tokens to produce a loss")
-    table = margin = None
-    if noisy is not None:
-        rows = [_validate_noisy(model, n, r) for n, r in zip(seqs.lengths, noisy)]
-        table = model.embed[seqs.tokens]
-        for start, r in zip(seqs.starts, rows):
-            if r is not None:
-                table[start : start + len(r)] = r
+    margin = None
     if scores is not None:
-        margin = np.zeros(seqs.tokens.size)
-        for start, n, s in zip(seqs.starts, seqs.lengths, scores):
-            if s is not None:
-                s = _aligned_scores(s, n - 1)
-                margin[start + 1 : start + n] = np.where(s > theta, s - theta, 0.0)
-    pb = seqs.batch(model, np.arange(len(seqs.lengths)), table, margin)
-    if noisy is not None:
-        pb.clean |= np.array([r is None for r in rows])[:, None]
-    return pb
+        for i, (s, n) in enumerate(zip(scores, seqs.lengths, strict=True)):
+            if np.shape(s) != (n,):
+                raise ValueError(f"scores of sequence {i} must have shape ({n},), "
+                                 f"got {np.shape(s)}")
+        margin = seqs.margins(np.concatenate([*scores, [0.0]]), theta)
+    return seqs.batch(model, np.arange(len(seqs.lengths)), None, margin)
 
 
 def _mlp(
@@ -347,46 +319,28 @@ def _sum_slice_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def label_probs(
-    model: TinyLM,
-    adapter: LoraAdapter | None,
-    batch: Sequence,
-    noisy: Sequence[np.ndarray | None] | None = None,
-) -> np.ndarray:
+def label_probs(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence) -> np.ndarray:
     """(B, vocab) distributions for each sequence's last token.
 
     Only the window before the last token of each sequence is gathered and
-    run; ``batch`` and ``noisy`` are as in ``forward_batch``.
+    run; ``batch`` is as in ``forward_batch``.
     """
-    pb = pack(model, batch, noisy)
+    pb = pack(model, batch)
     x = pb.table[pb.feed[:, -model.n_ctx - 1 : -1]].reshape(len(pb), 1, model.d_in)
     return _mlp(model, adapter, x)[2][:, 0]
 
 
-def forward(
-    model: TinyLM,
-    adapter: LoraAdapter | None,
-    context: Sequence[int],
-    noisy_embeddings: np.ndarray | None = None,
-) -> np.ndarray:
+def forward(model: TinyLM, adapter: LoraAdapter | None, context: Sequence[int]) -> np.ndarray:
     """Predictive distribution over the vocabulary given a context.
 
     The context holds 1 to ``n_ctx`` tokens and is left-padded with PAD.
-    When ``noisy_embeddings`` is given (one row per context position) those
-    vectors replace the embedding lookup.
     """
     ids = list(context)
     if not ids:
         raise ValueError("context must hold at least one token")
     if len(ids) > model.n_ctx:
         raise ValueError(f"context length {len(ids)} exceeds n_ctx={model.n_ctx}")
-    if noisy_embeddings is not None and np.shape(noisy_embeddings) != (len(ids), model.d_emb):
-        raise ValueError(
-            f"noisy embeddings must have shape ({len(ids)}, {model.d_emb}), "
-            f"got {np.shape(noisy_embeddings)}"
-        )
-    noisy = None if noisy_embeddings is None else [noisy_embeddings]
-    return label_probs(model, adapter, [ids + [PAD_ID]], noisy)[0]
+    return label_probs(model, adapter, [ids + [PAD_ID]])[0]
 
 
 @dataclass
@@ -395,14 +349,11 @@ class BatchForward:
 
     Arrays are (B, T, ...) with T = width - n_ctx; window t of sequence b
     is a prediction iff ``valid[b, t]`` (its last ``lengths[b] - 1`` windows).
-    ``clean[b, c]`` marks id-matrix columns read from the embedding table
-    rather than from a sequence's noisy rows.  ``p[target]`` is every window's
-    probability of its target token.
+    ``p[target]`` is every window's probability of its target token.
     """
 
     ids: np.ndarray        # (B, n_ctx + T) left-PAD-padded token ids
     lengths: np.ndarray    # (B,)
-    clean: np.ndarray      # (B, n_ctx + T)
     windows: np.ndarray    # (T, n_ctx) id-matrix column of every window slot
     x: np.ndarray          # (B, T, d_in) concatenated window inputs
     u: np.ndarray | None   # (B, T, rank) adapter projections x @ A.T; None without one
@@ -421,28 +372,21 @@ def _split_losses(losses: np.ndarray, valid: np.ndarray, lengths: np.ndarray) ->
     return np.split(losses[valid], np.cumsum(lengths - 1)[:-1])
 
 
-def forward_batch(
-    model: TinyLM,
-    adapter: LoraAdapter | None,
-    batch: Sequence,
-    noisy: Sequence[np.ndarray | None] | None = None,
-) -> BatchForward:
+def forward_batch(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence) -> BatchForward:
     """Forward every predicted position of a batch through one window gather.
 
-    ``batch`` is a ``PackedBatch`` or a list of sequences packed by ``pack``;
-    ``noisy`` holds one entry per listed sequence: None, or one embedding row
-    per position (the final row is never consumed and may be omitted).  A
-    batch's ``base`` stands in for ``x @ W0.T`` only when W0 is frozen.
+    ``batch`` is a ``PackedBatch``, whose ``table`` may hold noised inputs,
+    or a list of sequences that ``pack`` lays out over the embedding table.
+    A batch's ``base`` stands in for ``x @ W0.T`` only when W0 is frozen.
     """
-    pb = pack(model, batch, noisy)
+    pb = pack(model, batch)
     windows, x = _windows(model, pb)
     n_batch, n_windows = pb.valid.shape
     base = None if adapter is None or pb.base is None else pb.base[pb.src[:, model.n_ctx :]]
     u, h, p = _mlp(model, adapter, x, base)
     target = (np.arange(n_batch)[:, None], np.arange(n_windows), pb.ids[:, model.n_ctx :])
     losses = -np.log(p[target])
-    return BatchForward(pb.ids, pb.lengths, pb.clean, windows, x, u, h, p, losses, pb.valid,
-                        target)
+    return BatchForward(pb.ids, pb.lengths, windows, x, u, h, p, losses, pb.valid, target)
 
 
 def _windows(model: TinyLM, pb: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -468,20 +412,13 @@ def frozen_base(model: TinyLM, seqs: PackedSequences, batch_size: int) -> np.nda
     return base
 
 
-def token_losses(
-    model: TinyLM,
-    adapter: LoraAdapter | None,
-    seq,
-    noisy_embeddings: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+def token_losses(model: TinyLM, adapter: LoraAdapter | None, seq) -> tuple[np.ndarray, float]:
     """Per-token cross-entropy losses and their mean.
 
     Position i >= 2 contributes -log P(t_i | t_<i); the appended label token
-    is included.  ``noisy_embeddings`` carries one row per sequence position
-    (the final row is never consumed and may be omitted).
+    is included.
     """
-    noisy = None if noisy_embeddings is None else [noisy_embeddings]
-    fb = forward_batch(model, adapter, [seq], noisy)
+    fb = forward_batch(model, adapter, [seq])
     losses = fb.losses[0, fb.valid[0]]
     return losses, float(losses.mean())
 
@@ -498,13 +435,13 @@ class LossSpec:
     where L_task is the mean over sequences of their mean token loss and
     L_unlearn is the thresholded, sensitivity-weighted token loss.  With the
     default ``unlearn_sign=-1`` the flagged tokens' gradient contribution is
-    suppressed; +1 adds the term as a plain penalty instead.  ``scores`` and
-    ``noisy`` hold one entry per listed batch sequence (see ``pack``); leave
-    them None for a ``PackedBatch``, which carries its own.
+    suppressed; +1 adds the term as a plain penalty instead.  ``scores``
+    holds one array per listed batch sequence, one score per position (see
+    ``pack``); leave it None for a ``PackedBatch``, which carries its own
+    margins.
     """
 
-    noisy: Sequence[np.ndarray | None] | None = None
-    scores: Sequence[np.ndarray | None] | None = None
+    scores: Sequence[np.ndarray] | None = None
     theta: float = 0.6
     lambda_unlearn: float = 0.0
     unlearn_sign: float = -1.0
@@ -553,12 +490,14 @@ def backward(
     """Exact gradients of the assembled objective over a batch.
 
     With an adapter attached only its factors receive gradients (W0 and the
-    rest of the base stay frozen); without one, all base parameters do.
-    Positions read from per-position noisy embeddings contribute no gradient
-    to the embedding table: the perturbed vectors are fixed inputs.
+    rest of the base stay frozen); without one, all base parameters do, the
+    embedding table included, so the batch must read it: a ``PackedBatch``
+    over a table of noised inputs trains an adapter only.
     """
     spec = loss_spec or LossSpec()
-    pb = pack(model, batch, spec.noisy, spec.scores, spec.theta)
+    pb = pack(model, batch, spec.scores, spec.theta)
+    if adapter is None and pb.table is not model.embed:
+        raise ValueError("full finetune trains the embedding table, so it takes clean inputs only")
     fb = forward_batch(model, adapter, pb)
     if not np.isfinite(fb.losses[fb.valid]).all():
         raise NumericError("non-finite token loss encountered")
@@ -587,9 +526,8 @@ def backward(
         # Scatter each window slot's input gradient to the table row it was
         # read from, in (sequence, position, slot) order.
         d_slots = (dZ @ model.w_hidden).reshape(n_batch, n_windows, model.n_ctx, model.d_emb)
-        read = fb.clean[:, fb.windows] & fb.valid[:, :, None]
         d_embed = np.zeros_like(model.embed)
-        np.add.at(d_embed, fb.ids[:, fb.windows][read], d_slots[read])
+        np.add.at(d_embed, fb.ids[:, fb.windows][fb.valid], d_slots[fb.valid])
         base = dict(embed=d_embed, w_hidden=_sum_slice_products(dZ, fb.x),
                     b_hidden=dZ.sum(axis=1).sum(axis=0),
                     w_out=_sum_slice_products(dU, fb.h), b_out=dU.sum(axis=1).sum(axis=0))

@@ -263,8 +263,7 @@ class TaskInputs:
 
     def set_margins(self, theta: float) -> None:
         """Freeze the unlearning margin of every predicted position from its score."""
-        self.margin = np.where(self.score > theta, self.score - theta, 0.0)
-        self.margin[self.seqs.starts] = 0.0
+        self.margin = self.seqs.margins(self.score, theta)
 
     def noise_epoch(
         self,

@@ -1,0 +1,30 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+TIGHT = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]  # IQR 0.015
+WIDE = [0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.8, 1.2, 0.9, 1.1]             # IQR 0.35
+
+
+@pytest.mark.parametrize("better, parent, change, regressed, unresolved", [
+    ("lower", TIGHT, [v * 1.2 for v in TIGHT], False, False),    # worse, within the bound
+    ("lower", TIGHT, [v * 1.3 for v in TIGHT], True, False),     # worse, past the bound
+    ("lower", TIGHT, [v * 0.7 for v in TIGHT], False, False),    # better
+    ("higher", TIGHT, [v * 0.7 for v in TIGHT], True, False),
+    ("higher", TIGHT, [v * 1.3 for v in TIGHT], False, False),
+    ("lower", WIDE, WIDE, False, True),                           # the parent's spread hides 25%
+    ("lower", WIDE, [v * 0.2 for v in WIDE], False, False),      # every change run beats every parent run
+    ("higher", WIDE, [v * 2.0 for v in WIDE], False, True),      # 0.6 * 2 does not beat 1.4
+    ("higher", WIDE, [v + 1.0 for v in WIDE], False, False),
+])
+def test_summarise_gives_a_no_regression_verdict_against_the_bound(better, parent, change,
+                                                                   regressed, unresolved):
+    summary = bench_pairs.summarise(parent, change, better, 0.25)
+    assert (summary["regressed"], summary["unresolved"]) == (regressed, unresolved)
+    assert summary["parent_iqr"] == (0.015 if parent is TIGHT else 0.35)

@@ -6,11 +6,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pecl.artifacts import read_matrix_csv, write_run_bundle
+from pecl.artifacts import check_bundle, read_matrix_csv, write_run_bundle
 from pecl.cli import main
 from pecl.config import SCHEMA, config_from_dict, config_to_dict, parse_config
 from pecl.errors import DataError
@@ -516,6 +517,47 @@ def test_run_failing_mid_bundle_removes_the_files_it_wrote(tmp_path, capsys):
     assert err.startswith("data error:") and str(blocker) in err
     assert sorted(p.name for p in out.iterdir()) == ["ledger.csv"]
     assert (blocker / "keep.txt").read_text(encoding="utf-8") == "untouched"
+
+
+def _drop_checkpoint_meta_key(out):
+    path = out / "model.ckpt"
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    del meta["rank"]
+    with path.open("wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
+def _rewrite_metrics(out, **changes):
+    path = out / "metrics.json"
+    path.write_text(json.dumps({**json.loads(path.read_text("utf-8")), **changes}), "utf-8")
+
+
+BROKEN_BUNDLES = {
+    "ledger-missing": lambda out: (out / "ledger.csv").unlink(),
+    "checkpoint-truncated": lambda out: (out / "model.ckpt").write_bytes(
+        (out / "model.ckpt").read_bytes()[:100]),
+    "checkpoint-plain-bytes": lambda out: (out / "model.ckpt").write_bytes(b"not a checkpoint"),
+    "checkpoint-empty": lambda out: (out / "model.ckpt").write_bytes(b""),
+    "checkpoint-meta-key-missing": _drop_checkpoint_meta_key,
+    "metrics-not-utf8": lambda out: (out / "metrics.json").write_bytes(b'{"bwt": "\xff"}'),
+    "metrics-not-an-object": lambda out: (out / "metrics.json").write_text("5", "utf-8"),
+    "per-task-not-a-list": lambda out: _rewrite_metrics(out, per_task=2),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_BUNDLES)
+def test_check_bundle_names_an_unreadable_file_in_a_data_error(tmp_path, name):
+    reports = [TaskReport(k, 0.1, 0.1, None, None, 0.0, None) for k in (1, 2)]
+    result = RunResult(matrix=AccuracyMatrix.from_rows([[0.5], [0.25, 1.0]]),
+                       ledger=PrivacyLedger(), reports=reports,
+                       model=init_lm((4, 2, 2, 3), 0), adapter=None)
+    write_run_bundle(tmp_path, result, RunConfig())
+    assert len(check_bundle(tmp_path)) == 6
+    BROKEN_BUNDLES[name](tmp_path)
+    with pytest.raises(DataError, match=re.escape(str(tmp_path))):
+        check_bundle(tmp_path)
 
 
 def test_run_output_under_a_file_is_a_data_error(tmp_path, capsys):

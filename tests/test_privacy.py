@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pecl import privacy
 from pecl.errors import DataError, NumericError
 from pecl.privacy import (
-    LedgerRecord,
     PrivacyConfig,
     PrivacyLedger,
     allocate_budget,
@@ -202,7 +201,7 @@ def test_assign_budgets_only_for_positive_scores():
 def ledger_with(epsilons, delta=1e-6):
     ledger = PrivacyLedger()
     for i, eps in enumerate(epsilons):
-        ledger.append(LedgerRecord("s", i, 0, eps, 1.0, delta))
+        ledger.extend(["s"], i, 0, [eps], 1.0, delta)
     return ledger
 
 
@@ -311,7 +310,7 @@ ledger_rows = st.lists(st.tuples(ledger_ids, st.integers(0, 2**62), st.integers(
 def test_ledger_csv_writes_what_csv_writer_writes(rows, tmp_path_factory):
     ledger = PrivacyLedger()
     for row in rows:  # one chunk per exposure, as appended one by one
-        ledger.append(LedgerRecord(*row, delta=1e-6))
+        ledger.extend(*([cell] for cell in row), 1e-6)
     # Chunks of three rows, so most examples span several.
     with mock.patch.object(privacy, "_CSV_CHUNK_ROWS", 3):
         assert_ledger_file_round_trips(ledger, rows, tmp_path_factory.mktemp("ledger") / "l.csv")

@@ -10,6 +10,8 @@ from pecl.tinylm import (
     AdamW,
     LoraAdapter,
     LossSpec,
+    PackedBatch,
+    PackedSequences,
     TinyLM,
     backward,
     cosine_lr,
@@ -17,6 +19,7 @@ from pecl.tinylm import (
     forward_batch,
     init_adapter,
     init_lm,
+    label_probs,
     load_checkpoint,
     lora_delta,
     save_checkpoint,
@@ -54,19 +57,31 @@ def oracle_forward(model, adapter, context, noisy=None):
     return [e / total for e in exps]
 
 
+def noised_batch(model, batch, noisy):
+    """``batch`` laid out as ``TaskInputs`` lays out a noised epoch: over a
+    per-token input table, the embedding rows with ``noisy[i]`` written over
+    the first rows of sequence i (None leaves a sequence clean)."""
+    seqs = PackedSequences.of(model, batch)
+    table = model.embed[seqs.tokens]
+    for start, rows in zip(seqs.starts, noisy, strict=True):
+        if rows is not None:
+            table[start : start + len(rows)] = rows
+    return seqs.batch(model, np.arange(len(batch)), table)
+
+
 def assemble_objective(model, adapter, batch, spec):
-    """Forward-only objective used as the finite-difference oracle."""
+    """Forward-only objective used as the finite-difference oracle: one
+    ``token_losses`` pass per listed sequence, or the losses of a packed batch."""
+    if isinstance(batch, PackedBatch):
+        per_sequence = forward_batch(model, adapter, batch).sequence_losses()
+    else:
+        per_sequence = [token_losses(model, adapter, seq)[0] for seq in batch]
     l_task = 0.0
     l_unlearn = 0.0
-    for idx, seq in enumerate(batch):
-        noisy = spec.noisy[idx] if spec.noisy is not None else None
-        losses, mean_loss = token_losses(model, adapter, seq, noisy)
-        l_task += mean_loss / len(batch)
-        if spec.scores is not None and spec.scores[idx] is not None:
-            scores = np.asarray(spec.scores[idx], dtype=float)
-            if len(scores) == len(losses) + 1:
-                scores = scores[1:]
-            l_unlearn += unlearn_loss(scores, losses, spec.theta) / len(batch)
+    for idx, losses in enumerate(per_sequence):
+        l_task += losses.mean() / len(batch)
+        if spec.scores is not None:
+            l_unlearn += unlearn_loss(spec.scores[idx][1:], losses, spec.theta) / len(batch)
     l_reg = 0.0
     if spec.reg_weight != 0.0 and spec.reg_reference is not None:
         snapshot = AdapterSnapshot(task_id=0, delta_w=spec.reg_reference.copy())
@@ -137,8 +152,6 @@ def test_forward_validates_inputs():
         forward(model, None, [1, 2, 3, 4])
     with pytest.raises(ValueError, match="at least one token"):
         forward(model, None, [])
-    with pytest.raises(ValueError, match="shape"):
-        forward(model, None, [1, 2], noisy_embeddings=np.zeros((2, 3)))
 
 
 def test_adapter_zero_matches_no_adapter():
@@ -160,10 +173,15 @@ def test_forward_matches_brute_force_oracle():
         expected = oracle_forward(model, adapter, ctx)
         got = forward(model, adapter, ctx)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
-    noisy = rng.normal(size=(2, 3))
-    expected = oracle_forward(model, adapter, [1, 3], noisy=noisy)
-    got = forward(model, adapter, [1, 3], noisy_embeddings=noisy)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+    # Noised inputs reach the model through a per-token table; the contexts
+    # end in PAD, so the label window reads every noised row.
+    contexts = ([1, 3], [2])
+    noisy = [rng.normal(size=(len(ctx), 3)) for ctx in contexts]
+    got = label_probs(model, adapter,
+                      noised_batch(model, [ctx + [PAD_ID] for ctx in contexts], noisy))
+    for ctx, rows, probs in zip(contexts, noisy, got, strict=True):
+        expected = oracle_forward(model, adapter, ctx, noisy=rows)
+        np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_lora_delta_examples():
@@ -247,9 +265,9 @@ def test_backward_task_gradients_adapter_with_noise():
     adapter = init_adapter(model, rank=2, seed=1, task_id=1)
     adapter.b[:] = np.random.default_rng(2).normal(scale=0.2, size=adapter.b.shape)
     rng = np.random.default_rng(3)
-    batch = small_batch()
-    noisy = [rng.normal(scale=0.5, size=(len(seq) - 1, model.d_emb)) for seq in batch]
-    spec = LossSpec(noisy=noisy)
+    noisy = [rng.normal(scale=0.5, size=(len(seq) - 1, model.d_emb)) for seq in small_batch()]
+    batch = noised_batch(model, small_batch(), noisy)
+    spec = LossSpec()
     grads = backward(model, adapter, batch, spec)
     fd_check(model, adapter, batch, spec,
              [("a", adapter.a, grads.a), ("b", adapter.b, grads.b)])
@@ -461,20 +479,29 @@ def test_padded_batch_equals_mean_of_single_sequence_passes():
         None,
     ]
     scores = [
-        rng.uniform(0.0, 0.99, size=2),                             # n scores
-        rng.uniform(0.0, 0.99, size=n_ctx - 1),                     # n - 1 scores
-        None,
+        rng.uniform(0.0, 0.99, size=2),
+        np.concatenate([[0.0], rng.uniform(0.0, 0.99, size=n_ctx - 1)]),
+        np.zeros(n_ctx + 3),
         rng.uniform(0.0, 0.99, size=n_ctx + 3),
     ]
+    seqs = PackedSequences.of(model, batch)
+    table = noised_batch(model, batch, noisy).table
+    margin = seqs.margins(np.concatenate([*scores, [0.0]]), 0.6)
     adapter = init_adapter(model, rank=2, seed=3, task_id=1)
     adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
     for adp in (None, adapter):
-        def spec(idx):
-            return LossSpec(noisy=[noisy[i] for i in idx], scores=[scores[i] for i in idx],
-                            theta=0.6, lambda_unlearn=1.5, reg_weight=0.0)
+        # Full finetune trains the embedding table, so it takes the clean
+        # list; the adapter step is fed the noised table.
+        def step(idx):
+            if adp is None:
+                return backward(model, adp, [batch[i] for i in idx],
+                                LossSpec(scores=[scores[i] for i in idx], theta=0.6,
+                                         lambda_unlearn=1.5))
+            return backward(model, adp, seqs.batch(model, np.array(idx), table, margin),
+                            LossSpec(lambda_unlearn=1.5))
 
-        together = backward(model, adp, batch, spec(range(len(batch))))
-        alone = [backward(model, adp, [seq], spec([i])) for i, seq in enumerate(batch)]
+        together = step(range(len(batch)))
+        alone = [step([i]) for i in range(len(batch))]
         for name, grad in together.arrays():
             expected = sum(getattr(g, name) for g in alone) / len(batch)
             np.testing.assert_allclose(grad, expected, rtol=1e-12, err_msg=name)
@@ -484,8 +511,9 @@ def test_padded_batch_equals_mean_of_single_sequence_passes():
         for i, seq in enumerate(batch):
             np.testing.assert_allclose(together.token_losses[i], alone[i].token_losses[0],
                                        rtol=1e-12)
-            losses, _ = token_losses(model, adp, seq, noisy[i])
-            np.testing.assert_allclose(together.token_losses[i], losses, rtol=1e-12)
+            if adp is None:
+                losses, _ = token_losses(model, adp, seq)
+                np.testing.assert_allclose(together.token_losses[i], losses, rtol=1e-12)
 
 
 def test_backward_rejects_non_finite_objective():
@@ -496,4 +524,37 @@ def test_backward_rejects_non_finite_objective():
         backward(model, adapter, small_batch(), LossSpec(reg_weight=1.0, reg_reference=reference))
     noisy = [np.full((len(seq), model.d_emb), np.nan) for seq in small_batch()]
     with pytest.raises(NumericError, match="non-finite token loss"):
-        backward(model, adapter, small_batch(), LossSpec(noisy=noisy))
+        backward(model, adapter, noised_batch(model, small_batch(), noisy), LossSpec())
+
+
+def test_full_finetune_rejects_a_batch_over_a_noised_table():
+    model = small_model(seed=17)
+    noisy = [np.zeros((len(seq) - 1, model.d_emb)) for seq in small_batch()]
+    batch = noised_batch(model, small_batch(), noisy)
+    backward(model, init_adapter(model, rank=2, seed=1, task_id=1), batch, LossSpec())
+    with pytest.raises(ValueError, match="clean inputs only"):
+        backward(model, None, batch, LossSpec())
+
+
+@pytest.mark.parametrize("scores", [
+    [np.full(len(seq) - 1, 0.9) for seq in small_batch()],            # predicted positions only
+    [np.full(4, 0.9), None, np.full(5, 0.9)],                          # a sequence left out
+    [np.full(len(seq), 0.9) for seq in small_batch()[:2]],             # too few sequences
+], ids=["n-1", "none-entry", "too-few"])
+def test_backward_rejects_scores_that_are_not_one_per_position(scores):
+    model = small_model()
+    with pytest.raises(ValueError):
+        backward(model, None, small_batch(), LossSpec(scores=scores, lambda_unlearn=1.0))
+
+
+def test_margins_match_the_closed_form():
+    model = small_model()
+    seqs = PackedSequences.of(model, [[1, 2, 3], [4, 5], [1, 1, 1, 1]])
+    score = np.array([0.9, 0.7, 0.2, 0.8, 0.6, 0.0, 0.61, 1.0, 0.3, 0.0])
+    np.testing.assert_allclose(seqs.margins(score, 0.6),
+                               [0, 0.1, 0, 0, 0, 0, 0.01, 0.4, 0, 0], rtol=1e-12, atol=1e-15)
+    # At theta 0 every score is its margin, except on first positions and the PAD.
+    np.testing.assert_array_equal(seqs.margins(score, 0.0),
+                                  [0, 0.7, 0.2, 0, 0.6, 0, 0.61, 1.0, 0.3, 0])
+    # Below every score, the PAD's 0 score would give it a margin; no window predicts it.
+    assert seqs.margins(score, -0.5)[[0, 3, 5, 9]].tolist() == [0, 0, 0, 0]

@@ -388,22 +388,31 @@ def test_packed_training_step_equals_the_list_api(mode):
     assert batch.base is None
     packed = backward(model, adapter, batch, spec)
 
-    # The same step through the list-of-sequences API: per-sequence arrays,
-    # one mechanism call over every fed position, noisy rows per sequence.
+    # The same step from the list of the step's sequences, packed on their
+    # own: one mechanism call over every fed position, its rows written over
+    # each sequence's fed positions, and margins from per-sequence scores.
     list_ledger, list_rng = PrivacyLedger(), np.random.default_rng(21)
     listed_seqs = [seqs[i] for i in rows]
     rows_noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets, inputs.names, privacy,
                                              list_rng, list_ledger, epoch=3)
-    noisy = np.split(rows_noised, np.cumsum(n_fed)[:-1])
-    per_seq_scores = np.split(budgets[0], np.cumsum([len(q) for q in seqs])[:-1])
-    scores = [per_seq_scores[i] for i in rows] if mode == "pecl" else None
-    listed = backward(model, adapter, listed_seqs,
-                      LossSpec(noisy=noisy, scores=scores, theta=spec.theta,
-                               lambda_unlearn=spec.lambda_unlearn, reg_weight=spec.reg_weight,
-                               reg_reference=spec.reg_reference))
+    listed_packed = PackedSequences.of(model, listed_seqs)
+    fed = np.concatenate([start + np.arange(n) for start, n in zip(listed_packed.starts, n_fed)])
+    table = model.embed[listed_packed.tokens]
+    table[fed] = rows_noised
+    margin = None
+    if mode == "pecl":
+        per_seq_scores = np.split(budgets[0], np.cumsum([len(q) for q in seqs])[:-1])
+        margin = np.zeros(listed_packed.tokens.size)
+        for start, i in zip(listed_packed.starts, rows):
+            s = per_seq_scores[i][1:]
+            margin[start + 1 : start + len(seqs[i])] = np.where(s > spec.theta, s - spec.theta, 0)
+    listed = backward(model, adapter,
+                      listed_packed.batch(model, np.arange(len(rows)), table, margin), spec)
 
     assert list(batch) == listed_seqs
-    np.testing.assert_array_equal(batch.table[batch.feed][~batch.clean], rows_noised)
+    _, pos = inputs.seqs.cells(model.n_ctx, rows)
+    consumed = (pos >= 0) & (pos < inputs.seqs.lengths[rows][:, None] - 1)
+    np.testing.assert_array_equal(batch.table[batch.feed][consumed], rows_noised)
     assert step_ledger.records == list_ledger.records and len(step_ledger) > 0
     assert step_rng.bit_generator.state == list_rng.bit_generator.state
     for name in ("a", "b"):
@@ -492,13 +501,11 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
             # Reference: the step's rows laid out on their own by one cells pass.
             rows = perm[start : start + batch_size]
             src, pos = inputs.seqs.cells(model.n_ctx, rows)
-            consumed = (pos >= 0) & (pos < inputs.seqs.lengths[rows][:, None] - 1)
             targets = src[:, model.n_ctx :]
             np.testing.assert_array_equal(step.src, src)
             np.testing.assert_array_equal(step.ids, inputs.seqs.tokens[src])
             np.testing.assert_array_equal(step.table[step.feed], table[src])
-            clean = np.ones_like(consumed) if mode == "seqft" else ~consumed
-            np.testing.assert_array_equal(step.clean, clean)
+            assert (step.table is model.embed) == (mode == "seqft")
             np.testing.assert_array_equal(step.valid, pos[:, model.n_ctx :] >= 1)
             if mode == "pecl":
                 np.testing.assert_array_equal(step.margin, inputs.margin[targets])
@@ -530,13 +537,13 @@ def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(mo
     monkeypatch.setattr("pecl.trainer.frozen_base",
                         lambda *args: fills.append(frozen_base(*args)) or fills[-1])
     monkeypatch.setattr("pecl.trainer.backward",
-                        lambda *args: steps.append(args[2]) or backward(*args))
+                        lambda *args: steps.append(args[:3]) or backward(*args))
     run_continual(config, small_stream(config).tasks)
     assert len(fills) == config.num_tasks
     assert len(steps) == config.num_tasks * config.epochs * 5  # ceil(30 / 7) = 5
-    noised = [not batch.clean.all() for batch in steps]
+    noised = [batch.table is not model.embed for model, _, batch in steps]
     assert all(noised) if mode != "seqft" else not any(noised)
-    for batch in steps:
+    for _, _, batch in steps:
         if mode == "seqft":
             assert any(batch.base is table for table in fills)
         else:

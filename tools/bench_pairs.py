@@ -14,7 +14,8 @@ invocations, and the side that runs first alternates from pair to pair.  A run
 value is the median that invocation prints for an end-to-end metric of the
 copy's BENCHMARK.json.  The file records every run, the medians, the distance
 between the quartiles of the parent's runs, the pairs the change wins and the
-environment block perfbench prints.  It also keeps, per pair, the
+environment block perfbench prints, and a no-regression verdict per metric
+against the metric's ``bound`` (see ``summarise``).  It also keeps, per pair, the
 ``matrix.csv``/``ledger.csv`` digests each side's invocation prints, and lists
 the seeds whose digests differ between parent and change: the parity record.
 """
@@ -81,15 +82,28 @@ def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
             "failed": result["failed"], "digests": digests, "environment": env}
 
 
-def summarise(parent: list[float], change: list[float], better: str) -> dict:
-    wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric's runs on both sides, with its no-regression verdict.
+
+    ``regressed``: the change's median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median.  ``unresolved``: the parent's
+    own runs spread wider than that (their quartiles lie more than ``bound``
+    times the median apart), and not every change run beats every parent run,
+    so the runs cannot tell a change within the bound from none.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
     q1, _, q3 = quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else (0, 0, 0)
+    p_med, c_med = median(parent), median(change)
     return {
-        "parent_median": round(median(parent), 4),
-        "change_median": round(median(change), 4),
-        "change_vs_parent": round(median(change) / median(parent) - 1.0, 4),
+        "parent_median": round(p_med, 4),
+        "change_median": round(c_med, 4),
+        "change_vs_parent": round(c_med / p_med - 1.0, 4),
         "parent_iqr": round(q3 - q1, 4),
         "change_wins": wins,
+        "regressed": sign * (c_med - p_med) > bound * abs(p_med),
+        "unresolved": (q3 - q1 > bound * abs(p_med)
+                       and max(sign * c for c in change) >= min(sign * p for p in parent)),
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],
     }
@@ -146,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                 "digests_differ": [d["seed"] for d in digests if d["parent"] != d["change"]],
                 "metrics": {m["name"]: summarise([r[m["name"]] for r in runs["parent"]],
                                                  [r[m["name"]] for r in runs["change"]],
-                                                 m["better"])
+                                                 m["better"], m["bound"])
                             for m in spec["end_to_end"]},
             }
 
@@ -161,7 +175,10 @@ def main(argv: list[str] | None = None) -> int:
             "each run value is that invocation's median over its samples (run_s and setup_s "
             "rescaled by perfbench's speed probe). One pair per seed. change_wins counts pairs "
             "where the change is better; parent_iqr is the distance between the quartiles of "
-            "the parent's runs. digests holds each side's matrix.csv/ledger.csv sha256 "
+            "the parent's runs. regressed: the change's median is worse than the parent's by "
+            "more than the metric's bound in BENCHMARK.json; unresolved: the parent's IQR is "
+            "wider than bound x its median and not every change run beats every parent run. "
+            "digests holds each side's matrix.csv/ledger.csv sha256 "
             "prefixes per pair, and digests_differ the seeds where they differ. Written by "
             "tools/bench_pairs.py."
         ),
