@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -132,9 +133,37 @@ class LedgerRecord:
 _LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRecord))
 # ledger.csv's columns: delta is the same for every record, so it is not written.
 LEDGER_COLUMNS = tuple(name for name in _LEDGER_FIELDS if name != "delta")
-_LEDGER_DTYPES = (object, np.int64, np.int64, float, float, float)
-_CSV_CHUNK_ROWS = 4096
+_LEDGER_DTYPES = dict(zip(_LEDGER_FIELDS, (object, np.int64, np.int64, float, float, float)))
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+RecordTable = namedtuple("RecordTable", [name for name in _LEDGER_FIELDS if name != "epoch"])
+RecordTable.__doc__ = """Ledger records as aligned columns.  A record holds every field of a
+``LedgerRecord`` but the epoch: what all exposures of one noised token share."""
+
+
+def _aligned(names: Sequence[str], values: Sequence) -> list[np.ndarray]:
+    """``values`` as the ledger columns ``names``, one 1-D array each, of one length.
+
+    The length is that of the array-like values; a scalar fills its column.
+    A column of another length, or no array-like value at all, is a ValueError.
+    """
+    cols = [np.asarray(value, dtype=_LEDGER_DTYPES[name]) for name, value in zip(names, values)]
+    sized = [(name, col) for name, col in zip(names, cols) if col.ndim]
+    if not sized:
+        raise ValueError(f"ledger columns {', '.join(names)} are all scalars: "
+                         "at least one must be array-like, to give the row count")
+    first, n = sized[0][0], len(sized[0][1])
+    for name, col in sized:
+        if col.shape != (n,):
+            raise ValueError(f"ledger column {name} has shape {col.shape}, "
+                             f"but column {first} has {n} rows")
+    return [col if col.ndim else np.full(n, col) for col in cols]
+
+
+def record_table(sequence_ids, positions, epsilons, sigmas, deltas) -> RecordTable:
+    """Records given column by column; a scalar fills its column."""
+    return RecordTable(*_aligned(RecordTable._fields,
+                                 (sequence_ids, positions, epsilons, sigmas, deltas)))
 
 
 def _csv_field(value: str) -> str:
@@ -144,48 +173,67 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _distinct_strings(values: np.ndarray, format_each) -> tuple[np.ndarray, np.ndarray]:
-    """``format_each`` applied once per distinct value, and each value's index into the result."""
-    distinct, index = np.unique(values, return_inverse=True)
-    return np.array([format_each(v) for v in distinct.tolist()], dtype=object), index
+def _float_text(values: np.ndarray) -> list[str]:
+    """``repr`` of each float, made once per distinct bit pattern (``-0.0 == 0.0``)."""
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in where.tolist()]
 
 
-def _float_repr(bits: int) -> str:
-    """``repr`` of the float whose IEEE bits, read as an int64, are ``bits``."""
-    return repr(np.int64(bits).view(np.float64).item())
+def _record_text(table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's ledger.csv row text before its epoch and after it."""
+    ids = table.sequence_id.tolist()
+    quoted = {seq: _csv_field(seq) for seq in set(ids)}
+    before = [f"{quoted[seq]},{pos}," for seq, pos in zip(ids, table.position.tolist())]
+    after = [f",{eps},{sig}\r\n"
+             for eps, sig in zip(_float_text(table.epsilon), _float_text(table.sigma))]
+    return np.array(before, dtype=object), np.array(after, dtype=object)
 
 
 class PrivacyLedger:
-    """Every noised token exposure, kept as columns.
+    """Every noised token exposure, kept as references into record tables.
 
-    ``extend`` appends one chunk per column for many exposures at once (the
-    trainer appends each epoch's exposures in one call); the chunks are
-    joined when the columns are read.
+    A chunk is a ``RecordTable``, the index of each exposure's record in it,
+    and the epoch of every exposure (one, or one each).  The trainer builds
+    one table per task and appends each epoch's exposures as one chunk over
+    it, since a token's budget is frozen for the task; ``extend`` appends
+    exposures that are each their own record.
     """
 
     def __init__(self):
-        self._chunks = [tuple(np.zeros(0, dtype=dtype) for dtype in _LEDGER_DTYPES)]
+        self._chunks: list[tuple[RecordTable, np.ndarray, np.ndarray]] = []
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
+    def add(self, table: RecordTable, index, epoch) -> None:
+        """Append one exposure of record ``table[i]`` for every ``i`` of ``index``, in
+        order, at ``epoch`` (one for all, or one per exposure)."""
+        index = np.asarray(index, dtype=np.intp)
+        epoch = np.asarray(epoch, dtype=np.int64)
+        if index.ndim != 1 or epoch.shape not in ((), index.shape):
+            raise ValueError(f"a ledger chunk needs a 1-D index and one epoch or one per "
+                             f"exposure, got shapes {index.shape} and {epoch.shape}")
+        if index.size and not 0 <= index.min() <= index.max() < len(table.epsilon):
+            raise ValueError(f"ledger index outside the record table's {len(table.epsilon)} rows")
+        self._chunks.append((table, index, epoch))
+        self._size += index.size
+
     def extend(self, sequence_ids, positions, epochs, epsilons, sigmas, deltas) -> None:
         """Append exposures given column by column; a scalar fills its column."""
-        n = len(epsilons)
-        chunk = []
-        for col, dtype in zip((sequence_ids, positions, epochs, epsilons, sigmas, deltas),
-                              _LEDGER_DTYPES):
-            col = np.asarray(col, dtype=dtype)
-            chunk.append(col if col.ndim else np.full(n, col))
-        self._chunks.append(tuple(chunk))
-        self._size += n
+        ids, pos, epoch, eps, sig, delta = _aligned(
+            _LEDGER_FIELDS, (sequence_ids, positions, epochs, epsilons, sigmas, deltas))
+        self.add(RecordTable(ids, pos, eps, sig, delta), np.arange(epoch.size), epoch)
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Each column as one array, in exposure order."""
-        if len(self._chunks) > 1:
-            self._chunks = [tuple(np.concatenate(parts) for parts in zip(*self._chunks))]
-        return dict(zip(_LEDGER_FIELDS, self._chunks[0]))
+        """Each column as one array, in exposure order, gathered from the record tables."""
+        parts = {name: [np.zeros(0, dtype=dtype)] for name, dtype in _LEDGER_DTYPES.items()}
+        for table, index, epoch in self._chunks:
+            for name, col in zip(RecordTable._fields, table):
+                parts[name].append(col[index])
+            parts["epoch"].append(np.broadcast_to(epoch, index.shape))
+        return {name: np.concatenate(part) for name, part in parts.items()}
 
     @property
     def records(self) -> list[LedgerRecord]:
@@ -193,29 +241,27 @@ class PrivacyLedger:
         return [LedgerRecord(*row) for row in zip(*(c.tolist() for c in self.columns().values()))]
 
     def epsilons(self) -> np.ndarray:
-        return self.columns()["epsilon"].copy()
+        return self.columns()["epsilon"]
 
     def to_csv(self, path: str | Path) -> None:
         """Write the same bytes as ``csv.writer`` rows with each float as its ``repr``.
 
-        Each distinct sequence id is quoted once by ``csv.writer`` and each
-        distinct float bit pattern goes through ``repr`` once; rows are
-        written ``_CSV_CHUNK_ROWS`` at a time.
+        A row is its record's text around its epoch: the quoted sequence id
+        and the position before it, epsilon and sigma after it.  A record
+        table's text is made when its first chunk is written and dropped
+        after its last.
         """
-        cols = self.columns()
-        ids, id_of = _distinct_strings(cols["sequence_id"], _csv_field)
-        eps, eps_of = _distinct_strings(cols["epsilon"].view(np.int64), _float_repr)
-        sig, sig_of = _distinct_strings(cols["sigma"].view(np.int64), _float_repr)
-        row = "{},{},{},{},{}\r\n".format
+        last = {id(table): i for i, (table, _, _) in enumerate(self._chunks)}
+        texts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(LEDGER_COLUMNS) + "\r\n")
-            for i in range(0, len(self), _CSV_CHUNK_ROWS):
-                part = slice(i, i + _CSV_CHUNK_ROWS)
-                fh.write("".join(map(
-                    row, ids[id_of[part]].tolist(), cols["position"][part].tolist(),
-                    cols["epoch"][part].tolist(), eps[eps_of[part]].tolist(),
-                    sig[sig_of[part]].tolist(),
-                )))
+            for i, (table, index, epoch) in enumerate(self._chunks):
+                key = id(table)
+                if key not in texts:
+                    texts[key] = _record_text(table)
+                before, after = texts.pop(key) if last[key] == i else texts[key]
+                epoch_text = epoch.astype(str).astype(object)
+                fh.write("".join((before[index] + epoch_text + after[index]).tolist()))
 
     @classmethod
     def from_csv(cls, path: str | Path, delta: float) -> "PrivacyLedger":

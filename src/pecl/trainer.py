@@ -31,9 +31,11 @@ from .errors import DataError, NumericError, shown
 from .privacy import (
     PrivacyConfig,
     PrivacyLedger,
+    RecordTable,
     assign_budgets,
     noise_sigma,
     perturb_embeddings,
+    record_table,
 )
 from .seeding import spawn_rng
 from .sculpt import (
@@ -253,6 +255,7 @@ class TaskInputs:
     sigma: np.ndarray | None = None
     margin: np.ndarray | None = None
     table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
+    records: RecordTable | None = None   # (N,), with ``table``
 
     def set_budgets(self, score: np.ndarray, epsilon: np.ndarray, sigma: np.ndarray) -> None:
         """Freeze every token's score, epsilon and sigma (one entry per token)."""
@@ -279,12 +282,18 @@ class TaskInputs:
         The exposures, in feed order, are positions ``0 .. len - 2`` of each
         sequence of ``perm`` with score > 0: the concatenation of every
         batch's (sequence, position) order, whatever the batch size.  One
-        mechanism call noises them and appends them to ``ledger``; the rows
-        are written into ``table``, which is allocated on the first epoch
-        and whose other rows stay the clean embeddings.
+        mechanism call noises them; the rows are written into ``table``,
+        which is allocated on the first epoch and whose other rows stay the
+        clean embeddings.  ``ledger`` gets them as references into
+        ``records``, every token's ledger record, built on the first epoch
+        from the frozen budgets.
         """
         if self.table is None:
             self.table = model.embed[self.seqs.tokens]
+            seq = np.repeat(np.arange(self.seqs.lengths.size), self.seqs.lengths)
+            pos = np.arange(seq.size) - self.seqs.starts[seq]
+            self.records = record_table(self.names[seq], pos, self.epsilon[:-1],
+                                        self.sigma[:-1], privacy.delta)
         n_fed = self.seqs.lengths[perm] - 1
         seq = np.repeat(perm, n_fed)
         pos = np.arange(seq.size) - np.repeat(np.cumsum(n_fed) - n_fed, n_fed)
@@ -293,9 +302,9 @@ class TaskInputs:
         src = src[hit]
         self.table[src] = perturb_embeddings(
             model.embed[self.seqs.tokens[src]], self.score[src], self.epsilon[src],
-            self.sigma[src], privacy, rng, ledger=ledger, sequence_ids=self.names[seq[hit]],
-            positions=pos[hit], epoch=epoch,
+            self.sigma[src], privacy, rng,
         )
+        ledger.add(self.records, src, epoch)
 
     def lay_out(self, model: TinyLM, perm: np.ndarray) -> PackedBatch:
         """The epoch that feeds sequences ``perm`` in turn as one batch over the current inputs.

@@ -2,14 +2,12 @@ import csv
 import io
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pecl import privacy
 from pecl.errors import DataError, NumericError
 from pecl.privacy import (
     PrivacyConfig,
@@ -21,6 +19,7 @@ from pecl.privacy import (
     noise_sigma,
     perturb_embedding,
     perturb_embeddings,
+    record_table,
 )
 from pecl.sensitivity import ProfileEntry
 
@@ -306,14 +305,14 @@ ledger_rows = st.lists(st.tuples(ledger_ids, st.integers(0, 2**62), st.integers(
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=ledger_rows)
-def test_ledger_csv_writes_what_csv_writer_writes(rows, tmp_path_factory):
+@given(rows=ledger_rows, cuts=st.lists(st.integers(0, 12), max_size=6))
+def test_ledger_csv_writes_what_csv_writer_writes(rows, cuts, tmp_path_factory):
     ledger = PrivacyLedger()
-    for row in rows:  # one chunk per exposure, as appended one by one
-        ledger.extend(*([cell] for cell in row), 1e-6)
-    # Chunks of three rows, so most examples span several.
-    with mock.patch.object(privacy, "_CSV_CHUNK_ROWS", 3):
-        assert_ledger_file_round_trips(ledger, rows, tmp_path_factory.mktemp("ledger") / "l.csv")
+    # The rows appended as ledger chunks cut at ``cuts``: most examples span
+    # several chunks, from one row each to all rows in one, some of them empty.
+    for part in np.split(np.arange(len(rows)), sorted(cuts)):
+        ledger.extend(*([rows[i][k] for i in part] for k in range(5)), 1e-6)
+    assert_ledger_file_round_trips(ledger, rows, tmp_path_factory.mktemp("ledger") / "l.csv")
 
 
 odd_cells = st.one_of(st.sampled_from(["", " 2", "1e3", "1_0", "0x10", "+inf", "-0"]),
@@ -347,16 +346,124 @@ def test_ledger_from_csv_gives_a_data_error_or_a_valid_ledger(rows, tmp_path_fac
 
 
 def test_ledger_csv_longer_than_one_chunk(tmp_path):
-    n = 2 * privacy._CSV_CHUNK_ROWS + 7
+    n = 2 * 4096 + 7
     rng = np.random.default_rng(5)
     ids = [AWKWARD_IDS[i] for i in rng.integers(0, len(AWKWARD_IDS), size=n)]
     eps = np.array(AWKWARD_FLOATS)[rng.integers(0, len(AWKWARD_FLOATS), size=n)]
     sig = rng.uniform(0.0, 5.0, size=n)
     positions, epochs = rng.integers(0, 9, size=n), np.repeat(np.arange(3), [n - 20, 10, 10])
     ledger = PrivacyLedger()
-    ledger.extend(ids, positions, epochs, eps, sig, 1e-6)
+    for part in np.split(np.arange(n), [4096, 2 * 4096]):  # three chunks, the last of 7 rows
+        ledger.extend(np.array(ids, dtype=object)[part], positions[part], epochs[part],
+                      eps[part], sig[part], 1e-6)
     rows = list(zip(ids, positions.tolist(), epochs.tolist(), eps.tolist(), sig.tolist()))
     assert_ledger_file_round_trips(ledger, rows, tmp_path / "ledger.csv")
+
+
+def nan_with_payload(payload: int, sign: int = 0) -> float:
+    return float(np.uint64((sign << 63) | 0x7FF8000000000000 | payload).view(np.float64))
+
+
+def test_ledger_csv_of_record_table_chunks_mixed_with_extend_chunks(tmp_path):
+    # Two record tables whose chunks repeat records and interleave with each
+    # other and with ``extend`` chunks.  They hold -0.0, 0.0 and NaN payloads:
+    # -0.0 == 0.0 and a NaN is unequal to itself, yet each is written as its
+    # own repr.
+    odd = [-0.0, 0.0, nan_with_payload(1), nan_with_payload(7, sign=1), math.nan, 2.5, -0.0]
+    first = record_table(AWKWARD_IDS[:7], np.arange(7), odd, odd[::-1], 1e-6)
+    second = record_table(["b", "a,b", "b"], [4, 0, 4], [0.0, -0.0, 1e-300], [-0.0, 0.0, 0.5],
+                          1e-6)
+    ledger, rows = PrivacyLedger(), []
+
+    def add(table, index, epoch):
+        ledger.add(table, index, epoch)
+        rows.extend((table.sequence_id[i], int(table.position[i]), int(e),
+                     float(table.epsilon[i]), float(table.sigma[i]))
+                    for i, e in zip(index, np.broadcast_to(epoch, len(index))))
+
+    def extend(*cells):
+        ledger.extend(*([c] for c in cells), 1e-6)
+        rows.append(cells)
+
+    extend("x", 3, 0, -0.0, 1.0)
+    add(first, [0, 1, 1, 2, 6, 0], 1)
+    add(second, [2, 0, 0, 1], 1)
+    extend("日本:3", 0, 2, 0.0, nan_with_payload(3))
+    add(first, [3, 4, 5, 5], [2, 3, 2, 9])
+    add(second, [], 2)
+    add(second, [1, 2, 1], 3)
+    add(first, [6, 0], 4)
+    assert len(ledger) == len(rows) == 21
+    # A second write gives the same bytes: the record text dropped after a
+    # table's last chunk is made again.
+    ledger.to_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == reference_ledger_csv(rows)
+    assert_ledger_file_round_trips(ledger, rows, tmp_path / "ledger.csv")
+    ledger = PrivacyLedger()
+    ledger.add(second, [0, 1], 0)
+    ledger.to_csv(tmp_path / "second.csv")
+    assert (tmp_path / "second.csv").read_bytes() == reference_ledger_csv(
+        [("b", 4, 0, 0.0, -0.0), ("a,b", 0, 0, -0.0, 0.0)])
+
+
+def test_ledger_columns_gather_records_through_each_chunks_index():
+    table = record_table(["a", "b", "c"], [5, 6, 7], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3],
+                         [1e-6, 2e-6, 3e-6])
+    ledger = PrivacyLedger()
+    ledger.add(table, [2, 0, 2], 4)
+    ledger.extend("d", [8], 1, 4.0, [0.4], 1e-5)
+    ledger.add(table, np.array([1]), [7])
+    cols = ledger.columns()
+    assert len(ledger) == 5
+    assert cols["sequence_id"].tolist() == ["c", "a", "c", "d", "b"]
+    assert cols["position"].tolist() == [7, 5, 7, 8, 6]
+    assert cols["epoch"].tolist() == [4, 4, 4, 1, 7]
+    assert cols["epsilon"].tolist() == [3.0, 1.0, 3.0, 4.0, 2.0]
+    assert cols["sigma"].tolist() == [0.3, 0.1, 0.3, 0.4, 0.2]
+    assert cols["delta"].tolist() == [3e-6, 1e-6, 3e-6, 1e-5, 2e-6]
+    assert [r.epsilon for r in ledger.records] == cols["epsilon"].tolist()
+    np.testing.assert_array_equal(ledger.epsilons(), cols["epsilon"])
+    assert {name: c.dtype for name, c in PrivacyLedger().columns().items()} == {
+        name: c.dtype for name, c in cols.items()}
+    assert compose_sequence(ledger, 1e-6)[1] == 1e-5 + 1e-6
+
+
+@pytest.mark.parametrize("columns, name", [
+    ((["a", "b", "c"], [1], 0, [1.0, 2.0], 1.0, 1e-6), "position"),
+    ((["a"], [1, 2], 0, 1.0, 1.0, 1e-6), "position"),
+    (("a", 1, [0, 0], [1.0, 2.0, 3.0], 1.0, 1e-6), "epsilon"),
+    (("a", 1, 0, [1.0], [[1.0]], 1e-6), "sigma"),
+])
+def test_ledger_extend_rejects_columns_of_different_lengths(columns, name):
+    ledger = PrivacyLedger()
+    with pytest.raises(ValueError, match=f"ledger column {name} has shape"):
+        ledger.extend(*columns)
+    assert len(ledger) == 0 and ledger.records == []
+
+
+def test_ledger_extend_takes_its_row_count_from_the_array_like_columns():
+    ledger = PrivacyLedger()
+    ledger.extend(["a", "b"], [3, 4], 2, 1.5, 0.25, 1e-6)  # scalar epsilon and sigma fill
+    assert [(r.sequence_id, r.position, r.epoch, r.epsilon, r.sigma) for r in ledger.records] == [
+        ("a", 3, 2, 1.5, 0.25), ("b", 4, 2, 1.5, 0.25)]
+    with pytest.raises(ValueError, match="all scalars"):
+        ledger.extend("a", 3, 2, 1.5, 0.25, 1e-6)
+    with pytest.raises(ValueError, match="all scalars"):
+        record_table("a", 3, 1.5, 0.25, 1e-6)
+    assert len(ledger) == 2
+
+
+def test_ledger_add_rejects_a_bad_index_or_epochs():
+    table = record_table(["a", "b"], [0, 1], 1.0, 1.0, 1e-6)
+    ledger = PrivacyLedger()
+    with pytest.raises(ValueError, match="one epoch or one per exposure"):
+        ledger.add(table, [0, 1, 1], [0, 1])
+    with pytest.raises(ValueError, match="1-D index"):
+        ledger.add(table, [[0]], 0)
+    for index in ([0, 2], [-1]):  # -1 would read the last record, not fail
+        with pytest.raises(ValueError, match="outside the record table's 2 rows"):
+            ledger.add(table, index, 0)
+    assert len(ledger) == 0
 
 
 def test_ledger_csv_rejects_bad_header(tmp_path):

@@ -587,19 +587,57 @@ def test_a_batch_over_a_noised_table_carries_no_clean_base():
     assert noised.base is None and all(part.base is None for part in noised.chunks(1))
 
 
+def assert_ledger_follows_feed_order(config, tasks, ledger, budgets):
+    """Each epoch's exposures are its shuffled sequences in turn, positions
+    0..len-2 in order, where the frozen score is positive; each record carries,
+    bit for bit, the frozen epsilon and sigma of its position, and the
+    configured delta.  ``budgets(task, i)`` gives sequence i's frozen score,
+    epsilon and sigma, one entry per position."""
+    expected = [
+        (f"{task.task_id}:{i}", pos, epoch, budget[1][pos], budget[2][pos])
+        for k, task in enumerate(tasks, start=1)
+        for epoch in range(config.epochs)
+        for i in spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
+        for budget in [budgets(task, i)]
+        for pos in np.flatnonzero(budget[0][:-1] > 0).tolist()
+    ]
+    records = ledger.records
+    assert [(r.sequence_id, r.position, r.epoch) for r in records] == [e[:3] for e in expected]
+    for field, column in (("epsilon", 3), ("sigma", 4)):
+        np.testing.assert_array_equal(
+            np.array([getattr(r, field) for r in records]).view(np.int64),
+            np.array([e[column] for e in expected]).view(np.int64), err_msg=field)
+    assert {r.delta for r in records} == {config.privacy.delta}
+
+
 def test_run_ledger_follows_each_epochs_feed_order():
-    # Each epoch's exposures are its shuffled sequences in turn, positions
-    # 0..len-2 in order, where the frozen score is positive.
     config = small_config(mode="pecl", num_tasks=1, epochs=2, batch_size=7)
     task = small_stream(config).tasks[0]
     result = run_continual(config, [task])
-    expected = [
-        (f"{task.task_id}:{i}", pos, epoch)
-        for epoch in range(config.epochs)
-        for i in spawn_rng(config.seed, "shuffle", 1, epoch).permutation(len(task.train))
-        for pos in np.flatnonzero(result.profiles[task.task_id][i].score[:-1] > 0).tolist()
-    ]
-    assert [(r.sequence_id, r.position, r.epoch) for r in result.ledger.records] == expected
+
+    def budgets(task, i):
+        profile = result.profiles[task.task_id][i]
+        return profile.score, profile.epsilon, profile.sigma
+
+    assert_ledger_follows_feed_order(config, [task], result.ledger, budgets)
+
+
+def test_uniform_dp_run_ledger_follows_each_epochs_feed_order():
+    config = small_config(mode="uniform_dp", num_tasks=2, epochs=2, batch_size=7,
+                          uniform_eps=3.0, privacy=PrivacyConfig(delta=1e-5, clip_norm=0.5))
+    tasks = small_stream(config).tasks
+    result = run_continual(config, tasks)
+    stopword_ids = config.sensitivity.bind(tasks[0].vocab).stopword_ids
+    sigma = noise_sigma(3.0, 1e-5, 0.5)
+
+    def budgets(task, i):
+        tokens = task.train[i].tokens
+        return (~np.isin(tokens, list(stopword_ids)), np.full(len(tokens), 3.0),
+                np.full(len(tokens), sigma))
+
+    assert_ledger_follows_feed_order(config, tasks, result.ledger, budgets)
+    assert 0 < len(result.ledger) < config.epochs * sum(
+        len(seq.tokens) - 1 for task in tasks for seq in task.train)
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
