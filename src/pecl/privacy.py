@@ -141,13 +141,33 @@ RecordTable.__doc__ = """Ledger records as aligned columns.  A record holds ever
 ``LedgerRecord`` but the epoch: what all exposures of one noised token share."""
 
 
+def _column(name: str, value) -> np.ndarray:
+    """``value`` as ledger column ``name``; a value ``from_csv`` refuses is a ValueError."""
+    integral = name in ("position", "epoch")
+    col = np.asarray(value, dtype=None if integral else _LEDGER_DTYPES[name])
+    if name == "sequence_id":
+        return col
+    if integral:  # whole numbers that int64 holds
+        floats = col.dtype.kind == "f"
+        fits = (col < 2.0**63) & (col == np.trunc(col)) if floats else col <= _INT64_MAX
+        rule, ok = "non-negative integers", fits & (col >= 0)
+    elif name == "delta":
+        rule, ok = "values in (0, 1)", (col > 0) & (col < 1)
+    else:
+        rule, ok = "finite, positive values", (col > 0) & (col < math.inf)
+    if not np.all(ok):
+        raise ValueError(f"ledger column {name} must hold {rule}")
+    return col.astype(_LEDGER_DTYPES[name], copy=False)
+
+
 def _aligned(names: Sequence[str], values: Sequence) -> list[np.ndarray]:
     """``values`` as the ledger columns ``names``, one 1-D array each, of one length.
 
     The length is that of the array-like values; a scalar fills its column.
-    A column of another length, or no array-like value at all, is a ValueError.
+    A column of another length, no array-like value at all, or a value
+    ``from_csv`` would refuse is a ValueError naming the column.
     """
-    cols = [np.asarray(value, dtype=_LEDGER_DTYPES[name]) for name, value in zip(names, values)]
+    cols = [_column(name, value) for name, value in zip(names, values)]
     sized = [(name, col) for name, col in zip(names, cols) if col.ndim]
     if not sized:
         raise ValueError(f"ledger columns {', '.join(names)} are all scalars: "
@@ -312,18 +332,12 @@ def perturb_embeddings(
     sigma: np.ndarray,
     config: PrivacyConfig,
     rng: np.random.Generator,
-    *,
-    ledger: PrivacyLedger | None = None,
-    sequence_ids: Sequence[str] = (),
-    positions: Sequence[int] = (),
-    epoch: int = 0,
 ) -> np.ndarray:
     """Apply the clipped Gaussian mechanism to k embedding rows at once.
 
     Row i is an exposure iff ``score[i] > 0``: it is clipped to
-    ``config.clip_norm``, gets independent N(0, sigma[i]^2) noise per
-    coordinate, and appends one ledger record keyed by ``sequence_ids[i]``,
-    ``positions[i]`` and ``epoch``, in row order.  Other rows are returned
+    ``config.clip_norm`` and gets independent N(0, sigma[i]^2) noise per
+    coordinate; the caller records it in a ledger.  Other rows are returned
     unchanged.  All noise comes from one standard-normal draw scaled by
     sigma, which gives the same numbers, and leaves ``rng`` in the same
     state, as one ``rng.normal(0, sigma_i, size=d)`` call per exposure in
@@ -339,9 +353,6 @@ def perturb_embeddings(
     out[hit] = clip(e[hit], config.clip_norm) + sig[:, None] * rng.standard_normal(
         (sig.size, e.shape[1])
     )
-    if ledger is not None:
-        ledger.extend(np.asarray(sequence_ids, dtype=object)[hit], np.asarray(positions)[hit],
-                      epoch, eps, sig, config.delta)
     return out
 
 
@@ -359,15 +370,17 @@ def perturb_embedding(
     """Apply the clipped Gaussian mechanism to one embedding exposure.
 
     Zero-score tokens pass through bit-identical and leave no ledger record.
-    Otherwise this is the one-row case of ``perturb_embeddings``.
+    Otherwise this is the one-row case of ``perturb_embeddings``, and
+    ``ledger``, when given, gets one record of the exposure.
     """
     if entry.score == 0.0:
         return e
-    return perturb_embeddings(
-        np.asarray(e, dtype=float)[None], [entry.score], [entry.epsilon], [entry.sigma],
-        config, rng, ledger=ledger, sequence_ids=[str(sequence_id)], positions=[position],
-        epoch=epoch,
-    )[0]
+    out = perturb_embeddings(np.asarray(e, dtype=float)[None], [entry.score], [entry.epsilon],
+                             [entry.sigma], config, rng)[0]
+    if ledger is not None:
+        ledger.extend([str(sequence_id)], [position], epoch, [entry.epsilon], [entry.sigma],
+                      config.delta)
+    return out
 
 
 def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, float]:

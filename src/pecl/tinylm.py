@@ -193,8 +193,9 @@ class PackedSequences:
             table, feed, base = model.embed, ids, self.base
         else:
             feed, base = src, None
+        windows = np.arange(src.shape[1] - model.n_ctx)[:, None] + np.arange(model.n_ctx)
         return PackedBatch(self.sequences, rows, src, ids, self.lengths[rows], table, feed,
-                           pos[:, model.n_ctx :] >= 1,
+                           feed[:, windows], pos[:, model.n_ctx :] >= 1,
                            None if margin is None else margin[src[:, model.n_ctx :]], base)
 
 
@@ -209,11 +210,13 @@ class PackedBatch:
     Row b is sequence ``rows[b]``, laid out by ``PackedSequences.cells``: cell
     (b, c) is token ``ids[b, c]``, fed as row ``feed[b, c]`` of ``table``
     (``src`` into a per-token input table, or ``ids`` into the embedding table).
-    Window t, ``ids[b, t : t + n_ctx]``, predicts ``ids[b, t + n_ctx]``;
-    ``valid`` marks the windows whose target is a position >= 1, ``margin``
-    (None without scores) holds each target's unlearning margin, and
-    ``base`` is the sequences' ``frozen_base`` table, read by ``src``; it is
-    set only on a batch of clean inputs (see ``PackedSequences.batch``).
+    Window t, ``ids[b, t : t + n_ctx]``, predicts ``ids[b, t + n_ctx]`` and
+    reads rows ``wfeed[b, t] = feed[b, t : t + n_ctx]``, an index laid out
+    once with the batch; ``valid`` marks the windows whose target is a
+    position >= 1, ``margin`` (None without scores) holds each target's
+    unlearning margin, and ``base`` is the sequences' ``frozen_base``
+    table, read by ``src``; it is set only on a batch of clean inputs (see
+    ``PackedSequences.batch``).
     ``pb[i:j]`` is rows i..j-1 exactly as ``cells`` lays them out on their
     own; iterating yields the batch's sequences, looked up on demand.
     """
@@ -225,6 +228,7 @@ class PackedBatch:
     lengths: np.ndarray    # (B,)
     table: np.ndarray      # (N + 1 or vocab, d_emb)
     feed: np.ndarray       # (B, width)
+    wfeed: np.ndarray      # (B, width - n_ctx, n_ctx) table row of every window slot
     valid: np.ndarray      # (B, width - n_ctx)
     margin: np.ndarray | None = None   # (B, width - n_ctx)
     base: np.ndarray | None = None     # (N + 1, d_hidden)
@@ -238,10 +242,12 @@ class PackedBatch:
     def __getitem__(self, part: slice) -> "PackedBatch":
         lengths = self.lengths[part]
         width = self.src.shape[1]
+        # Dropping a column drops the window that starts there: one offset serves both.
         cells = (part, slice(width - _width(width - self.valid.shape[1], lengths), None))
         return PackedBatch(self.sequences, self.rows[part], self.src[cells], self.ids[cells],
-                           lengths, self.table, self.feed[cells], self.valid[cells],
-                           None if self.margin is None else self.margin[cells], self.base)
+                           lengths, self.table, self.feed[cells], self.wfeed[cells],
+                           self.valid[cells], None if self.margin is None else self.margin[cells],
+                           self.base)
 
     def chunks(self, size: int):
         """Consecutive slices of ``size`` rows, the last one possibly shorter."""
@@ -354,7 +360,6 @@ class BatchForward:
 
     ids: np.ndarray        # (B, n_ctx + T) left-PAD-padded token ids
     lengths: np.ndarray    # (B,)
-    windows: np.ndarray    # (T, n_ctx) id-matrix column of every window slot
     x: np.ndarray          # (B, T, d_in) concatenated window inputs
     u: np.ndarray | None   # (B, T, rank) adapter projections x @ A.T; None without one
     h: np.ndarray          # (B, T, d_hidden)
@@ -380,20 +385,18 @@ def forward_batch(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence) -
     A batch's ``base`` stands in for ``x @ W0.T`` only when W0 is frozen.
     """
     pb = pack(model, batch)
-    windows, x = _windows(model, pb)
+    x = _windows(model, pb)
     n_batch, n_windows = pb.valid.shape
     base = None if adapter is None or pb.base is None else pb.base[pb.src[:, model.n_ctx :]]
     u, h, p = _mlp(model, adapter, x, base)
     target = (np.arange(n_batch)[:, None], np.arange(n_windows), pb.ids[:, model.n_ctx :])
     losses = -np.log(p[target])
-    return BatchForward(pb.ids, pb.lengths, windows, x, u, h, p, losses, pb.valid, target)
+    return BatchForward(pb.ids, pb.lengths, x, u, h, p, losses, pb.valid, target)
 
 
-def _windows(model: TinyLM, pb: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, n_ctx) columns of every window slot and the (B, T, d_in) window inputs."""
-    n_batch, n_windows = pb.valid.shape
-    windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
-    return windows, pb.table[pb.feed[:, windows]].reshape(n_batch, n_windows, model.d_in)
+def _windows(model: TinyLM, pb: PackedBatch) -> np.ndarray:
+    """The (B, T, d_in) window inputs, gathered through the batch's window index."""
+    return pb.table[pb.wfeed].reshape(*pb.valid.shape, model.d_in)
 
 
 def frozen_base(model: TinyLM, seqs: PackedSequences, batch_size: int) -> np.ndarray:
@@ -407,7 +410,7 @@ def frozen_base(model: TinyLM, seqs: PackedSequences, batch_size: int) -> np.nda
     """
     base = np.zeros((seqs.tokens.size, model.d_hidden))
     for pb in seqs.batch(model, np.arange(len(seqs.lengths))).chunks(batch_size):
-        x = _windows(model, pb)[1]
+        x = _windows(model, pb)
         base[pb.src[:, model.n_ctx :][pb.valid]] = (x @ model.w_hidden.T)[pb.valid]
     return base
 
@@ -505,15 +508,17 @@ def backward(
     # Each sequence's positions share 1 / (B * n_pred); padding windows weigh 0.
     scale = (n_batch * (fb.lengths - 1))[:, None]
     losses = np.where(fb.valid, fb.losses, 0.0)
-    margin = np.zeros(fb.valid.shape) if pb.margin is None else pb.margin
     l_task = float((losses.sum(axis=1) / (fb.lengths - 1)).sum() / n_batch)
-    l_unlearn = float(((margin * losses).sum(axis=1) / scale[:, 0]).sum())
 
     # Per-position objective weights: task term plus the unlearning term for
-    # tokens whose frozen sensitivity score exceeds theta.
+    # tokens whose frozen sensitivity score exceeds theta.  A batch without
+    # margins has no unlearning term at all.
     weights = np.where(fb.valid, 1.0 / scale, 0.0)
-    if spec.lambda_unlearn != 0.0:
-        weights = weights + spec.unlearn_sign * spec.lambda_unlearn * margin / scale
+    l_unlearn = 0.0
+    if pb.margin is not None:
+        l_unlearn = float(((pb.margin * losses).sum(axis=1) / scale[:, 0]).sum())
+        if spec.lambda_unlearn != 0.0:
+            weights = weights + spec.unlearn_sign * spec.lambda_unlearn * pb.margin / scale
 
     dU = fb.p
     dU[fb.target] -= 1.0
@@ -523,11 +528,11 @@ def backward(
     l_reg = 0.0
     d_a = d_b = None
     if adapter is None:
-        # Scatter each window slot's input gradient to the table row it was
-        # read from, in (sequence, position, slot) order.
+        # Scatter each window slot's input gradient to the embedding row it
+        # was read from, in (sequence, position, slot) order.
         d_slots = (dZ @ model.w_hidden).reshape(n_batch, n_windows, model.n_ctx, model.d_emb)
         d_embed = np.zeros_like(model.embed)
-        np.add.at(d_embed, fb.ids[:, fb.windows][fb.valid], d_slots[fb.valid])
+        np.add.at(d_embed, pb.wfeed[fb.valid], d_slots[fb.valid])
         base = dict(embed=d_embed, w_hidden=_sum_slice_products(dZ, fb.x),
                     b_hidden=dZ.sum(axis=1).sum(axis=0),
                     w_out=_sum_slice_products(dU, fb.h), b_out=dU.sum(axis=1).sum(axis=0))
@@ -542,7 +547,7 @@ def backward(
         if spec.reg_weight != 0.0 and spec.reg_reference is not None:
             drift = lora_delta(adapter)
             drift -= spec.reg_reference
-            l_reg = float(spec.reg_weight * (drift * drift).sum())
+            l_reg = float(spec.reg_weight * np.vdot(drift, drift))
             drift *= 2.0 * spec.reg_weight  # now the penalty's gradient in B @ A
             d_a += adapter.b.T @ drift
             d_b += drift @ adapter.a.T

@@ -57,6 +57,7 @@ from .tinylm import (
     PackedBatch,
     PackedSequences,
     TinyLM,
+    _windows,
     backward,
     cosine_lr,
     forward_batch,
@@ -255,7 +256,8 @@ class TaskInputs:
     sigma: np.ndarray | None = None
     margin: np.ndarray | None = None
     table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
-    records: RecordTable | None = None   # (N,), with ``table``
+    records: RecordTable | None = None   # with ``table``: one per token with score > 0
+    record_of: np.ndarray | None = None  # (N + 1,) each such token's row of ``records``
 
     def set_budgets(self, score: np.ndarray, epsilon: np.ndarray, sigma: np.ndarray) -> None:
         """Freeze every token's score, epsilon and sigma (one entry per token)."""
@@ -285,15 +287,17 @@ class TaskInputs:
         mechanism call noises them; the rows are written into ``table``,
         which is allocated on the first epoch and whose other rows stay the
         clean embeddings.  ``ledger`` gets them as references into
-        ``records``, every token's ledger record, built on the first epoch
-        from the frozen budgets.
+        ``records``, the ledger record of every token with score > 0, built on
+        the first epoch from the frozen budgets.
         """
         if self.table is None:
             self.table = model.embed[self.seqs.tokens]
-            seq = np.repeat(np.arange(self.seqs.lengths.size), self.seqs.lengths)
-            pos = np.arange(seq.size) - self.seqs.starts[seq]
-            self.records = record_table(self.names[seq], pos, self.epsilon[:-1],
-                                        self.sigma[:-1], privacy.delta)
+            noised = self.score > 0.0
+            tok = np.flatnonzero(noised)
+            seq = np.repeat(np.arange(self.seqs.lengths.size), self.seqs.lengths)[tok]
+            self.records = record_table(self.names[seq], tok - self.seqs.starts[seq],
+                                        self.epsilon[tok], self.sigma[tok], privacy.delta)
+            self.record_of = np.cumsum(noised) - 1
         n_fed = self.seqs.lengths[perm] - 1
         seq = np.repeat(perm, n_fed)
         pos = np.arange(seq.size) - np.repeat(np.cumsum(n_fed) - n_fed, n_fed)
@@ -304,7 +308,7 @@ class TaskInputs:
             model.embed[self.seqs.tokens[src]], self.score[src], self.epsilon[src],
             self.sigma[src], privacy, rng,
         )
-        ledger.add(self.records, src, epoch)
+        ledger.add(self.records, self.record_of[src], epoch)
 
     def lay_out(self, model: TinyLM, perm: np.ndarray) -> PackedBatch:
         """The epoch that feeds sequences ``perm`` in turn as one batch over the current inputs.
@@ -436,15 +440,17 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                                    cosine_lr(config.lr, step, total_steps))
                 step += 1
 
-        # Task wrap-up: importance from the final delta and clean activations, one
-        # forward pass per batch_size chunk of the training set (the chunks the base
-        # table was filled in).
+        # Task wrap-up: importance from the final delta and clean activations, per
+        # batch_size chunk of the training set (the chunks the base table was filled
+        # in).  Only pecl reads the losses, so only pecl runs a forward pass.
         train_losses: list[np.ndarray] = []
         for batch in inputs.seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
-            fb = forward_batch(model, adapter, batch)
-            state.observe_activation(np.linalg.norm(fb.x, axis=-1)[fb.valid])
-            train_losses += fb.sequence_losses()
-            del fb  # free this chunk's arrays before the next pass allocates its own
+            fb = forward_batch(model, adapter, batch) if config.mode == "pecl" else None
+            x = _windows(model, batch) if fb is None else fb.x
+            state.observe_activation(np.linalg.norm(x, axis=-1)[batch.valid])
+            if fb is not None:
+                train_losses += fb.sequence_losses()
+            del fb, x  # free this chunk's arrays before the next pass allocates its own
         del batch  # it holds the base table, which must be freed before the next task's fill
         delta_final = lora_delta(adapter)
         omega_k = task_importance(delta_final, state.activation_norm_accum)

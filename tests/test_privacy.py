@@ -12,6 +12,7 @@ from pecl.errors import DataError, NumericError
 from pecl.privacy import (
     PrivacyConfig,
     PrivacyLedger,
+    RecordTable,
     allocate_budget,
     assign_budgets,
     clip,
@@ -304,6 +305,21 @@ ledger_rows = st.lists(st.tuples(ledger_ids, st.integers(0, 2**62), st.integers(
                                  ledger_floats, ledger_floats), max_size=12)
 
 
+def unchecked_table(ids, positions, epsilons, sigmas) -> RecordTable:
+    """A record table built directly, without ``record_table``'s checks: ``add``
+    takes any table as it is, so the writer can be handed budgets that ``extend``
+    and ``from_csv`` refuse (NaN payloads, -0.0, infinities)."""
+    return RecordTable(np.array(ids, dtype=object), np.array(positions, dtype=np.int64),
+                       np.array(epsilons, dtype=float), np.array(sigmas, dtype=float),
+                       np.full(len(epsilons), 1e-6))
+
+
+def add_unchecked(ledger, ids, positions, epochs, epsilons, sigmas):
+    """Append rows as one chunk of their own records, as ``extend`` lays them out."""
+    ledger.add(unchecked_table(ids, positions, epsilons, sigmas), np.arange(len(epsilons)),
+               np.array(epochs, dtype=np.int64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(rows=ledger_rows, cuts=st.lists(st.integers(0, 12), max_size=6))
 def test_ledger_csv_writes_what_csv_writer_writes(rows, cuts, tmp_path_factory):
@@ -311,7 +327,7 @@ def test_ledger_csv_writes_what_csv_writer_writes(rows, cuts, tmp_path_factory):
     # The rows appended as ledger chunks cut at ``cuts``: most examples span
     # several chunks, from one row each to all rows in one, some of them empty.
     for part in np.split(np.arange(len(rows)), sorted(cuts)):
-        ledger.extend(*([rows[i][k] for i in part] for k in range(5)), 1e-6)
+        add_unchecked(ledger, *([rows[i][k] for i in part] for k in range(5)))
     assert_ledger_file_round_trips(ledger, rows, tmp_path_factory.mktemp("ledger") / "l.csv")
 
 
@@ -354,8 +370,8 @@ def test_ledger_csv_longer_than_one_chunk(tmp_path):
     positions, epochs = rng.integers(0, 9, size=n), np.repeat(np.arange(3), [n - 20, 10, 10])
     ledger = PrivacyLedger()
     for part in np.split(np.arange(n), [4096, 2 * 4096]):  # three chunks, the last of 7 rows
-        ledger.extend(np.array(ids, dtype=object)[part], positions[part], epochs[part],
-                      eps[part], sig[part], 1e-6)
+        add_unchecked(ledger, np.array(ids, dtype=object)[part], positions[part], epochs[part],
+                      eps[part], sig[part])
     rows = list(zip(ids, positions.tolist(), epochs.tolist(), eps.tolist(), sig.tolist()))
     assert_ledger_file_round_trips(ledger, rows, tmp_path / "ledger.csv")
 
@@ -370,9 +386,8 @@ def test_ledger_csv_of_record_table_chunks_mixed_with_extend_chunks(tmp_path):
     # -0.0 == 0.0 and a NaN is unequal to itself, yet each is written as its
     # own repr.
     odd = [-0.0, 0.0, nan_with_payload(1), nan_with_payload(7, sign=1), math.nan, 2.5, -0.0]
-    first = record_table(AWKWARD_IDS[:7], np.arange(7), odd, odd[::-1], 1e-6)
-    second = record_table(["b", "a,b", "b"], [4, 0, 4], [0.0, -0.0, 1e-300], [-0.0, 0.0, 0.5],
-                          1e-6)
+    first = unchecked_table(AWKWARD_IDS[:7], np.arange(7), odd, odd[::-1])
+    second = unchecked_table(["b", "a,b", "b"], [4, 0, 4], [0.0, -0.0, 1e-300], [-0.0, 0.0, 0.5])
     ledger, rows = PrivacyLedger(), []
 
     def add(table, index, epoch):
@@ -382,7 +397,7 @@ def test_ledger_csv_of_record_table_chunks_mixed_with_extend_chunks(tmp_path):
                     for i, e in zip(index, np.broadcast_to(epoch, len(index))))
 
     def extend(*cells):
-        ledger.extend(*([c] for c in cells), 1e-6)
+        add_unchecked(ledger, *([c] for c in cells))
         rows.append(cells)
 
     extend("x", 3, 0, -0.0, 1.0)
@@ -466,6 +481,41 @@ def test_ledger_add_rejects_a_bad_index_or_epochs():
     assert len(ledger) == 0
 
 
+@pytest.mark.parametrize("column, value", [
+    ("position", 1.7), ("position", -1), ("position", 2**63), ("position", math.nan),
+    ("epoch", 2.9), ("epoch", -1), ("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", math.nan),
+    ("epsilon", math.inf), ("sigma", math.nan), ("sigma", -0.0), ("sigma", math.inf),
+    ("delta", 5.0), ("delta", 0.0), ("delta", 1.0), ("delta", math.nan),
+])
+def test_ledger_extend_and_record_table_refuse_what_from_csv_refuses(column, value):
+    cells = {"sequence_id": ["a", "b"], "position": [3, 4], "epoch": [0, 1],
+             "epsilon": [1.5, 2.0], "sigma": [0.5, 0.25], "delta": [1e-6, 1e-6]}
+    cells[column] = [cells[column][0], value]  # the bad value in the second row
+    ledger = PrivacyLedger()
+    with pytest.raises(ValueError, match=f"ledger column {column} must hold"):
+        ledger.extend(*cells.values())
+    assert len(ledger) == 0
+    if column != "epoch":
+        with pytest.raises(ValueError, match=f"ledger column {column} must hold"):
+            record_table(*(cells[name] for name in RecordTable._fields))
+
+
+def test_ledger_extend_keeps_whole_numbers_and_composes_a_valid_delta():
+    ledger = PrivacyLedger()
+    with pytest.raises(ValueError, match="column epsilon"):
+        ledger.extend(["a"], [3], 0, [-1.0], math.nan, 5.0)
+    with pytest.raises(ValueError, match="column position"):
+        ledger.extend(["a"], [1.7], 2.9, [1.0], 1.0, 1e-6)
+    with pytest.raises(ValueError, match="column delta"):
+        ledger.extend(["a"], [3], 0, [1.0], 1.0, 5.0)
+    assert len(ledger) == 0
+    # Whole numbers given as floats, and the largest int64 position, are kept.
+    ledger.extend(["a", "b"], [3.0, 4.0], 2.0, [1.0, 2.0], 1.0, 1e-6)
+    ledger.extend(["c"], [2**63 - 1], 0, [1.0], 1.0, 1e-6)
+    assert [(r.position, r.epoch) for r in ledger.records] == [(3, 2), (4, 2), (2**63 - 1, 0)]
+    assert compose_sequence(ledger, 1e-6)[1] == 1e-6 + 1e-6
+
+
 def test_ledger_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "ledger.csv"
     path.write_text("foo,bar\n1,2\n", encoding="utf-8")
@@ -504,15 +554,16 @@ def test_batched_mechanism_matches_successive_single_row_calls():
         for i in range(len(rows))
     ])
     batch_ledger, batch_rng = PrivacyLedger(), np.random.default_rng(11)
-    batched = perturb_embeddings(rows, score, epsilon, sigma, CFG, batch_rng,
-                                 ledger=batch_ledger, sequence_ids=sequence_ids,
-                                 positions=positions, epoch=2)
+    batched = perturb_embeddings(rows, score, epsilon, sigma, CFG, batch_rng)
+    # The caller records the batch's exposures, in row order.
+    hit = score > 0
+    batch_ledger.extend(np.array(sequence_ids, dtype=object)[hit], np.array(positions)[hit], 2,
+                        epsilon[hit], sigma[hit], CFG.delta)
 
     np.testing.assert_array_equal(batched, one_by_one)
     np.testing.assert_array_equal(batched[score == 0], rows[score == 0])
     # The noise is the stream of rng.normal(0, sigma_i) draws, exposure by exposure.
     normal_rng = np.random.default_rng(11)
-    hit = score > 0
     noise = normal_rng.normal(0.0, sigma[hit][:, None], size=(hit.sum(), rows.shape[1]))
     np.testing.assert_array_equal(batched[hit], clip(rows[hit], CFG.clip_norm) + noise)
     assert normal_rng.bit_generator.state == batch_rng.bit_generator.state

@@ -5,11 +5,13 @@ from pecl.corpus import TaskCorpus, TokenizedSequence, compute_corpus_stats
 from pecl.errors import DataError
 from pecl.synthetic import synthetic_stream
 from pecl.seeding import spawn_rng
+from pecl.sculpt import ImportanceState, task_importance
 from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
 from pecl.sensitivity import score_sequences
 from pecl.tinylm import (
     LossSpec,
     PackedSequences,
+    _windows,
     backward,
     forward,
     forward_batch,
@@ -349,16 +351,18 @@ def budgeted_inputs(mode, model, seqs, privacy, rng):
 
 def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger, epoch):
     """Noise the fed positions of sequences ``rows`` as one batch: one mechanism call
-    over every position but each sequence's last, in (sequence, position) order."""
+    over every position but each sequence's last, in (sequence, position) order, and
+    one ledger record per exposure (score > 0), in the same order."""
     per_seq = [np.split(a, np.cumsum([len(q) for q in seqs])[:-1]) for a in budgets]
     n_fed = [len(seqs[i]) - 1 for i in rows]
-    fed = [np.concatenate([a[i][:-1] for i in rows]) for a in per_seq]
+    score, epsilon, sigma = (np.concatenate([a[i][:-1] for i in rows]) for a in per_seq)
     ids = np.concatenate([seqs[i][:-1] for i in rows])
-    return perturb_embeddings(
-        model.embed[ids], *fed, privacy, rng, ledger=ledger,
-        sequence_ids=np.repeat(names[rows], n_fed),
-        positions=np.concatenate([np.arange(n) for n in n_fed]), epoch=epoch,
-    ), n_fed
+    noised = perturb_embeddings(model.embed[ids], score, epsilon, sigma, privacy, rng)
+    hit = score > 0
+    ledger.extend(np.repeat(names[rows], n_fed)[hit],
+                  np.concatenate([np.arange(n) for n in n_fed])[hit], epoch,
+                  epsilon[hit], sigma[hit], privacy.delta)
+    return noised, n_fed
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
@@ -585,6 +589,95 @@ def test_a_batch_over_a_noised_table_carries_no_clean_base():
     assert seqs.batch(model, rows).base is seqs.base
     noised = seqs.batch(model, rows, model.embed[seqs.tokens] + 0.1)
     assert noised.base is None and all(part.base is None for part in noised.chunks(1))
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+@pytest.mark.parametrize("lengths", [(2, 3, 7, 4, 9, 2, 5, 8, 6, 3, 2), (2, 2, 2, 2, 2)])
+def test_each_steps_window_index_is_its_own_feed_at_every_window(mode, lengths):
+    # Batches of 4 leave a short last chunk; length-2 sequences give 2 windows.
+    privacy = PrivacyConfig(clip_norm=0.5)
+    model = init_lm((23, 4, 3, 6), seed=6)
+    rng = np.random.default_rng(19)
+    seqs = [rng.integers(1, 23, size=n).tolist() for n in lengths]
+    if mode == "seqft":
+        inputs = TaskInputs(PackedSequences.of(model, seqs), np.arange(len(seqs)))
+    else:
+        inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
+    perm = np.random.default_rng(1).permutation(len(seqs))
+    if mode != "seqft":
+        inputs.noise_epoch(model, perm, privacy, np.random.default_rng(3), PrivacyLedger(), 0)
+    widths = set()
+    for step in inputs.lay_out(model, perm).chunks(4):
+        n_windows = step.valid.shape[1]
+        windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
+        assert step.wfeed.shape == (len(step), n_windows, model.n_ctx)
+        np.testing.assert_array_equal(step.wfeed, step.feed[:, windows])
+        np.testing.assert_array_equal(
+            _windows(model, step),
+            step.table[step.feed[:, windows]].reshape(len(step), n_windows, model.d_in))
+        widths.add(n_windows)
+    # The mixed layout has 8 windows; two of its chunks are sliced narrower.
+    assert widths == ({2} if max(lengths) == 2 else {4, 6, 8})
+
+
+@pytest.mark.parametrize("inputs", ["seqft", "uniform_dp", "full finetune"])
+def test_a_batch_without_margins_has_no_unlearning_term(inputs):
+    # seqft and uniform_dp steps carry no margins; neither does full finetune.
+    model = init_lm((23, 4, 3, 6), seed=8)
+    rng = np.random.default_rng(23)
+    adapter = None if inputs == "full finetune" else init_adapter(model, 2, seed=5, task_id=1)
+    if adapter is not None:
+        adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
+    seqs = PackedSequences.of(model, [rng.integers(1, 23, size=n).tolist()
+                                      for n in (2, 5, 3, 7)])
+    seqs.base = frozen_base(model, seqs, 4)
+    table = model.embed[seqs.tokens] + 0.1 if inputs == "uniform_dp" else None
+    rows = np.array([3, 1, 0, 2])
+    spec = LossSpec(lambda_unlearn=1.5, reg_weight=0.4,
+                    reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
+    plain = backward(model, adapter, seqs.batch(model, rows, table), spec)
+    zeros = backward(model, adapter,
+                     seqs.batch(model, rows, table, np.zeros(seqs.tokens.size)), spec)
+    assert plain.l_unlearn == 0.0 and zeros.l_unlearn == 0.0
+    assert plain.l_task == zeros.l_task and plain.objective == zeros.objective
+    assert plain.l_reg == zeros.l_reg and (plain.l_reg > 0) == (adapter is not None)
+    assert [name for name, _ in plain.arrays()] == [name for name, _ in zeros.arrays()]
+    for (_, got), (_, expected) in zip(plain.arrays(), zeros.arrays()):
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+def test_only_pecl_runs_a_wrap_up_forward(monkeypatch, mode):
+    config = small_config(mode=mode, epochs=2, batch_size=7)
+    calls = []
+    monkeypatch.setattr("pecl.trainer.backward",
+                        lambda *args: calls.append("step") or backward(*args))
+    monkeypatch.setattr("pecl.trainer.forward_batch",
+                        lambda *args: calls.append("forward") or forward_batch(*args))
+    run_continual(config, small_stream(config).tasks)
+    # Each task: 2 epochs of ceil(30 / 7) = 5 steps, then pecl's 5-chunk wrap-up pass.
+    task = ["step"] * 10 + (["forward"] * 5 if mode == "pecl" else [])
+    assert calls == task * config.num_tasks
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+def test_each_tasks_omega_folds_the_clean_window_norms_chunk_by_chunk(monkeypatch, mode):
+    config = small_config(mode=mode, epochs=2, batch_size=7)
+    tasks = small_stream(config).tasks
+    seen = []
+    monkeypatch.setattr("pecl.trainer.task_importance",
+                        lambda delta, x_norm: seen.append((delta.copy(), x_norm))
+                        or task_importance(delta, x_norm))
+    result = run_continual(config, tasks)
+    model = result.model
+    for task, report, (delta, x_norm) in zip(tasks, result.reports, seen, strict=True):
+        state = ImportanceState()
+        seqs = PackedSequences.of(model, task.train)
+        for chunk in seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
+            state.observe_activation(np.linalg.norm(_windows(model, chunk), axis=-1)[chunk.valid])
+        assert x_norm == state.activation_norm_accum
+        assert report.omega == task_importance(delta, state.activation_norm_accum)
+        assert report.omega > 0
 
 
 def assert_ledger_follows_feed_order(config, tasks, ledger, budgets):
