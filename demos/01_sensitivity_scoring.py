@@ -8,13 +8,14 @@ import numpy as np
 
 from pecl import (
     SensitivityConfig,
-    build_profile,
     compute_corpus_stats,
     contextual_score,
     fuse_scores,
     init_lm,
     load_corpus,
 )
+from pecl.sensitivity import score_sequences
+from pecl.tinylm import PackedSequences
 
 import json
 import tempfile
@@ -51,7 +52,7 @@ print("== fused scores for one sequence ==")
 model = init_lm((len(vocab), 16, 6, 24), seed=0)
 config = SensitivityConfig(alpha=0.5).bind(vocab)
 seq = corpora[0].train[0]  # the transfer for acct99217 was flagged + label
-profile = build_profile(model, None, stats, seq, config)
+profile = score_sequences(model, None, stats, PackedSequences.of(model, [seq]), config)
 
 print(f"{'pos':>3} {'surface':>12} {'score1':>8} {'score2':>8} {'fused':>8} {'stopword':>9}")
 for pos in range(len(profile)):

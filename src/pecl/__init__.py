@@ -4,7 +4,6 @@ sculpting for sequential multi-task training of a tiny language model."""
 from .corpus import (
     CorpusStats,
     TaskCorpus,
-    Token,
     TokenizedSequence,
     Vocabulary,
     build_vocab,
@@ -38,10 +37,8 @@ from .sculpt import (
 from .sensitivity import (
     SensitivityConfig,
     SensitivityProfile,
-    build_profile,
     contextual_score,
     fuse_scores,
-    surprisal_score,
 )
 from .synthetic import SyntheticStream, synthetic_stream
 from .tinylm import (

@@ -32,20 +32,6 @@ def split_words(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single vocabulary item occurrence."""
-
-    id: int
-    surface: str
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"token id must be non-negative, got {self.id}")
-        if not self.surface:
-            raise ValueError("token surface must be non-empty")
-
-
 @dataclass
 class TokenizedSequence:
     """An input text plus its appended class-label token.
@@ -107,16 +93,9 @@ class Vocabulary:
     def surface_of(self, token_id: int) -> str:
         return self._surfaces[token_id]
 
-    def tokenize(self, text: str) -> list[Token]:
-        """Turn text into Tokens: lowercased, punctuation-separated, OOV -> UNK.
-
-        Deterministic, and idempotent on its own output surfaces. The original
-        surface is preserved on UNK tokens so reports stay readable.
-        """
-        return [Token(self.id_of(w), w) for w in split_words(text)]
-
     def encode(self, text: str) -> list[int]:
-        return [t.id for t in self.tokenize(text)]
+        """Ids of ``split_words(text)``: lowercased, punctuation-separated, OOV -> UNK."""
+        return [self._ids.get(w, UNK_ID) for w in split_words(text)]
 
     def ids_of(self, surfaces) -> frozenset[int]:
         """Ids of the given surfaces that are actually in the vocabulary."""

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError
-from .sensitivity import SensitivityProfile
 
 
 @dataclass(frozen=True)
@@ -97,16 +96,18 @@ def update_running_importance(state: ImportanceState, omega_k: float) -> Importa
     return state
 
 
-def mean_task_sensitivity(profiles: Sequence[SensitivityProfile]) -> float:
-    """Flat mean of fused scores over every token of a task (stopwords at 0)."""
-    total = 0
-    acc = 0.0
-    for p in profiles:
-        total += len(p.score)
-        acc += float(p.score.sum())
-    if total == 0:
+def mean_task_sensitivity(score: np.ndarray, lengths: Sequence[int]) -> float:
+    """Flat mean of a task's fused scores (stopwords at 0).
+
+    ``score`` holds the task's sequences of ``lengths`` end to end; each
+    sequence is summed on its own and the sums accumulated in order.
+    """
+    if len(score) == 0:
         raise ValueError("task has no tokens")
-    return acc / total
+    acc = 0.0
+    for part in np.split(score, np.cumsum(lengths)[:-1]):
+        acc += float(part.sum())
+    return acc / len(score)
 
 
 def dynamic_lambda(s_bar: float, config: SculptConfig) -> float:

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusStats, Token, Vocabulary, load_stopwords
-from .tinylm import LoraAdapter, PackedSequences, TinyLM, forward_batch, token_losses
+from .corpus import CorpusStats, Vocabulary, load_stopwords
+from .tinylm import LoraAdapter, PackedSequences, TinyLM, forward_batch
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class ProfileEntry(NamedTuple):
 
 @dataclass
 class SensitivityProfile:
-    """Per-position scores for one sequence, frozen for a task's epochs.
+    """Per-position scores of packed sequences, end to end, frozen for a task's epochs.
 
     ``epsilon``/``sigma`` stay NaN until a privacy budget is assigned; they
     are defined exactly for positions with score > 0.
@@ -65,26 +65,12 @@ class SensitivityProfile:
         return len(self.tokens)
 
 
-def surprisal_score(
-    model: TinyLM, adapter: LoraAdapter | None, seq, i: int
-) -> float:
-    """-ln P(t_i | t_<i) for 1-indexed position i >= 2, on clean embeddings."""
-    ids = list(seq.tokens) if hasattr(seq, "tokens") else list(seq)
-    if not 2 <= i <= len(ids):
-        raise ValueError(f"position {i} out of range for a length-{len(ids)} sequence")
-    losses, _ = token_losses(model, adapter, ids)
-    return float(losses[i - 2])
-
-
-def contextual_score(
-    stats: CorpusStats, token: Token | int, clamp: bool = True
-) -> float:
+def contextual_score(stats: CorpusStats, token_id: int, clamp: bool = True) -> float:
     """Cross-task discriminativeness of a token; optionally clamped at 0.
 
     The raw value goes negative once a token's support d(t) reaches N, which
     would break the non-negativity the fused score relies on, hence the clamp.
     """
-    token_id = token.id if isinstance(token, Token) else int(token)
     n_tasks = stats.num_tasks_observed
     total = sum(stats.salience(tid, token_id) for tid in stats.task_ids)
     if total == 0.0:
@@ -120,11 +106,11 @@ def score_sequences(
 ) -> SensitivityProfile:
     """Score every position of packed sequences with the model state of the moment.
 
-    Returns one profile over all their tokens end to end (split it with
-    ``split_profile``).  score1 comes from ``forward_batch`` over
-    ``batch_size`` sequences at a time, score2 from one table over the
-    distinct token ids.  Stopword positions are zeroed after fusion; budgets
-    are left unassigned (see privacy.assign_budgets).
+    Returns one profile over all their tokens end to end.  score1 comes
+    from ``forward_batch`` over ``batch_size`` sequences at a time, score2
+    from one table over the distinct token ids.  Stopword positions are
+    zeroed after fusion; budgets are left unassigned (see
+    privacy.assign_budgets).
     """
     tokens = packed.tokens[:-1]
     score1 = np.zeros(tokens.size)
@@ -156,23 +142,3 @@ def score_sequences(
         epsilon=np.full(tokens.size, np.nan),
         sigma=np.full(tokens.size, np.nan),
     )
-
-
-def split_profile(profile: SensitivityProfile, lengths: np.ndarray) -> list[SensitivityProfile]:
-    """Per-sequence views of a profile that covers sequences of ``lengths`` end to end."""
-    arrays = [getattr(profile, name)
-              for name in ("score1", "score2", "score", "is_stopword", "epsilon", "sigma")]
-    ends = np.cumsum(lengths).tolist()
-    return [SensitivityProfile(profile.tokens[a:b], *(arr[a:b] for arr in arrays))
-            for a, b in zip([0] + ends[:-1], ends)]
-
-
-def build_profile(
-    model: TinyLM,
-    adapter: LoraAdapter | None,
-    stats: CorpusStats,
-    seq,
-    config: SensitivityConfig,
-) -> SensitivityProfile:
-    """Score every position of one sequence: ``score_sequences`` on a batch of one."""
-    return score_sequences(model, adapter, stats, PackedSequences.of(model, [seq]), config)

@@ -14,7 +14,7 @@ so analytic gradients can be checked against central finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -368,14 +368,6 @@ class BatchForward:
     valid: np.ndarray      # (B, T)
     target: tuple[np.ndarray, np.ndarray, np.ndarray]   # (batch, window, token) index into p
 
-    def sequence_losses(self) -> list[np.ndarray]:
-        """Per-sequence token losses, in position order."""
-        return _split_losses(self.losses, self.valid, self.lengths)
-
-
-def _split_losses(losses: np.ndarray, valid: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    return np.split(losses[valid], np.cumsum(lengths - 1)[:-1])
-
 
 def forward_batch(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence) -> BatchForward:
     """Forward every predicted position of a batch through one window gather.
@@ -471,13 +463,6 @@ class GradientBundle:
     l_reg: float = 0.0
     l_unlearn: float = 0.0
     objective: float = 0.0
-    # (losses, valid, lengths) of the batch, split per sequence only when read
-    batch_losses: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    @property
-    def token_losses(self) -> list[np.ndarray]:
-        """Per-sequence token losses, in position order."""
-        return [] if self.batch_losses is None else _split_losses(*self.batch_losses)
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         pairs = ((name, getattr(self, name)) for name in (*PARAM_NAMES, "a", "b"))
@@ -564,7 +549,6 @@ def backward(
         l_reg=float(l_reg),
         l_unlearn=float(l_unlearn),
         objective=float(objective),
-        batch_losses=(fb.losses, fb.valid, fb.lengths),
     )
 
 

@@ -49,7 +49,7 @@ from .sculpt import (
     unlearn_loss,
     update_running_importance,
 )
-from .sensitivity import SensitivityConfig, score_sequences, split_profile
+from .sensitivity import SensitivityConfig, SensitivityProfile, score_sequences
 from .tinylm import (
     AdamW,
     LoraAdapter,
@@ -211,9 +211,9 @@ class RunResult:
     reports: list[TaskReport]
     model: TinyLM
     adapter: LoraAdapter
-    # pecl mode: the frozen task-arrival profiles, keyed by task id, aligned
-    # with each task's train list.  Other modes leave this empty.
-    profiles: dict[int, list] = field(default_factory=dict)
+    # pecl mode: each task's frozen task-arrival profile, keyed by task id,
+    # over its train list's sequences end to end.  Other modes leave this empty.
+    profiles: dict[int, SensitivityProfile] = field(default_factory=dict)
 
 
 def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus) -> float:
@@ -372,7 +372,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     n_tasks = len(order)
     matrix_values = np.full((n_tasks, n_tasks), np.nan)
     reports: list[TaskReport] = []
-    kept_profiles: dict[int, list] = {}
+    kept_profiles: dict[int, SensitivityProfile] = {}
 
     for k, task_id in enumerate(order, start=1):
         task = by_id[task_id]
@@ -386,8 +386,10 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         inputs = TaskInputs(PackedSequences.of(model, task.train),
                             np.array([f"{task_id}:{i}" for i in range(len(task.train))],
                                      dtype=object))
-        inputs.seqs.base = frozen_base(model, inputs.seqs, config.batch_size)
-        profiles = None
+        # seqft steps and pecl's scoring and wrap-up forward read the clean base;
+        # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
+        if config.mode != "uniform_dp":
+            inputs.seqs.base = frozen_base(model, inputs.seqs, config.batch_size)
         s_bar = lam_dyn = None
         reg_weight = 0.0
         lambda_unlearn = 0.0
@@ -398,9 +400,8 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             )
             inputs.set_budgets(profile.score, profile.epsilon, profile.sigma)
             inputs.set_margins(config.sculpt.theta)
-            profiles = split_profile(profile, inputs.seqs.lengths)
-            kept_profiles[task_id] = profiles
-            s_bar = mean_task_sensitivity(profiles)
+            kept_profiles[task_id] = profile
+            s_bar = mean_task_sensitivity(profile.score, inputs.seqs.lengths)
             lam_dyn = dynamic_lambda(s_bar, config.sculpt)
             if k >= 2:
                 reg_weight = lam_dyn * state.omega_bar
@@ -442,14 +443,15 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
 
         # Task wrap-up: importance from the final delta and clean activations, per
         # batch_size chunk of the training set (the chunks the base table was filled
-        # in).  Only pecl reads the losses, so only pecl runs a forward pass.
+        # in).  Only pecl reads the losses, so only pecl runs a forward pass, and
+        # keeps each chunk's losses in sequence and position order.
         train_losses: list[np.ndarray] = []
         for batch in inputs.seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
             fb = forward_batch(model, adapter, batch) if config.mode == "pecl" else None
             x = _windows(model, batch) if fb is None else fb.x
             state.observe_activation(np.linalg.norm(x, axis=-1)[batch.valid])
             if fb is not None:
-                train_losses += fb.sequence_losses()
+                train_losses.append(fb.losses[fb.valid])
             del fb, x  # free this chunk's arrays before the next pass allocates its own
         del batch  # it holds the base table, which must be freed before the next task's fill
         delta_final = lora_delta(adapter)
@@ -459,10 +461,11 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                                state.omega_bar) if k >= 2 and config.mode == "pecl" else 0.0
         final_l_unlearn = None
         if config.mode == "pecl":
-            final_l_unlearn = float(np.mean([
-                unlearn_loss(prof.score[1:], losses, config.sculpt.theta)
-                for prof, losses in zip(profiles, train_losses)
-            ]))
+            lengths = inputs.seqs.lengths
+            scores = np.split(profile.score, np.cumsum(lengths)[:-1])
+            losses = np.split(np.concatenate(train_losses), np.cumsum(lengths - 1)[:-1])
+            final_l_unlearn = float(np.mean([unlearn_loss(s[1:], ell, config.sculpt.theta)
+                                             for s, ell in zip(scores, losses)]))
         state = update_running_importance(state, omega_k)
         snapshot = AdapterSnapshot(task_id=task_id, delta_w=delta_final.copy())
         reports.append(TaskReport(task_id=task_id, omega=omega_k, omega_bar=state.omega_bar,

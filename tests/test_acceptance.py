@@ -354,13 +354,15 @@ def flagged_planted_loss(measured, pecl_run, stream, theta=0.6):
     """Mean clean token loss on planted positions the pecl run flagged."""
     total, count = 0.0, 0
     for task in stream.tasks:
-        profiles = pecl_run.profiles[task.task_id]
-        for si, seq in enumerate(task.train):
+        score = pecl_run.profiles[task.task_id].score
+        start = 0
+        for seq in task.train:
             hits = [
                 j
                 for j in range(1, len(seq.tokens))
-                if seq.tokens[j] in stream.sensitive_ids and profiles[si].score[j] > theta
+                if seq.tokens[j] in stream.sensitive_ids and score[start + j] > theta
             ]
+            start += len(seq.tokens)
             if not hits:
                 continue
             losses, _ = token_losses(measured.model, measured.adapter, seq)

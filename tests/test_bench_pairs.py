@@ -12,19 +12,27 @@ TIGHT = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]  # IQR 0.01
 WIDE = [0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.8, 1.2, 0.9, 1.1]             # IQR 0.35
 
 
-@pytest.mark.parametrize("better, parent, change, regressed, unresolved", [
-    ("lower", TIGHT, [v * 1.2 for v in TIGHT], False, False),    # worse, within the bound
-    ("lower", TIGHT, [v * 1.3 for v in TIGHT], True, False),     # worse, past the bound
-    ("lower", TIGHT, [v * 0.7 for v in TIGHT], False, False),    # better
-    ("higher", TIGHT, [v * 0.7 for v in TIGHT], True, False),
-    ("higher", TIGHT, [v * 1.3 for v in TIGHT], False, False),
-    ("lower", WIDE, WIDE, False, True),                           # the parent's spread hides 25%
-    ("lower", WIDE, [v * 0.2 for v in WIDE], False, False),      # every change run beats every parent run
-    ("higher", WIDE, [v * 2.0 for v in WIDE], False, True),      # 0.6 * 2 does not beat 1.4
-    ("higher", WIDE, [v + 1.0 for v in WIDE], False, False),
+@pytest.mark.parametrize("better, parent, change, regressed, unresolved, gain", [
+    ("lower", TIGHT, [v * 1.2 for v in TIGHT], False, False, False),    # worse, within the bound
+    ("lower", TIGHT, [v * 1.3 for v in TIGHT], True, False, False),     # worse, past the bound
+    ("lower", TIGHT, [v * 0.7 for v in TIGHT], False, False, True),     # better
+    ("higher", TIGHT, [v * 0.7 for v in TIGHT], True, False, False),
+    ("higher", TIGHT, [v * 1.3 for v in TIGHT], False, False, True),
+    ("lower", WIDE, WIDE, False, True, False),                  # the parent's spread hides 25%
+    # Every change run beats every parent run.
+    ("lower", WIDE, [v * 0.2 for v in WIDE], False, False, True),
+    ("higher", WIDE, [v * 2.0 for v in WIDE], False, True, True),  # 0.6 * 2 does not beat 1.4
+    ("higher", WIDE, [v + 1.0 for v in WIDE], False, False, True),
+    # Wins 10 of 10 pairs, and the medians lie further apart than the IQR.
+    ("lower", TIGHT, [v - 0.05 for v in TIGHT], False, False, True),
+    # Wins 9 of 10 pairs, but the medians lie within the IQR.
+    ("lower", WIDE, [v - 0.1 for v in WIDE[:9]] + [WIDE[9] + 0.1], False, True, False),
+    # Wins 8 pairs and ties 2: a tie is no win, though the medians are clear.
+    ("lower", TIGHT, [v - 0.05 for v in TIGHT[:8]] + TIGHT[8:], False, False, False),
 ])
 def test_summarise_gives_a_no_regression_verdict_against_the_bound(better, parent, change,
-                                                                   regressed, unresolved):
+                                                                   regressed, unresolved, gain):
     summary = bench_pairs.summarise(parent, change, better, 0.25)
     assert (summary["regressed"], summary["unresolved"]) == (regressed, unresolved)
+    assert summary["gain"] == gain
     assert summary["parent_iqr"] == (0.015 if parent is TIGHT else 0.35)

@@ -157,33 +157,33 @@ def test_load_corpus_gives_a_data_error_or_valid_corpora(lines, tmp_path_factory
 
 def test_tokenize_empty_text():
     vocab = Vocabulary(["hello"])
-    assert vocab.tokenize("") == []
+    assert split_words("") == [] and vocab.encode("") == []
 
 
 def test_tokenize_case_fold_gives_identical_ids():
     vocab = Vocabulary(["hello", ","])
-    tokens = vocab.tokenize("Hello, hello")
-    assert len(tokens) == 3
-    assert tokens[0].id == tokens[2].id
-    assert tokens[1].surface == ","
+    ids = vocab.encode("Hello, hello")
+    assert len(ids) == 3
+    assert ids[0] == ids[2]
+    assert split_words("Hello, hello")[1] == ","
 
 
 def test_tokenize_splits_punctuation_and_numbers():
     vocab = Vocabulary(["acct"])
-    tokens = vocab.tokenize("Acct #4417")
-    assert len(tokens) == 3
-    assert [t.surface for t in tokens] == ["acct", "#", "4417"]
-    assert tokens[1].id == UNK_ID and tokens[2].id == UNK_ID
+    ids = vocab.encode("Acct #4417")
+    assert len(ids) == 3
+    assert split_words("Acct #4417") == ["acct", "#", "4417"]
+    assert ids[1] == UNK_ID and ids[2] == UNK_ID
 
 
 def test_tokenize_deterministic_and_idempotent_on_surfaces():
     vocab = Vocabulary(["some", "words", "here", "."])
     text = "Some WORDS here. And unknown-stuff 42!"
-    first = vocab.tokenize(text)
-    assert first == vocab.tokenize(text)
-    rejoined = " ".join(t.surface for t in first)
-    assert [t.surface for t in vocab.tokenize(rejoined)] == [t.surface for t in first]
-    assert [t.id for t in vocab.tokenize(rejoined)] == [t.id for t in first]
+    surfaces, ids = split_words(text), vocab.encode(text)
+    assert ids == vocab.encode(text) == [vocab.id_of(w) for w in surfaces]
+    rejoined = " ".join(surfaces)
+    assert split_words(rejoined) == surfaces
+    assert vocab.encode(rejoined) == ids
 
 
 def test_vocab_reserved_ids():

@@ -16,23 +16,8 @@ from pecl.sculpt import (
     unlearn_loss,
     update_running_importance,
 )
-from pecl.sensitivity import SensitivityProfile
 
 CFG = SculptConfig()
-
-
-def profile_with_scores(scores):
-    scores = np.asarray(scores, dtype=float)
-    n = len(scores)
-    return SensitivityProfile(
-        tokens=list(range(2, 2 + n)),
-        score1=np.zeros(n),
-        score2=np.zeros(n),
-        score=scores,
-        is_stopword=np.zeros(n, dtype=bool),
-        epsilon=np.full(n, np.nan),
-        sigma=np.full(n, np.nan),
-    )
 
 
 def test_task_importance_examples():
@@ -109,25 +94,23 @@ def test_importance_state_folds_arrays_like_single_values():
 
 
 def test_mean_task_sensitivity_examples():
-    assert mean_task_sensitivity([profile_with_scores([0.0, 0.0])]) == 0.0
-    assert mean_task_sensitivity([profile_with_scores([0.2, 0.6])]) == pytest.approx(0.4)
+    assert mean_task_sensitivity(np.array([0.0, 0.0]), [2]) == 0.0
+    assert mean_task_sensitivity(np.array([0.2, 0.6]), [2]) == pytest.approx(0.4)
 
 
 def test_mean_task_sensitivity_matches_flat_mean():
     rng = np.random.default_rng(2)
     for _ in range(30):
-        profiles = [
-            profile_with_scores(rng.uniform(0, 1, size=rng.integers(1, 12)))
-            for _ in range(rng.integers(1, 8))
-        ]
-        flat = np.concatenate([p.score for p in profiles])
+        scores = [rng.uniform(0, 1, size=rng.integers(1, 12)) for _ in range(rng.integers(1, 8))]
+        flat = np.concatenate(scores)
         brute = float(sum(flat) / len(flat))
-        assert mean_task_sensitivity(profiles) == pytest.approx(brute, abs=1e-12)
+        lengths = [len(s) for s in scores]
+        assert mean_task_sensitivity(flat, lengths) == pytest.approx(brute, abs=1e-12)
 
 
 def test_mean_task_sensitivity_empty_errors():
     with pytest.raises(ValueError):
-        mean_task_sensitivity([])
+        mean_task_sensitivity(np.array([]), [])
 
 
 def test_dynamic_lambda_endpoints_and_midpoint():

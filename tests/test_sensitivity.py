@@ -5,15 +5,7 @@ import pytest
 
 from pecl.corpus import TaskCorpus, TokenizedSequence
 from pecl.privacy import PrivacyConfig, assign_budgets
-from pecl.sensitivity import (
-    SensitivityConfig,
-    build_profile,
-    contextual_score,
-    fuse_scores,
-    score_sequences,
-    split_profile,
-    surprisal_score,
-)
+from pecl.sensitivity import SensitivityConfig, contextual_score, fuse_scores, score_sequences
 from pecl.corpus import compute_corpus_stats
 from pecl.tinylm import PackedSequences, TinyLM, forward, init_adapter, init_lm, token_losses
 
@@ -39,13 +31,24 @@ def probability_model(probs):
     )
 
 
+def profile_of(model, seq, stats, config, adapter=None):
+    """One sequence's profile: ``score_sequences`` on a batch of one."""
+    return score_sequences(model, adapter, stats, PackedSequences.of(model, [seq]), config)
+
+
+def surprisal(model, seq, i):
+    """score1 at 1-indexed position i >= 2 of ``seq``'s profile: -ln P(t_i | t_<i)."""
+    stats = compute_corpus_stats([make_task(1, [seq[:-1]], label=seq[-1])], tau=0.2)
+    return profile_of(model, seq, stats, SensitivityConfig()).score1[i - 1]
+
+
 def test_surprisal_analytic_cases():
     p = math.exp(-2.0)
     model = probability_model([p, (1 - p) / 2, (1 - p) / 2])
-    assert surprisal_score(model, None, [1, 0], i=2) == pytest.approx(2.0, abs=1e-12)
+    assert surprisal(model, [1, 0], i=2) == pytest.approx(2.0, abs=1e-12)
 
     near_one = probability_model([1 - 1e-12, 5e-13, 5e-13])
-    assert surprisal_score(near_one, None, [1, 0], i=2) == pytest.approx(0.0, abs=1e-9)
+    assert surprisal(near_one, [1, 0], i=2) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_surprisal_matches_forward_oracle():
@@ -53,15 +56,7 @@ def test_surprisal_matches_forward_oracle():
     seq = [1, 4, 2, 3]
     for i in range(2, 5):
         expected = -math.log(forward(model, None, seq[max(0, i - 1 - 3):i - 1])[seq[i - 1]])
-        assert surprisal_score(model, None, seq, i) == pytest.approx(expected, rel=1e-12)
-
-
-def test_surprisal_position_out_of_range():
-    model = init_lm((5, 3, 3, 4), seed=2)
-    with pytest.raises(ValueError, match="position"):
-        surprisal_score(model, None, [1, 2], i=1)
-    with pytest.raises(ValueError, match="position"):
-        surprisal_score(model, None, [1, 2], i=3)
+        assert surprisal(model, seq, i) == pytest.approx(expected, rel=1e-12)
 
 
 def test_contextual_score_single_concentrated_token():
@@ -128,7 +123,7 @@ def test_build_profile_all_stopwords_zero():
     tasks = [make_task(1, [[2, 3, 2]], label=4)]
     stats = compute_corpus_stats(tasks, tau=0.2)
     config = config_with_stopwords({2, 3, 4})
-    profile = build_profile(model, None, stats, tasks[0].train[0], config)
+    profile = profile_of(model, tasks[0].train[0], stats, config)
     assert (profile.score == 0.0).all()
     assert profile.is_stopword.all()
 
@@ -141,7 +136,7 @@ def test_build_profile_stopword_vs_content_token():
     ]
     stats = compute_corpus_stats(tasks, tau=0.2)
     config = config_with_stopwords({2})  # token 2 plays "the"
-    profile = build_profile(model, None, stats, tasks[0].train[0], config)
+    profile = profile_of(model, tasks[0].train[0], stats, config)
     assert profile.score[0] == 0.0 and profile.score[2] == 0.0
     assert profile.score[1] > 0.0  # task-specific content token
     assert len(profile) == len(tasks[0].train[0].tokens)
@@ -152,7 +147,7 @@ def test_build_profile_first_position_uses_zero_surprisal():
     tasks = [make_task(1, [[5, 3]], label=6)]
     stats = compute_corpus_stats(tasks, tau=0.2)
     config = config_with_stopwords(set(), alpha=0.5)
-    profile = build_profile(model, None, stats, tasks[0].train[0], config)
+    profile = profile_of(model, tasks[0].train[0], stats, config)
     assert profile.score1[0] == 0.0
     expected = fuse_scores(0.0, contextual_score(stats, 5), 0.5)
     assert profile.score[0] == pytest.approx(expected, rel=1e-12)
@@ -163,8 +158,8 @@ def test_build_profile_masking_is_idempotent_and_order_independent():
     tasks = [make_task(1, [[2, 5, 3]], label=6)]
     stats = compute_corpus_stats(tasks, tau=0.2)
     seq = tasks[0].train[0]
-    p1 = build_profile(model, None, stats, seq, config_with_stopwords({2, 3}))
-    p2 = build_profile(model, None, stats, seq, config_with_stopwords({3, 2}))
+    p1 = profile_of(model, seq, stats, config_with_stopwords({2, 3}))
+    p2 = profile_of(model, seq, stats, config_with_stopwords({3, 2}))
     np.testing.assert_array_equal(p1.score, p2.score)
     p1.score[p1.is_stopword] = 0.0  # re-applying the mask changes nothing
     np.testing.assert_array_equal(p1.score, p2.score)
@@ -176,8 +171,10 @@ def test_sensitivity_config_validation():
 
 
 def test_batched_scorer_equals_per_sequence_profiles():
+    # On this model, sequences of 2 to 17 tokens score bit-identically alone
+    # and in any chunk (the README says where chunking can move a last bit).
     rng = np.random.default_rng(12)
-    lengths = (2, 5, 3, 9, 4, 2, 7, 6, 3)
+    lengths = (2, 5, 3, 9, 4, 2, 7, 6, 3, *range(2, 18))
     tasks = [
         make_task(1, [rng.integers(2, 9, size=n - 1).tolist() for n in lengths], label=10),
         make_task(2, [rng.integers(5, 12, size=4).tolist() for _ in range(3)], label=12),
@@ -192,16 +189,18 @@ def test_batched_scorer_equals_per_sequence_profiles():
     packed = PackedSequences.of(model, seqs)
     whole = assign_budgets(score_sequences(model, adapter, stats, packed, config, batch_size=4),
                            privacy)
-    parts = split_profile(whole, packed.lengths)
-    assert len(parts) == len(seqs)
-    for part, seq in zip(parts, seqs):
-        one = assign_budgets(build_profile(model, adapter, stats, seq, config), privacy)
-        assert part.tokens == one.tokens == list(seq.tokens)
+    assert len(whole) == sum(len(seq.tokens) for seq in seqs)
+    for start, seq in zip(packed.starts, seqs, strict=True):
+        part = slice(start, start + len(seq.tokens))
+        one = assign_budgets(profile_of(model, seq, stats, config, adapter), privacy)
+        assert whole.tokens[part] == one.tokens == list(seq.tokens)
         for name in ("score1", "score2", "score", "is_stopword", "epsilon", "sigma"):
-            np.testing.assert_array_equal(getattr(part, name), getattr(one, name), err_msg=name)
+            np.testing.assert_array_equal(getattr(whole, name)[part], getattr(one, name),
+                                          err_msg=name)
+        score1 = whole.score1[part]
         if len(seq.tokens) >= 2:
-            np.testing.assert_array_equal(part.score1[1:], token_losses(model, adapter, seq)[0])
-        assert part.score1[0] == 0.0
-        assert part.score2.tolist() == [contextual_score(stats, t) for t in seq.tokens]
+            np.testing.assert_array_equal(score1[1:], token_losses(model, adapter, seq)[0])
+        assert score1[0] == 0.0
+        assert whole.score2[part].tolist() == [contextual_score(stats, t) for t in seq.tokens]
     assert (whole.score[whole.is_stopword] == 0).all() and whole.is_stopword.any()
     assert np.isnan(whole.epsilon[whole.score == 0]).all()

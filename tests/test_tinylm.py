@@ -73,7 +73,8 @@ def assemble_objective(model, adapter, batch, spec):
     """Forward-only objective used as the finite-difference oracle: one
     ``token_losses`` pass per listed sequence, or the losses of a packed batch."""
     if isinstance(batch, PackedBatch):
-        per_sequence = forward_batch(model, adapter, batch).sequence_losses()
+        fb = forward_batch(model, adapter, batch)
+        per_sequence = [losses[valid] for losses, valid in zip(fb.losses, fb.valid)]
     else:
         per_sequence = [token_losses(model, adapter, seq)[0] for seq in batch]
     l_task = 0.0
@@ -331,8 +332,9 @@ def test_backward_zero_b_adapter_matches_no_adapter_gradients():
     batch = small_batch()
     with_adapter = backward(model, adapter, batch, LossSpec())
     without = backward(model, None, batch, LossSpec())
-    for got, expected in zip(with_adapter.token_losses, without.token_losses):
-        np.testing.assert_array_equal(got, expected)
+    fb_with, fb_without = forward_batch(model, adapter, batch), forward_batch(model, None, batch)
+    np.testing.assert_array_equal(fb_with.losses[fb_with.valid],
+                                  fb_without.losses[fb_without.valid])
     # dL/dA = B^T dW_eff = 0 when B = 0, and dL/dB = dW_eff A^T.
     assert not with_adapter.a.any()
     np.testing.assert_allclose(with_adapter.b, without.w_hidden @ adapter.a.T, rtol=1e-12)
@@ -493,27 +495,30 @@ def test_padded_batch_equals_mean_of_single_sequence_passes():
         # Full finetune trains the embedding table, so it takes the clean
         # list; the adapter step is fed the noised table.
         def step(idx):
+            """The step over sequences ``idx``: its gradients and per-sequence token losses."""
             if adp is None:
-                return backward(model, adp, [batch[i] for i in idx],
-                                LossSpec(scores=[scores[i] for i in idx], theta=0.6,
-                                         lambda_unlearn=1.5))
-            return backward(model, adp, seqs.batch(model, np.array(idx), table, margin),
-                            LossSpec(lambda_unlearn=1.5))
+                rows = [batch[i] for i in idx]
+                spec = LossSpec(scores=[scores[i] for i in idx], theta=0.6, lambda_unlearn=1.5)
+            else:
+                rows = seqs.batch(model, np.array(idx), table, margin)
+                spec = LossSpec(lambda_unlearn=1.5)
+            fb = forward_batch(model, adp, rows)
+            losses = [ell[v] for ell, v in zip(fb.losses, fb.valid)]
+            return backward(model, adp, rows, spec), losses
 
-        together = step(range(len(batch)))
+        together, together_losses = step(range(len(batch)))
         alone = [step([i]) for i in range(len(batch))]
         for name, grad in together.arrays():
-            expected = sum(getattr(g, name) for g in alone) / len(batch)
+            expected = sum(getattr(g, name) for g, _ in alone) / len(batch)
             np.testing.assert_allclose(grad, expected, rtol=1e-12, err_msg=name)
         for name in ("l_task", "l_unlearn", "objective"):
-            expected = sum(getattr(g, name) for g in alone) / len(batch)
+            expected = sum(getattr(g, name) for g, _ in alone) / len(batch)
             assert getattr(together, name) == pytest.approx(expected, rel=1e-12)
         for i, seq in enumerate(batch):
-            np.testing.assert_allclose(together.token_losses[i], alone[i].token_losses[0],
-                                       rtol=1e-12)
+            np.testing.assert_allclose(together_losses[i], alone[i][1][0], rtol=1e-12)
             if adp is None:
                 losses, _ = token_losses(model, adp, seq)
-                np.testing.assert_allclose(together.token_losses[i], losses, rtol=1e-12)
+                np.testing.assert_allclose(together_losses[i], losses, rtol=1e-12)
 
 
 def test_backward_rejects_non_finite_objective():

@@ -5,7 +5,7 @@ from pecl.corpus import TaskCorpus, TokenizedSequence, compute_corpus_stats
 from pecl.errors import DataError
 from pecl.synthetic import synthetic_stream
 from pecl.seeding import spawn_rng
-from pecl.sculpt import ImportanceState, task_importance
+from pecl.sculpt import ImportanceState, task_importance, unlearn_loss
 from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
 from pecl.sensitivity import score_sequences
 from pecl.tinylm import (
@@ -18,6 +18,7 @@ from pecl.tinylm import (
     frozen_base,
     init_adapter,
     init_lm,
+    lora_delta,
 )
 from pecl.trainer import (
     AccuracyMatrix,
@@ -410,8 +411,8 @@ def test_packed_training_step_equals_the_list_api(mode):
         for start, i in zip(listed_packed.starts, rows):
             s = per_seq_scores[i][1:]
             margin[start + 1 : start + len(seqs[i])] = np.where(s > spec.theta, s - spec.theta, 0)
-    listed = backward(model, adapter,
-                      listed_packed.batch(model, np.arange(len(rows)), table, margin), spec)
+    listed_batch = listed_packed.batch(model, np.arange(len(rows)), table, margin)
+    listed = backward(model, adapter, listed_batch, spec)
 
     assert list(batch) == listed_seqs
     _, pos = inputs.seqs.cells(model.n_ctx, rows)
@@ -424,8 +425,10 @@ def test_packed_training_step_equals_the_list_api(mode):
     for name in ("l_task", "l_reg", "l_unlearn", "objective"):
         assert getattr(packed, name) == getattr(listed, name)
     assert (packed.l_unlearn > 0) == (mode == "pecl")
-    for got, expected in zip(packed.token_losses, listed.token_losses, strict=True):
-        np.testing.assert_array_equal(got, expected)
+    got = forward_batch(model, adapter, batch)
+    expected = forward_batch(model, adapter, listed_batch)
+    np.testing.assert_array_equal(got.valid, expected.valid)
+    np.testing.assert_array_equal(got.losses[got.valid], expected.losses[expected.valid])
 
 
 def test_evaluate_matches_per_sequence_forward_argmax():
@@ -543,7 +546,8 @@ def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(mo
     monkeypatch.setattr("pecl.trainer.backward",
                         lambda *args: steps.append(args[:3]) or backward(*args))
     run_continual(config, small_stream(config).tasks)
-    assert len(fills) == config.num_tasks
+    # uniform_dp reads no clean base: its steps are noised and its wrap-up runs no forward.
+    assert len(fills) == (0 if mode == "uniform_dp" else config.num_tasks)
     assert len(steps) == config.num_tasks * config.epochs * 5  # ceil(30 / 7) = 5
     noised = [batch.table is not model.embed for model, _, batch in steps]
     assert all(noised) if mode != "seqft" else not any(noised)
@@ -552,6 +556,35 @@ def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(mo
             assert any(batch.base is table for table in fills)
         else:
             assert batch.base is None
+
+
+def test_pecl_reports_sum_the_packed_profile_sequence_by_sequence(monkeypatch):
+    config = small_config(mode="pecl", epochs=2, batch_size=7)
+    tasks = small_stream(config).tasks
+    adapters = []  # each task's adapter at its wrap-up, where lora_delta is taken
+    monkeypatch.setattr("pecl.trainer.lora_delta",
+                        lambda adapter: adapters.append(adapter.copy()) or lora_delta(adapter))
+    result = run_continual(config, tasks)
+    model = result.model
+    for task, report, adapter in zip(tasks, result.reports, adapters, strict=True):
+        profile = result.profiles[task.task_id]
+        seqs = PackedSequences.of(model, task.train)
+        assert profile.tokens == seqs.tokens[:-1].tolist()
+        scores = np.split(profile.score, np.cumsum(seqs.lengths)[:-1])
+        s_bar = 0.0
+        for score in scores:
+            s_bar += float(score.sum())
+        assert report.s_bar == s_bar / len(profile.score)
+
+        # A fresh wrap-up forward: the task's clean base, its chunks, its adapter.
+        seqs.base = frozen_base(model, seqs, config.batch_size)
+        losses = []
+        for chunk in seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
+            fb = forward_batch(model, adapter, chunk)
+            losses += [ell[v] for ell, v in zip(fb.losses, fb.valid)]
+        assert report.final_l_unlearn == np.mean([
+            unlearn_loss(score[1:], ell, config.sculpt.theta)
+            for score, ell in zip(scores, losses, strict=True)])
 
 
 @pytest.mark.parametrize("batch_size", [5, 7])  # divides the 30 sequences, and does not
@@ -707,10 +740,12 @@ def test_run_ledger_follows_each_epochs_feed_order():
     config = small_config(mode="pecl", num_tasks=1, epochs=2, batch_size=7)
     task = small_stream(config).tasks[0]
     result = run_continual(config, [task])
+    profile = result.profiles[task.task_id]
+    ends = np.cumsum([len(seq) for seq in task.train])
 
     def budgets(task, i):
-        profile = result.profiles[task.task_id][i]
-        return profile.score, profile.epsilon, profile.sigma
+        part = slice(ends[i] - len(task.train[i]), ends[i])
+        return profile.score[part], profile.epsilon[part], profile.sigma[part]
 
     assert_ledger_follows_feed_order(config, [task], result.ledger, budgets)
 

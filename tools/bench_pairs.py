@@ -14,10 +14,11 @@ invocations, and the side that runs first alternates from pair to pair.  A run
 value is the median that invocation prints for an end-to-end metric of the
 copy's BENCHMARK.json.  The file records every run, the medians, the distance
 between the quartiles of the parent's runs, the pairs the change wins and the
-environment block perfbench prints, and a no-regression verdict per metric
-against the metric's ``bound`` (see ``summarise``).  It also keeps, per pair, the
-``matrix.csv``/``ledger.csv`` digests each side's invocation prints, and lists
-the seeds whose digests differ between parent and change: the parity record.
+environment block perfbench prints, and per metric a no-regression verdict
+against the metric's ``bound`` and a gain verdict (see ``summarise``).  It also
+keeps, per pair, the ``matrix.csv``/``ledger.csv`` digests each side's
+invocation prints, and lists the seeds whose digests differ between parent and
+change: the parity record.
 """
 
 from __future__ import annotations
@@ -83,13 +84,15 @@ def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarise(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """One metric's runs on both sides, with its no-regression verdict.
+    """One metric's runs on both sides, with its no-regression and gain verdicts.
 
     ``regressed``: the change's median is worse than the parent's by more than
     ``bound``, a fraction of the parent's median.  ``unresolved``: the parent's
     own runs spread wider than that (their quartiles lie more than ``bound``
     times the median apart), and not every change run beats every parent run,
-    so the runs cannot tell a change within the bound from none.
+    so the runs cannot tell a change within the bound from none.  ``gain``:
+    the change wins at least nine in ten pairs (a tie is no win) and its
+    median beats the parent's by more than the parent's IQR.
     """
     sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
     wins = sum(sign * c < sign * p for p, c in zip(parent, change))
@@ -102,6 +105,7 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
         "parent_iqr": round(q3 - q1, 4),
         "change_wins": wins,
         "regressed": sign * (c_med - p_med) > bound * abs(p_med),
+        "gain": 10 * wins >= 9 * len(parent) and sign * (p_med - c_med) > q3 - q1,
         "unresolved": (q3 - q1 > bound * abs(p_med)
                        and max(sign * c for c in change) >= min(sign * p for p in parent)),
         "parent_runs": [round(v, 4) for v in parent],
@@ -177,7 +181,9 @@ def main(argv: list[str] | None = None) -> int:
             "where the change is better; parent_iqr is the distance between the quartiles of "
             "the parent's runs. regressed: the change's median is worse than the parent's by "
             "more than the metric's bound in BENCHMARK.json; unresolved: the parent's IQR is "
-            "wider than bound x its median and not every change run beats every parent run. "
+            "wider than bound x its median and not every change run beats every parent run; "
+            "gain: the change wins at least 9 in 10 pairs (ties count for neither side) and its "
+            "median beats the parent's by more than the parent's IQR. "
             "digests holds each side's matrix.csv/ledger.csv sha256 "
             "prefixes per pair, and digests_differ the seeds where they differ. Written by "
             "tools/bench_pairs.py."
