@@ -43,19 +43,18 @@ print(f"target sigma {entry.sigma:.3f}; sample stds {np.round(samples.std(axis=0
 print(f"sample means {np.round(samples.mean(axis=0), 3)} vs clipped center {np.round(clip(e, 1.0), 3)}\n")
 
 print("== ledger and composition ==")
+print("The mechanism only noises; its caller records each exposure in the ledger.")
 ledger = PrivacyLedger()
 for pos, score in enumerate((0.9, 0.4, 0.7, 0.95)):
     eps = allocate_budget(score, config)
     sigma = noise_sigma(eps, config.delta, config.clip_norm, "appendix")
-    perturb_embedding(e, ProfileEntry(score, eps, sigma), config, rng,
-                      ledger=ledger, sequence_id="demo:0", position=pos, epoch=0)
+    perturb_embedding(e, ProfileEntry(score, eps, sigma), config, rng)
+    ledger.extend(["demo:0"], [pos], 0, [eps], [sigma], config.delta)
 eps_total, delta_total = compose_sequence(ledger, delta_prime=1e-6)
-print(f"{len(ledger)} exposures with epsilons {np.round(ledger.epsilons(), 3)}")
+print(f"{len(ledger)} exposures with epsilons {np.round(ledger.columns()['epsilon'], 3)}")
 print(f"composed: eps_total = {eps_total:.3f}, delta_total = {delta_total:.2e}")
 print("eps_total = sum(eps_i) + sqrt(2 L ln(1/delta')) * max(eps_i), applied verbatim.")
 
-print("\nZero-score tokens bypass the mechanism entirely:")
-before = len(ledger)
-out = perturb_embedding(e, ProfileEntry(0.0, float("nan"), float("nan")), config, rng,
-                        ledger=ledger, sequence_id="demo:0", position=9)
-print(f"output is the same object: {out is e}; ledger unchanged: {len(ledger) == before}")
+print("\nZero-score tokens bypass the mechanism entirely and are not exposures:")
+out = perturb_embedding(e, ProfileEntry(0.0, float("nan"), float("nan")), config, rng)
+print(f"output is the same object: {out is e}")

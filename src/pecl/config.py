@@ -61,10 +61,6 @@ def _coerce(key: str, tp, value):
         if not isinstance(value, str):
             raise DataError(f"config key {key!r} must be a string, got {shown(value)}")
         return value
-    if tp is bool:
-        if not isinstance(value, bool):
-            raise DataError(f"config key {key!r} must be a boolean, got {shown(value)}")
-        return value
     if tp == list[int]:
         if not isinstance(value, list) or any(
             isinstance(v, bool) or not isinstance(v, int) for v in value

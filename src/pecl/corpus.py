@@ -84,9 +84,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._surfaces)
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._ids
-
     def id_of(self, surface: str) -> int:
         return self._ids.get(surface, UNK_ID)
 

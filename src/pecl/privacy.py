@@ -260,9 +260,6 @@ class PrivacyLedger:
         """The exposures as rows, built from the columns on each read."""
         return [LedgerRecord(*row) for row in zip(*(c.tolist() for c in self.columns().values()))]
 
-    def epsilons(self) -> np.ndarray:
-        return self.columns()["epsilon"]
-
     def to_csv(self, path: str | Path) -> None:
         """Write the same bytes as ``csv.writer`` rows with each float as its ``repr``.
 
@@ -326,61 +323,35 @@ class PrivacyLedger:
 
 
 def perturb_embeddings(
-    e: np.ndarray,
-    score: np.ndarray,
-    epsilon: np.ndarray,
-    sigma: np.ndarray,
-    config: PrivacyConfig,
-    rng: np.random.Generator,
+    e: np.ndarray, sigma: np.ndarray, clip_norm: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Apply the clipped Gaussian mechanism to k embedding rows at once.
+    """Apply the clipped Gaussian mechanism to k exposures at once.
 
-    Row i is an exposure iff ``score[i] > 0``: it is clipped to
-    ``config.clip_norm`` and gets independent N(0, sigma[i]^2) noise per
-    coordinate; the caller records it in a ledger.  Other rows are returned
-    unchanged.  All noise comes from one standard-normal draw scaled by
-    sigma, which gives the same numbers, and leaves ``rng`` in the same
-    state, as one ``rng.normal(0, sigma_i, size=d)`` call per exposure in
-    row order.
+    Every row of ``e`` is an exposure: row i is clipped to ``clip_norm`` and
+    gets independent N(0, sigma[i]^2) noise per coordinate.  All noise comes
+    from one standard-normal draw scaled by sigma, which gives the same
+    numbers, and leaves ``rng`` in the same state, as one
+    ``rng.normal(0, sigma_i, size=d)`` call per row in order.  The caller
+    decides which tokens are exposures and records them.
     """
     e = np.asarray(e, dtype=float)
-    hit = np.asarray(score) > 0.0
-    eps = np.asarray(epsilon, dtype=float)[hit]
-    sig = np.asarray(sigma, dtype=float)[hit]
-    if not (np.isfinite(eps).all() and np.isfinite(sig).all()):
-        raise ValueError("a token with positive score has no epsilon/sigma assigned")
-    out = e.copy()
-    out[hit] = clip(e[hit], config.clip_norm) + sig[:, None] * rng.standard_normal(
-        (sig.size, e.shape[1])
-    )
-    return out
+    return clip(e, clip_norm) + sigma[:, None] * rng.standard_normal(e.shape)
 
 
 def perturb_embedding(
-    e: np.ndarray,
-    entry: ProfileEntry,
-    config: PrivacyConfig,
-    rng: np.random.Generator,
-    *,
-    ledger: PrivacyLedger | None = None,
-    sequence_id: str = "",
-    position: int = 0,
-    epoch: int = 0,
+    e: np.ndarray, entry: ProfileEntry, config: PrivacyConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Apply the clipped Gaussian mechanism to one embedding exposure.
 
-    Zero-score tokens pass through bit-identical and leave no ledger record.
-    Otherwise this is the one-row case of ``perturb_embeddings``, and
-    ``ledger``, when given, gets one record of the exposure.
+    A token whose score is not > 0 is no exposure: ``e`` itself is returned.
+    Otherwise this is the one-row case of ``perturb_embeddings``.
     """
-    if entry.score == 0.0:
+    if not entry.score > 0.0:
         return e
-    out = perturb_embeddings(np.asarray(e, dtype=float)[None], [entry.score], [entry.epsilon],
-                             [entry.sigma], config, rng)[0]
-    if ledger is not None:
-        ledger.extend([str(sequence_id)], [position], epoch, [entry.epsilon], [entry.sigma],
-                      config.delta)
-    return out
+    if not (math.isfinite(entry.epsilon) and math.isfinite(entry.sigma)):
+        raise ValueError("a token with positive score has no epsilon/sigma assigned")
+    return perturb_embeddings(np.asarray(e, dtype=float)[None], np.array([entry.sigma]),
+                              config.clip_norm, rng)[0]
 
 
 def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, float]:
@@ -394,7 +365,8 @@ def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, 
         raise DataError("cannot compose an empty ledger")
     if not 0.0 < delta_prime < 1.0:
         raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
-    eps = ledger.epsilons()
+    columns = ledger.columns()
+    eps = columns["epsilon"]
     length = len(eps)
     with np.errstate(over="ignore"):
         eps_total = float(eps.sum()
@@ -402,5 +374,5 @@ def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, 
     if not math.isfinite(eps_total):
         raise NumericError(f"epsilon_total overflows a float ({length} records, "
                            f"largest epsilon {float(eps.max())!r})")
-    delta = float(ledger.columns()["delta"].max())
+    delta = float(columns["delta"].max())
     return eps_total, delta + delta_prime

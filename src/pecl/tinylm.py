@@ -170,13 +170,13 @@ class PackedSequences:
     def margins(self, score: np.ndarray, theta: float) -> np.ndarray:
         """Every packed token's unlearning margin ``max(score - theta, 0)``.
 
-        ``score`` holds one entry per entry of ``tokens``.  The margin is 0 on
-        each sequence's first position and on the trailing PAD, which no
+        ``score`` holds one entry per token, without the trailing PAD.  The
+        margin is 0 on each sequence's first position and on the PAD, which no
         valid window predicts.
         """
         margin = np.where(score > theta, score - theta, 0.0)
-        margin[self.starts] = margin[-1] = 0.0
-        return margin
+        margin[self.starts] = 0.0
+        return np.append(margin, 0.0)
 
     def batch(self, model: TinyLM, rows: np.ndarray, table: np.ndarray | None = None,
               margin: np.ndarray | None = None) -> "PackedBatch":
@@ -283,7 +283,7 @@ def pack(
             if np.shape(s) != (n,):
                 raise ValueError(f"scores of sequence {i} must have shape ({n},), "
                                  f"got {np.shape(s)}")
-        margin = seqs.margins(np.concatenate([*scores, [0.0]]), theta)
+        margin = seqs.margins(np.concatenate(scores), theta)
     return seqs.batch(model, np.arange(len(seqs.lengths)), None, margin)
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusStats, TaskCorpus, compute_corpus_stats
+from .corpus import TaskCorpus, compute_corpus_stats
 from .errors import DataError, NumericError, shown
 from .privacy import (
     PrivacyConfig,
@@ -233,13 +233,15 @@ def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus) -> fl
 class TaskInputs:
     """A task's training set, packed, scored and budgeted once when the task starts.
 
-    The flat arrays are aligned with ``seqs.tokens``, trailing PAD included,
-    so they grow with the task's token count: every token's frozen score,
-    epsilon and sigma (``score`` is None in seqft, where nothing is noised),
-    every predicted position's unlearning margin (pecl only; 0 on each
-    sequence's first position), and, once ``noise_epoch`` has run, ``table``,
-    the vector fed for every token in the current epoch.  A step gathers its
-    rows by index; a step over clean inputs (seqft) also reads ``seqs.base``.
+    The flat arrays grow with the task's token count: whether each token is
+    an exposure, noised whenever it is fed (``exposed`` is None in seqft,
+    where nothing is noised), and its frozen epsilon and sigma, read only
+    where it is, one entry per token; and, aligned with ``seqs.tokens``,
+    trailing PAD included, every predicted position's unlearning margin
+    (pecl only; 0 on each sequence's first position) and, once
+    ``noise_epoch`` has run, ``table``, the vector fed for every token in the
+    current epoch.  A step gathers its rows by index; a step over clean
+    inputs (seqft) also reads ``seqs.base``.
 
     Noising a whole epoch before its first step, and computing the clean
     ``x @ W0.T`` once per task, rest on one invariant: ``run_continual``
@@ -251,24 +253,13 @@ class TaskInputs:
 
     seqs: PackedSequences
     names: np.ndarray                    # ledger sequence id of every sequence
-    score: np.ndarray | None = None      # (N + 1,), 0 on the trailing PAD
-    epsilon: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    margin: np.ndarray | None = None
+    exposed: np.ndarray | None = None    # (N,) bool
+    epsilon: np.ndarray | None = None    # (N,)
+    sigma: np.ndarray | None = None      # (N,)
+    margin: np.ndarray | None = None     # (N + 1,)
     table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
-    records: RecordTable | None = None   # with ``table``: one per token with score > 0
-    record_of: np.ndarray | None = None  # (N + 1,) each such token's row of ``records``
-
-    def set_budgets(self, score: np.ndarray, epsilon: np.ndarray, sigma: np.ndarray) -> None:
-        """Freeze every token's score, epsilon and sigma (one entry per token)."""
-        self.score, self.epsilon, self.sigma = (
-            np.append(values, fill)
-            for values, fill in ((score, 0.0), (epsilon, np.nan), (sigma, np.nan))
-        )
-
-    def set_margins(self, theta: float) -> None:
-        """Freeze the unlearning margin of every predicted position from its score."""
-        self.margin = self.seqs.margins(self.score, theta)
+    records: RecordTable | None = None   # with ``table``: one per exposed token
+    record_of: np.ndarray | None = None  # (N,) each exposed token's row of ``records``
 
     def noise_epoch(
         self,
@@ -281,33 +272,29 @@ class TaskInputs:
     ) -> None:
         """Noise every exposure of an epoch that feeds sequences ``perm`` in turn.
 
-        The exposures, in feed order, are positions ``0 .. len - 2`` of each
-        sequence of ``perm`` with score > 0: the concatenation of every
-        batch's (sequence, position) order, whatever the batch size.  One
-        mechanism call noises them; the rows are written into ``table``,
+        The exposures, in feed order, are the exposed tokens among positions
+        ``0 .. len - 2`` of each sequence of ``perm``: the concatenation of
+        every batch's (sequence, position) order, whatever the batch size.
+        One mechanism call noises them; the rows are written into ``table``,
         which is allocated on the first epoch and whose other rows stay the
         clean embeddings.  ``ledger`` gets them as references into
-        ``records``, the ledger record of every token with score > 0, built on
-        the first epoch from the frozen budgets.
+        ``records``, the ledger record of every exposed token, built on the
+        first epoch from the frozen budgets.
         """
         if self.table is None:
             self.table = model.embed[self.seqs.tokens]
-            noised = self.score > 0.0
-            tok = np.flatnonzero(noised)
+            tok = np.flatnonzero(self.exposed)
             seq = np.repeat(np.arange(self.seqs.lengths.size), self.seqs.lengths)[tok]
             self.records = record_table(self.names[seq], tok - self.seqs.starts[seq],
                                         self.epsilon[tok], self.sigma[tok], privacy.delta)
-            self.record_of = np.cumsum(noised) - 1
+            self.record_of = np.cumsum(self.exposed) - 1
         n_fed = self.seqs.lengths[perm] - 1
         seq = np.repeat(perm, n_fed)
         pos = np.arange(seq.size) - np.repeat(np.cumsum(n_fed) - n_fed, n_fed)
         src = self.seqs.starts[seq] + pos
-        hit = self.score[src] > 0.0
-        src = src[hit]
-        self.table[src] = perturb_embeddings(
-            model.embed[self.seqs.tokens[src]], self.score[src], self.epsilon[src],
-            self.sigma[src], privacy, rng,
-        )
+        src = src[self.exposed[src]]
+        self.table[src] = perturb_embeddings(model.embed[self.seqs.tokens[src]], self.sigma[src],
+                                             privacy.clip_norm, rng)
         ledger.add(self.records, self.record_of[src], epoch)
 
     def lay_out(self, model: TinyLM, perm: np.ndarray) -> PackedBatch:
@@ -315,7 +302,7 @@ class TaskInputs:
 
         A step is one of its ``chunks(batch_size)``.
         """
-        if self.score is not None and self.table is None:
+        if self.exposed is not None and self.table is None:
             raise ValueError("noise an epoch before laying it out")
         return self.seqs.batch(model, perm, self.table, self.margin)
 
@@ -379,10 +366,6 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         adapter = adapter.copy(task_id=task_id) if k > 1 else adapter
         state.reset_activations()
 
-        seen = [by_id[tid] for tid in order[:k]]
-        stats_pool = corpora if config.stats_scope == "all" else seen
-        stats: CorpusStats = compute_corpus_stats(stats_pool, config.tau)
-
         inputs = TaskInputs(PackedSequences.of(model, task.train),
                             np.array([f"{task_id}:{i}" for i in range(len(task.train))],
                                      dtype=object))
@@ -394,12 +377,15 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         reg_weight = 0.0
         lambda_unlearn = 0.0
         if config.mode == "pecl":
+            pool = corpora if config.stats_scope == "all" else [by_id[t] for t in order[:k]]
+            stats = compute_corpus_stats(pool, config.tau)
             profile = assign_budgets(
                 score_sequences(model, adapter, stats, inputs.seqs, sens_cfg, config.batch_size),
                 config.privacy,
             )
-            inputs.set_budgets(profile.score, profile.epsilon, profile.sigma)
-            inputs.set_margins(config.sculpt.theta)
+            inputs.exposed = profile.score > 0.0
+            inputs.epsilon, inputs.sigma = profile.epsilon, profile.sigma
+            inputs.margin = inputs.seqs.margins(profile.score, config.sculpt.theta)
             kept_profiles[task_id] = profile
             s_bar = mean_task_sensitivity(profile.score, inputs.seqs.lengths)
             lam_dyn = dynamic_lambda(s_bar, config.sculpt)
@@ -408,9 +394,9 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             lambda_unlearn = config.sculpt.lambda_unlearn
         elif config.mode == "uniform_dp":
             tokens = inputs.seqs.tokens[:-1]
-            inputs.set_budgets((~np.isin(tokens, list(sens_cfg.stopword_ids))).astype(float),
-                               np.full(tokens.size, config.uniform_eps),
-                               np.full(tokens.size, uniform_sigma))
+            inputs.exposed = ~np.isin(tokens, list(sens_cfg.stopword_ids))
+            inputs.epsilon = np.full(tokens.size, config.uniform_eps)
+            inputs.sigma = np.full(tokens.size, uniform_sigma)
 
         optimizer = AdamW(weight_decay=config.weight_decay) if config.optimizer == "adamw" else None
         steps_per_epoch = math.ceil(len(task.train) / config.batch_size)
@@ -425,7 +411,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         )
         for epoch in range(config.epochs):
             perm = spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
-            if inputs.score is not None:
+            if inputs.exposed is not None:
                 inputs.noise_epoch(model, perm, config.privacy, noise_rng, ledger, epoch)
             for batch in inputs.lay_out(model, perm).chunks(config.batch_size):
                 try:

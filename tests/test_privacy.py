@@ -130,12 +130,11 @@ def test_privacy_config_validation():
 
 def test_perturb_zero_score_is_bit_identical_passthrough():
     rng = np.random.default_rng(0)
-    ledger = PrivacyLedger()
     e = rng.normal(size=6)
-    out = perturb_embedding(e, ProfileEntry(0.0, math.nan, math.nan), CFG, rng,
-                            ledger=ledger, sequence_id="s", position=0)
+    state = rng.bit_generator.state
+    out = perturb_embedding(e, ProfileEntry(0.0, math.nan, math.nan), CFG, rng)
     assert out is e
-    assert len(ledger) == 0
+    assert rng.bit_generator.state == state
 
 
 def test_perturb_sigma_zero_limit_returns_clipped():
@@ -149,18 +148,6 @@ def test_perturb_missing_sigma_errors():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="no epsilon/sigma"):
         perturb_embedding(np.ones(3), ProfileEntry(0.5, math.nan, math.nan), CFG, rng)
-
-
-def test_perturb_appends_ledger_record():
-    rng = np.random.default_rng(0)
-    ledger = PrivacyLedger()
-    entry = ProfileEntry(0.4, 4.24, 2.5)
-    perturb_embedding(np.ones(4), entry, CFG, rng, ledger=ledger,
-                      sequence_id="1:7", position=3, epoch=2)
-    assert len(ledger) == 1
-    rec = ledger.records[0]
-    assert (rec.sequence_id, rec.position, rec.epoch) == ("1:7", 3, 2)
-    assert rec.epsilon == 4.24 and rec.sigma == 2.5 and rec.delta == CFG.delta
 
 
 def test_perturb_noise_moments():
@@ -238,7 +225,7 @@ def test_ledger_csv_round_trip(tmp_path):
     ledger.to_csv(path)
     loaded = PrivacyLedger.from_csv(path, delta=1e-6)
     assert len(loaded) == 3
-    np.testing.assert_array_equal(loaded.epsilons(), ledger.epsilons())
+    np.testing.assert_array_equal(loaded.columns()["epsilon"], ledger.columns()["epsilon"])
     assert [r.position for r in loaded.records] == [0, 1, 2]
     eps_a, delta_a = compose_sequence(ledger, 1e-6)
     eps_b, delta_b = compose_sequence(loaded, 1e-6)
@@ -437,7 +424,6 @@ def test_ledger_columns_gather_records_through_each_chunks_index():
     assert cols["sigma"].tolist() == [0.3, 0.1, 0.3, 0.4, 0.2]
     assert cols["delta"].tolist() == [3e-6, 1e-6, 3e-6, 1e-5, 2e-6]
     assert [r.epsilon for r in ledger.records] == cols["epsilon"].tolist()
-    np.testing.assert_array_equal(ledger.epsilons(), cols["epsilon"])
     assert {name: c.dtype for name, c in PrivacyLedger().columns().items()} == {
         name: c.dtype for name, c in cols.items()}
     assert compose_sequence(ledger, 1e-6)[1] == 1e-5 + 1e-6
@@ -543,32 +529,22 @@ def test_batched_mechanism_matches_successive_single_row_calls():
     epsilon = allocate_budget(score, CFG)
     sigma = noise_sigma(epsilon, CFG.delta, CFG.clip_norm)
     epsilon[score == 0] = sigma[score == 0] = math.nan  # unassigned, as in a profile
-    sequence_ids = ["1:0"] * 3 + ["1:4"] * 4
-    positions = [0, 1, 2, 0, 1, 2, 3]
+    hit = score > 0
 
-    one_ledger, one_rng = PrivacyLedger(), np.random.default_rng(11)
+    one_rng = np.random.default_rng(11)
     one_by_one = np.stack([
-        perturb_embedding(rows[i], ProfileEntry(score[i], epsilon[i], sigma[i]), CFG, one_rng,
-                          ledger=one_ledger, sequence_id=sequence_ids[i],
-                          position=positions[i], epoch=2)
+        perturb_embedding(rows[i], ProfileEntry(score[i], epsilon[i], sigma[i]), CFG, one_rng)
         for i in range(len(rows))
     ])
-    batch_ledger, batch_rng = PrivacyLedger(), np.random.default_rng(11)
-    batched = perturb_embeddings(rows, score, epsilon, sigma, CFG, batch_rng)
-    # The caller records the batch's exposures, in row order.
-    hit = score > 0
-    batch_ledger.extend(np.array(sequence_ids, dtype=object)[hit], np.array(positions)[hit], 2,
-                        epsilon[hit], sigma[hit], CFG.delta)
+    # The batched call takes the exposures only.
+    batch_rng = np.random.default_rng(11)
+    batched = perturb_embeddings(rows[hit], sigma[hit], CFG.clip_norm, batch_rng)
 
-    np.testing.assert_array_equal(batched, one_by_one)
-    np.testing.assert_array_equal(batched[score == 0], rows[score == 0])
+    np.testing.assert_array_equal(batched, one_by_one[hit])
+    np.testing.assert_array_equal(one_by_one[~hit], rows[~hit])
     # The noise is the stream of rng.normal(0, sigma_i) draws, exposure by exposure.
     normal_rng = np.random.default_rng(11)
     noise = normal_rng.normal(0.0, sigma[hit][:, None], size=(hit.sum(), rows.shape[1]))
-    np.testing.assert_array_equal(batched[hit], clip(rows[hit], CFG.clip_norm) + noise)
+    np.testing.assert_array_equal(batched, clip(rows[hit], CFG.clip_norm) + noise)
     assert normal_rng.bit_generator.state == batch_rng.bit_generator.state
-    assert batch_ledger.records == one_ledger.records
-    assert [(r.sequence_id, r.position) for r in batch_ledger.records] == [
-        ("1:0", 1), ("1:0", 2), ("1:4", 2), ("1:4", 3),
-    ]
     assert batch_rng.bit_generator.state == one_rng.bit_generator.state

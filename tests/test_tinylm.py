@@ -488,7 +488,7 @@ def test_padded_batch_equals_mean_of_single_sequence_passes():
     ]
     seqs = PackedSequences.of(model, batch)
     table = noised_batch(model, batch, noisy).table
-    margin = seqs.margins(np.concatenate([*scores, [0.0]]), 0.6)
+    margin = seqs.margins(np.concatenate(scores), 0.6)
     adapter = init_adapter(model, rank=2, seed=3, task_id=1)
     adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
     for adp in (None, adapter):
@@ -555,11 +555,12 @@ def test_backward_rejects_scores_that_are_not_one_per_position(scores):
 def test_margins_match_the_closed_form():
     model = small_model()
     seqs = PackedSequences.of(model, [[1, 2, 3], [4, 5], [1, 1, 1, 1]])
-    score = np.array([0.9, 0.7, 0.2, 0.8, 0.6, 0.0, 0.61, 1.0, 0.3, 0.0])
+    score = np.array([0.9, 0.7, 0.2, 0.8, 0.6, 0.0, 0.61, 1.0, 0.3])  # one per token
     np.testing.assert_allclose(seqs.margins(score, 0.6),
                                [0, 0.1, 0, 0, 0, 0, 0.01, 0.4, 0, 0], rtol=1e-12, atol=1e-15)
     # At theta 0 every score is its margin, except on first positions and the PAD.
     np.testing.assert_array_equal(seqs.margins(score, 0.0),
                                   [0, 0.7, 0.2, 0, 0.6, 0, 0.61, 1.0, 0.3, 0])
-    # Below every score, the PAD's 0 score would give it a margin; no window predicts it.
+    # Below every score, a 0 score would give a margin; the PAD, which no window
+    # predicts, still gets none.
     assert seqs.margins(score, -0.5)[[0, 3, 5, 9]].tolist() == [0, 0, 0, 0]

@@ -192,7 +192,7 @@ def test_pecl_ledger_nonempty_with_bounded_epsilons():
     config = small_config(mode="pecl")
     result = run_continual(config, small_stream(config).tasks)
     assert len(result.ledger) > 0
-    eps = result.ledger.epsilons()
+    eps = result.ledger.columns()["epsilon"]
     assert ((eps >= config.privacy.eps_lower) & (eps <= config.privacy.eps_upper)).all()
     for report in result.reports:
         assert report.s_bar is not None and 0.0 <= report.s_bar < 1.0
@@ -203,7 +203,7 @@ def test_uniform_dp_ledger_carries_fixed_epsilon():
     config = small_config(mode="uniform_dp", uniform_eps=1.0)
     result = run_continual(config, small_stream(config).tasks)
     assert len(result.ledger) > 0
-    eps = result.ledger.epsilons()
+    eps = result.ledger.columns()["epsilon"]
     assert (eps == 1.0).all()
 
 
@@ -333,37 +333,38 @@ def budgeted_inputs(mode, model, seqs, privacy, rng):
     """TaskInputs over ``seqs`` with pecl-like random scores or uniform_dp budgets."""
     names = np.array([f"1:{i}" for i in range(len(seqs))], dtype=object)
     tokens = np.concatenate(seqs)
+    inputs = TaskInputs(PackedSequences.of(model, seqs), names)
     if mode == "pecl":
         score = rng.uniform(0.0, 0.99, size=tokens.size)
         score[rng.random(tokens.size) < 0.3] = 0.0
         epsilon = np.full(tokens.size, np.nan)
         epsilon[score > 0] = allocate_budget(score[score > 0], privacy)
         sigma = noise_sigma(epsilon, privacy.delta, privacy.clip_norm)
+        inputs.margin = inputs.seqs.margins(score, 0.6)
     else:
         score = (tokens % 4 != 0).astype(float)  # ids divisible by 4 play stopwords
         epsilon = np.full(tokens.size, 2.0)
         sigma = np.full(tokens.size, noise_sigma(2.0, privacy.delta, privacy.clip_norm))
-    inputs = TaskInputs(PackedSequences.of(model, seqs), names)
-    inputs.set_budgets(score, epsilon, sigma)
-    if mode == "pecl":
-        inputs.set_margins(0.6)
+    inputs.exposed = score > 0
+    inputs.epsilon, inputs.sigma = epsilon, sigma
     return inputs, score, epsilon, sigma
 
 
 def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger, epoch):
     """Noise the fed positions of sequences ``rows`` as one batch: one mechanism call
-    over every position but each sequence's last, in (sequence, position) order, and
-    one ledger record per exposure (score > 0), in the same order."""
+    over the exposures (score > 0) among every position but each sequence's last, in
+    (sequence, position) order, and one ledger record per exposure, in the same order.
+    Returns every fed position's input, the clean embedding where it is no exposure."""
     per_seq = [np.split(a, np.cumsum([len(q) for q in seqs])[:-1]) for a in budgets]
     n_fed = [len(seqs[i]) - 1 for i in rows]
     score, epsilon, sigma = (np.concatenate([a[i][:-1] for i in rows]) for a in per_seq)
-    ids = np.concatenate([seqs[i][:-1] for i in rows])
-    noised = perturb_embeddings(model.embed[ids], score, epsilon, sigma, privacy, rng)
     hit = score > 0
+    fed = model.embed[np.concatenate([seqs[i][:-1] for i in rows])]
+    fed[hit] = perturb_embeddings(fed[hit], sigma[hit], privacy.clip_norm, rng)
     ledger.extend(np.repeat(names[rows], n_fed)[hit],
                   np.concatenate([np.arange(n) for n in n_fed])[hit], epoch,
                   epsilon[hit], sigma[hit], privacy.delta)
-    return noised, n_fed
+    return fed, n_fed
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
@@ -378,7 +379,7 @@ def test_packed_training_step_equals_the_list_api(mode):
     inputs, *budgets = budgeted_inputs(mode, model, seqs, privacy, rng)
     # Task arrays grow with the token count (plus one trailing PAD), not with
     # sequences x longest sequence.
-    assert inputs.seqs.tokens.size == inputs.score.size == tokens.size + 1
+    assert inputs.seqs.tokens.size == tokens.size + 1 and inputs.exposed.size == tokens.size
     spec = LossSpec(theta=0.6, lambda_unlearn=1.5 if mode == "pecl" else 0.0, reg_weight=0.4,
                     reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
     rows = np.array([4, 0, 2, 6, 5])
@@ -473,7 +474,7 @@ def test_epoch_noising_equals_per_batch_noising(mode):
         np.testing.assert_array_equal(inputs.table, expected)
         assert epoch_ledger.records == batch_ledger.records
         assert epoch_rng.bit_generator.state == batch_rng.bit_generator.state
-        noised_rows = inputs.score > 0
+        noised_rows = np.append(inputs.exposed, False)  # rows of the table, PAD included
         noised_rows[inputs.seqs.starts + inputs.seqs.lengths - 1] = False  # never fed
         assert noised_rows.any() and not noised_rows.all()
         np.testing.assert_array_equal(inputs.table[~noised_rows], clean[~noised_rows])
@@ -683,13 +684,17 @@ def test_a_batch_without_margins_has_no_unlearning_term(inputs):
 def test_only_pecl_runs_a_wrap_up_forward(monkeypatch, mode):
     config = small_config(mode=mode, epochs=2, batch_size=7)
     calls = []
+    monkeypatch.setattr("pecl.trainer.compute_corpus_stats",
+                        lambda *args: calls.append("stats") or compute_corpus_stats(*args))
     monkeypatch.setattr("pecl.trainer.backward",
                         lambda *args: calls.append("step") or backward(*args))
     monkeypatch.setattr("pecl.trainer.forward_batch",
                         lambda *args: calls.append("forward") or forward_batch(*args))
     run_continual(config, small_stream(config).tasks)
-    # Each task: 2 epochs of ceil(30 / 7) = 5 steps, then pecl's 5-chunk wrap-up pass.
-    task = ["step"] * 10 + (["forward"] * 5 if mode == "pecl" else [])
+    # Each task: pecl's corpus statistics for scoring, 2 epochs of ceil(30 / 7) = 5
+    # steps, then pecl's 5-chunk wrap-up pass.  Only pecl's scoring reads the statistics.
+    task = (["stats"] if mode == "pecl" else []) + ["step"] * 10 + (
+        ["forward"] * 5 if mode == "pecl" else [])
     assert calls == task * config.num_tasks
 
 
@@ -713,12 +718,27 @@ def test_each_tasks_omega_folds_the_clean_window_norms_chunk_by_chunk(monkeypatc
         assert report.omega > 0
 
 
-def assert_ledger_follows_feed_order(config, tasks, ledger, budgets):
+def mechanism_sigmas(monkeypatch):
+    """The sigma of every row of each ``perturb_embeddings`` call the trainer makes."""
+    calls = []
+
+    def spy(e, sigma, clip_norm, rng):
+        assert len(e) == len(sigma)
+        calls.append(sigma.copy())
+        return perturb_embeddings(e, sigma, clip_norm, rng)
+
+    monkeypatch.setattr("pecl.trainer.perturb_embeddings", spy)
+    return calls
+
+
+def assert_ledger_follows_feed_order(config, tasks, ledger, budgets, sigmas):
     """Each epoch's exposures are its shuffled sequences in turn, positions
     0..len-2 in order, where the frozen score is positive; each record carries,
     bit for bit, the frozen epsilon and sigma of its position, and the
     configured delta.  ``budgets(task, i)`` gives sequence i's frozen score,
-    epsilon and sigma, one entry per position."""
+    epsilon and sigma, one entry per position.  The mechanism noises exactly
+    the recorded exposures: ``sigmas``, its calls' rows, are the ledger's
+    sigma column, bit for bit and in order."""
     expected = [
         (f"{task.task_id}:{i}", pos, epoch, budget[1][pos], budget[2][pos])
         for k, task in enumerate(tasks, start=1)
@@ -734,11 +754,15 @@ def assert_ledger_follows_feed_order(config, tasks, ledger, budgets):
             np.array([getattr(r, field) for r in records]).view(np.int64),
             np.array([e[column] for e in expected]).view(np.int64), err_msg=field)
     assert {r.delta for r in records} == {config.privacy.delta}
+    assert sum(len(s) for s in sigmas) == len(ledger)
+    np.testing.assert_array_equal(np.concatenate(sigmas).view(np.int64),
+                                  ledger.columns()["sigma"].view(np.int64))
 
 
-def test_run_ledger_follows_each_epochs_feed_order():
+def test_run_ledger_follows_each_epochs_feed_order(monkeypatch):
     config = small_config(mode="pecl", num_tasks=1, epochs=2, batch_size=7)
     task = small_stream(config).tasks[0]
+    sigmas = mechanism_sigmas(monkeypatch)
     result = run_continual(config, [task])
     profile = result.profiles[task.task_id]
     ends = np.cumsum([len(seq) for seq in task.train])
@@ -747,13 +771,14 @@ def test_run_ledger_follows_each_epochs_feed_order():
         part = slice(ends[i] - len(task.train[i]), ends[i])
         return profile.score[part], profile.epsilon[part], profile.sigma[part]
 
-    assert_ledger_follows_feed_order(config, [task], result.ledger, budgets)
+    assert_ledger_follows_feed_order(config, [task], result.ledger, budgets, sigmas)
 
 
-def test_uniform_dp_run_ledger_follows_each_epochs_feed_order():
+def test_uniform_dp_run_ledger_follows_each_epochs_feed_order(monkeypatch):
     config = small_config(mode="uniform_dp", num_tasks=2, epochs=2, batch_size=7,
                           uniform_eps=3.0, privacy=PrivacyConfig(delta=1e-5, clip_norm=0.5))
     tasks = small_stream(config).tasks
+    sigmas = mechanism_sigmas(monkeypatch)
     result = run_continual(config, tasks)
     stopword_ids = config.sensitivity.bind(tasks[0].vocab).stopword_ids
     sigma = noise_sigma(3.0, 1e-5, 0.5)
@@ -763,7 +788,7 @@ def test_uniform_dp_run_ledger_follows_each_epochs_feed_order():
         return (~np.isin(tokens, list(stopword_ids)), np.full(len(tokens), 3.0),
                 np.full(len(tokens), sigma))
 
-    assert_ledger_follows_feed_order(config, tasks, result.ledger, budgets)
+    assert_ledger_follows_feed_order(config, tasks, result.ledger, budgets, sigmas)
     assert 0 < len(result.ledger) < config.epochs * sum(
         len(seq.tokens) - 1 for task in tasks for seq in task.train)
 

@@ -5,7 +5,9 @@
 It imports ``pecl`` from the ``src`` directory next to this script.  For each
 seed it runs the three perfbench workloads and the acceptance recipe in
 ``uniform_dp`` mode, writes each bundle with ``write_run_bundle``, and prints
-one ``<workload> <seed> <file> <sha256>`` line per bundle file.  It then runs
+one ``<workload> <seed> <file> <sha256>`` line per bundle file and, for a
+non-empty ledger, the ``<workload> <seed> compose <line>`` that ``pecl compose``
+prints for ``ledger.csv`` under the run's delta and delta'.  It then runs
 ``pecl audit`` on the default config at that seed and prints the digest of
 ``audit.csv``.  Run it in two checkouts and ``diff`` the outputs.
 """
@@ -41,6 +43,15 @@ def _digests(out: Path):
         yield p.name, hashlib.sha256(p.read_bytes()).hexdigest()
 
 
+def _pecl(argv: list[str]) -> str:
+    """What ``pecl <argv>`` prints; a nonzero exit stops the script."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = pecl_main(argv)
+    if code:
+        raise SystemExit(f"pecl {' '.join(argv)} exited {code}")
+    return out.getvalue().strip()
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
@@ -49,14 +60,17 @@ def main(argv: list[str]) -> int:
         for name, make in RUNS.items():
             config, tasks = make(seed)
             with tempfile.TemporaryDirectory() as tmp:
-                write_run_bundle(tmp, run_continual(config, tasks), config)
+                result = run_continual(config, tasks)
+                write_run_bundle(tmp, result, config)
                 for file, digest in _digests(Path(tmp)):
                     print(name, seed, file, digest, flush=True)
+                if len(result.ledger):
+                    composed = _pecl(["compose", "--ledger", str(Path(tmp) / "ledger.csv"),
+                                      "--delta", repr(config.privacy.delta),
+                                      "--delta-prime", repr(config.delta_prime)])
+                    print(name, seed, "compose", composed, flush=True)
         with tempfile.TemporaryDirectory() as tmp:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = pecl_main(["audit", "--out", tmp, "--seed", str(seed)])
-            if code:
-                raise SystemExit(f"pecl audit exited {code} at seed {seed}")
+            _pecl(["audit", "--out", tmp, "--seed", str(seed)])
             for file, digest in _digests(Path(tmp)):
                 print("default-audit", seed, file, digest, flush=True)
     return 0
