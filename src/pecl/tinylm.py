@@ -128,7 +128,8 @@ class PackedSequences:
     its size follows the total token count, never sequences x longest
     sequence.  ``cells`` lays any selection of the sequences out as a padded
     batch by index arithmetic alone.  ``base``, when set, is ``frozen_base``
-    of these sequences: the clean ``x @ W0.T`` behind every packed token.
+    of these sequences in their natural order: the clean ``x @ W0.T`` behind
+    every packed token.
     """
 
     sequences: Sequence    # the source sequences, in order
@@ -179,20 +180,22 @@ class PackedSequences:
         return np.append(margin, 0.0)
 
     def batch(self, model: TinyLM, rows: np.ndarray, table: np.ndarray | None = None,
-              margin: np.ndarray | None = None) -> "PackedBatch":
+              margin: np.ndarray | None = None, base: np.ndarray | None = None) -> "PackedBatch":
         """The sequences ``rows`` as one batch, laid out once; slice it for sub-batches.
 
-        ``table`` and ``margin`` hold one row per entry of ``tokens``.
-        Without a table every cell reads its token's row of the embedding
-        table, and only then does the batch carry ``base``, which holds the
-        clean inputs' product.
+        ``table``, ``margin`` and ``base`` hold one row per entry of
+        ``tokens``.  Without a table every cell reads its token's row of the
+        embedding table, and the batch carries the clean ``self.base``.  Over
+        a table of (noised) inputs it carries ``base`` instead, which must be
+        ``frozen_base`` of this very layout over that table, or None; never
+        the clean one.
         """
         src, pos = self.cells(model.n_ctx, rows)
         ids = self.tokens[src]
         if table is None:
             table, feed, base = model.embed, ids, self.base
         else:
-            feed, base = src, None
+            feed = src
         windows = np.arange(src.shape[1] - model.n_ctx)[:, None] + np.arange(model.n_ctx)
         return PackedBatch(self.sequences, rows, src, ids, self.lengths[rows], table, feed,
                            feed[:, windows], pos[:, model.n_ctx :] >= 1,
@@ -214,9 +217,9 @@ class PackedBatch:
     reads rows ``wfeed[b, t] = feed[b, t : t + n_ctx]``, an index laid out
     once with the batch; ``valid`` marks the windows whose target is a
     position >= 1, ``margin`` (None without scores) holds each target's
-    unlearning margin, and ``base`` is the sequences' ``frozen_base``
-    table, read by ``src``; it is set only on a batch of clean inputs (see
-    ``PackedSequences.batch``).
+    unlearning margin, and ``base``, read by ``src``, is ``frozen_base``
+    of the batch's own inputs: the clean table over the embedding table, an
+    epoch's noised table over its noised inputs (see ``PackedSequences.batch``).
     ``pb[i:j]`` is rows i..j-1 exactly as ``cells`` lays them out on their
     own; iterating yields the batch's sequences, looked up on demand.
     """
@@ -374,7 +377,8 @@ def forward_batch(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence) -
 
     ``batch`` is a ``PackedBatch``, whose ``table`` may hold noised inputs,
     or a list of sequences that ``pack`` lays out over the embedding table.
-    A batch's ``base`` stands in for ``x @ W0.T`` only when W0 is frozen.
+    A batch's ``base`` stands in for ``x @ W0.T``, whichever inputs the batch
+    reads, but only when W0 is frozen.
     """
     pb = pack(model, batch)
     x = _windows(model, pb)
@@ -391,20 +395,23 @@ def _windows(model: TinyLM, pb: PackedBatch) -> np.ndarray:
     return pb.table[pb.wfeed].reshape(*pb.valid.shape, model.d_in)
 
 
-def frozen_base(model: TinyLM, seqs: PackedSequences, batch_size: int) -> np.ndarray:
-    """Clean ``x @ W0.T`` of the window that predicts each packed token, aligned with ``tokens``.
+def frozen_base(model: TinyLM, layout: PackedBatch, batch_size: int,
+                out: np.ndarray) -> np.ndarray:
+    """``x @ W0.T`` of the window that predicts each token of ``layout``, written into ``out``.
 
-    Filled ``batch_size`` sequences at a time, in order, with ``_mlp``'s 3-D
-    product, so a pass over the same chunks reads the bits it would compute.
-    Regrouped rows keep them while every gemm stays on one side of the
-    BLAS's size cut-off (see the README).  Rows that no valid window
-    predicts (each sequence's first token, the trailing PAD) stay 0.
+    ``out`` has one row per packed token (``tokens``' entries) and is
+    returned.  ``layout`` is filled ``batch_size`` sequences at a time, in
+    its order, with ``_mlp``'s 3-D product over its own table, so a pass over
+    the same chunks reads the bits it would compute.  Over the epoch layout
+    of a noised table those chunks are the steps themselves.  Regrouped rows
+    keep them while every gemm stays on one side of the BLAS's size cut-off
+    (see the README).  Rows that no valid window predicts (each sequence's
+    first token, the trailing PAD) are left as they are in ``out``.
     """
-    base = np.zeros((seqs.tokens.size, model.d_hidden))
-    for pb in seqs.batch(model, np.arange(len(seqs.lengths))).chunks(batch_size):
+    for pb in layout.chunks(batch_size):
         x = _windows(model, pb)
-        base[pb.src[:, model.n_ctx :][pb.valid]] = (x @ model.w_hidden.T)[pb.valid]
-    return base
+        out[pb.src[:, model.n_ctx :][pb.valid]] = (x @ model.w_hidden.T)[pb.valid]
+    return out
 
 
 def token_losses(model: TinyLM, adapter: LoraAdapter | None, seq) -> tuple[np.ndarray, float]:
@@ -532,7 +539,10 @@ def backward(
         if spec.reg_weight != 0.0 and spec.reg_reference is not None:
             drift = lora_delta(adapter)
             drift -= spec.reg_reference
-            l_reg = float(spec.reg_weight * np.vdot(drift, drift))
+            # The sum sculpt.reg_loss takes, not np.vdot: a BLAS dot this long
+            # runs threaded, and its helper thread would then spin on the core
+            # that prepares the next epoch (see trainer.EpochFeed).
+            l_reg = float(spec.reg_weight * (drift * drift).sum())
             drift *= 2.0 * spec.reg_weight  # now the penalty's gradient in B @ A
             d_a += adapter.b.T @ drift
             d_b += drift @ adapter.a.T

@@ -19,7 +19,12 @@ R[k][i] is the accuracy on the i-th task of the order after training tasks
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -238,17 +243,19 @@ class TaskInputs:
     where nothing is noised), and its frozen epsilon and sigma, read only
     where it is, one entry per token; and, aligned with ``seqs.tokens``,
     trailing PAD included, every predicted position's unlearning margin
-    (pecl only; 0 on each sequence's first position) and, once
-    ``noise_epoch`` has run, ``table``, the vector fed for every token in the
-    current epoch.  A step gathers its rows by index; a step over clean
-    inputs (seqft) also reads ``seqs.base``.
+    (pecl only; 0 on each sequence's first position) and, in the noised
+    modes, the current epoch's ``table``, the vector fed for every token,
+    and ``base``, ``x @ W0.T`` of those vectors under the epoch's layout.
+    ``EpochFeed`` points both at the epoch's slot; ``noise_epoch`` prepares
+    them.  A step gathers its rows of both by index; a step over clean
+    inputs (seqft) reads ``seqs.base``.
 
-    Noising a whole epoch before its first step, and computing the clean
+    Preparing a whole epoch before its first step, and computing the clean
     ``x @ W0.T`` once per task, rest on one invariant: ``run_continual``
     trains only the adapter, so the embedding table and W0, like every other
-    base parameter, leave a run bit-identical to ``init_lm``'s.  Noise
-    therefore depends only on frozen scores and frozen embeddings, and the
-    clean base product only on the task's tokens.
+    base parameter, leave a run bit-identical to ``init_lm``'s.  An epoch's
+    inputs and base therefore depend only on frozen scores, frozen
+    parameters, the shuffle and the noise generator, never on the steps.
     """
 
     seqs: PackedSequences
@@ -258,44 +265,52 @@ class TaskInputs:
     sigma: np.ndarray | None = None      # (N,)
     margin: np.ndarray | None = None     # (N + 1,)
     table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
-    records: RecordTable | None = None   # with ``table``: one per exposed token
+    base: np.ndarray | None = None       # (N + 1, d_hidden), with ``table``
+    records: RecordTable | None = None   # one ledger record per exposed token
     record_of: np.ndarray | None = None  # (N,) each exposed token's row of ``records``
 
-    def noise_epoch(
-        self,
-        model: TinyLM,
-        perm: np.ndarray,
-        privacy: PrivacyConfig,
-        rng: np.random.Generator,
-        ledger: PrivacyLedger,
-        epoch: int,
-    ) -> None:
-        """Noise every exposure of an epoch that feeds sequences ``perm`` in turn.
+    def exposures(self, perm: np.ndarray) -> np.ndarray:
+        """Where, in ``seqs.tokens``, each exposure of an epoch that feeds ``perm`` in turn is.
 
         The exposures, in feed order, are the exposed tokens among positions
         ``0 .. len - 2`` of each sequence of ``perm``: the concatenation of
         every batch's (sequence, position) order, whatever the batch size.
-        One mechanism call noises them; the rows are written into ``table``,
-        which is allocated on the first epoch and whose other rows stay the
-        clean embeddings.  ``ledger`` gets them as references into
-        ``records``, the ledger record of every exposed token, built on the
-        first epoch from the frozen budgets.
         """
-        if self.table is None:
-            self.table = model.embed[self.seqs.tokens]
-            tok = np.flatnonzero(self.exposed)
-            seq = np.repeat(np.arange(self.seqs.lengths.size), self.seqs.lengths)[tok]
-            self.records = record_table(self.names[seq], tok - self.seqs.starts[seq],
-                                        self.epsilon[tok], self.sigma[tok], privacy.delta)
-            self.record_of = np.cumsum(self.exposed) - 1
         n_fed = self.seqs.lengths[perm] - 1
         seq = np.repeat(perm, n_fed)
         pos = np.arange(seq.size) - np.repeat(np.cumsum(n_fed) - n_fed, n_fed)
         src = self.seqs.starts[seq] + pos
-        src = src[self.exposed[src]]
+        return src[self.exposed[src]]
+
+    def noise_epoch(self, model: TinyLM, perm: np.ndarray, privacy: PrivacyConfig,
+                    rng: np.random.Generator, batch_size: int) -> None:
+        """Prepare, in ``table`` and ``base``, the epoch that feeds sequences ``perm`` in turn.
+
+        One mechanism call noises the epoch's exposures (see ``exposures``),
+        and the rows are written into ``table``, whose other rows must hold
+        the clean embeddings.  ``base`` is then filled from the epoch's own
+        layout, in ``batch_size`` chunks, so every step reads the bits it
+        would compute; its rows that no window predicts must hold 0.
+        """
+        src = self.exposures(perm)
         self.table[src] = perturb_embeddings(model.embed[self.seqs.tokens[src]], self.sigma[src],
                                              privacy.clip_norm, rng)
-        ledger.add(self.records, self.record_of[src], epoch)
+        frozen_base(model, self.lay_out(model, perm), batch_size, self.base)
+
+    def record_epoch(self, ledger: PrivacyLedger, perm: np.ndarray, epoch: int,
+                     delta: float) -> None:
+        """Give ``ledger`` the epoch's exposures, in feed order, as references into ``records``.
+
+        ``records``, the ledger record of every exposed token, is built from
+        the frozen budgets on the first call.
+        """
+        if self.records is None:
+            tok = np.flatnonzero(self.exposed)
+            seq = np.repeat(np.arange(self.seqs.lengths.size), self.seqs.lengths)[tok]
+            self.records = record_table(self.names[seq], tok - self.seqs.starts[seq],
+                                        self.epsilon[tok], self.sigma[tok], delta)
+            self.record_of = np.cumsum(self.exposed) - 1
+        ledger.add(self.records, self.record_of[self.exposures(perm)], epoch)
 
     def lay_out(self, model: TinyLM, perm: np.ndarray) -> PackedBatch:
         """The epoch that feeds sequences ``perm`` in turn as one batch over the current inputs.
@@ -304,7 +319,145 @@ class TaskInputs:
         """
         if self.exposed is not None and self.table is None:
             raise ValueError("noise an epoch before laying it out")
-        return self.seqs.batch(model, perm, self.table, self.margin)
+        return self.seqs.batch(model, perm, self.table, self.margin, self.base)
+
+
+def _shared_zeros(rows: int, cols: int) -> np.ndarray:
+    """A float64 array of zeros in anonymous shared memory: a forked child's writes show."""
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=np.float64).reshape(rows, cols)
+
+
+def _put(stream, message) -> None:
+    pickle.dump(message, stream)
+    stream.flush()
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class EpochFeed:
+    """A task's epochs, each laid out over its inputs; in the noised modes, prepared ahead.
+
+    Iterating yields each epoch's layout in turn.  In the noised modes epoch
+    e is prepared by ``TaskInputs.noise_epoch`` in slot ``e % 2``, a table
+    and a base in anonymous shared memory, and its exposures are recorded in
+    ``ledger`` when it starts.  Epoch 0 is drawn in the caller's process as
+    the feed is made.  When the task has 2 or more epochs and the process may
+    run on 2 or more CPUs, a forked worker then prepares epochs 1, 2, ... on
+    its copy of the noise generator while the previous epoch trains, each
+    once the epoch that last used its slot has ended, and hands the
+    generator's state back at the end.  A process, not a thread: the noise
+    and the fill are small numpy calls, which hold the GIL.  Otherwise each
+    epoch is prepared inline when it starts.  Either way the epochs, the
+    ledger and the generator's final state are the same bits.
+
+    Use it as a context manager: leaving it reaps the worker, and an error
+    in the worker is raised again in the caller, with its class and message.
+    """
+
+    def __init__(self, inputs: TaskInputs, model: TinyLM, perms: list[np.ndarray],
+                 privacy: PrivacyConfig, rng: np.random.Generator, batch_size: int,
+                 ledger: PrivacyLedger):
+        self.inputs, self.model, self.perms, self.ledger = inputs, model, perms, ledger
+        self.privacy, self.rng, self.batch_size = privacy, rng, batch_size
+        self.slots: list[tuple[np.ndarray, np.ndarray]] = []
+        self.pid = self.conn = self.free = None
+        if inputs.exposed is None:
+            return
+        n = inputs.seqs.tokens.size
+        for _ in range(2):
+            table = _shared_zeros(n, model.d_emb)
+            table[:] = model.embed[inputs.seqs.tokens]
+            self.slots.append((table, _shared_zeros(n, model.d_hidden)))
+        self._prepare(0)
+        if len(perms) >= 2 and hasattr(os, "fork") and _cpus() >= 2:
+            self._fork()
+
+    def _prepare(self, epoch: int) -> None:
+        self.inputs.table, self.inputs.base = self.slots[epoch % 2]
+        self.inputs.noise_epoch(self.model, self.perms[epoch], self.privacy, self.rng,
+                                self.batch_size)
+
+    def _fork(self) -> None:
+        (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the worker: never returns into the caller's code
+            status, out = 0, None
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                out, freed = open(ready_w, "wb"), open(free_r, "rb", buffering=0)
+                for epoch in range(1, len(self.perms)):
+                    if epoch >= 2 and not freed.read(1):  # epoch - 2 has freed its slot
+                        raise EOFError("the run stopped")
+                    self._prepare(epoch)
+                    _put(out, epoch)
+                _put(out, self.rng.bit_generator.state)
+            except BaseException as exc:
+                status = 1
+                with contextlib.suppress(BaseException):
+                    _put(out, (type(exc), str(exc)))
+            finally:
+                os._exit(status)
+        os.close(ready_w)
+        os.close(free_r)
+        self.pid, self.conn, self.free = pid, open(ready_r, "rb"), open(free_w, "wb", buffering=0)
+
+    def _receive(self):
+        try:
+            message = pickle.load(self.conn)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            raise ChildProcessError(
+                "the epoch worker ended without its result ("
+                + (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                   else f"exit status {os.waitstatus_to_exitcode(status)}") + ")") from None
+        if isinstance(message, tuple):
+            kind, text = message
+            raise kind(text)
+        return message
+
+    def __iter__(self):
+        for epoch, perm in enumerate(self.perms):
+            if self.slots and epoch and self.pid is None:
+                self._prepare(epoch)
+            elif self.slots and epoch:  # the worker's: wait until it is ready
+                self.inputs.table, self.inputs.base = self.slots[epoch % 2]
+                self._receive()
+            if self.slots:
+                self.inputs.record_epoch(self.ledger, perm, epoch, self.privacy.delta)
+            yield self.inputs.lay_out(self.model, perm)
+            if self.pid is not None and epoch + 2 < len(self.perms):
+                try:
+                    self.free.write(b"\0")  # its slot is free for epoch + 2
+                except OSError:  # the worker has ended; its last message says why
+                    while True:
+                        self._receive()
+
+    def __enter__(self) -> "EpochFeed":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if self.pid is not None and exc_type is None:
+                self.rng.bit_generator.state = self._receive()
+        finally:
+            if self.pid is not None:
+                if exc_type is not None:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+                self.pid = None
+            for conn in (self.conn, self.free):
+                if conn is not None:
+                    conn.close()
+            self.inputs.table = self.inputs.base = None
+            self.slots = []
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
@@ -372,7 +525,9 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         # seqft steps and pecl's scoring and wrap-up forward read the clean base;
         # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
         if config.mode != "uniform_dp":
-            inputs.seqs.base = frozen_base(model, inputs.seqs, config.batch_size)
+            inputs.seqs.base = frozen_base(
+                model, inputs.seqs.batch(model, np.arange(len(task.train))), config.batch_size,
+                np.zeros((inputs.seqs.tokens.size, config.d_hidden)))
         s_bar = lam_dyn = None
         reg_weight = 0.0
         lambda_unlearn = 0.0
@@ -409,23 +564,25 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             reg_weight=reg_weight,
             reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
         )
-        for epoch in range(config.epochs):
-            perm = spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
-            if inputs.exposed is not None:
-                inputs.noise_epoch(model, perm, config.privacy, noise_rng, ledger, epoch)
-            for batch in inputs.lay_out(model, perm).chunks(config.batch_size):
-                try:
-                    grads = backward(model, adapter, batch, spec)
-                except NumericError as exc:
-                    raise NumericError(
-                        f"task {task_id} epoch {epoch}: {exc}"
-                    ) from exc
-                if optimizer is None:
-                    sgd_step(model, adapter, grads, config.lr)
-                else:
-                    optimizer.step(model, adapter, grads,
-                                   cosine_lr(config.lr, step, total_steps))
-                step += 1
+        perms = [spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
+                 for epoch in range(config.epochs)]
+        with EpochFeed(inputs, model, perms, config.privacy, noise_rng, config.batch_size,
+                       ledger) as epochs:
+            for epoch, layout in enumerate(epochs):
+                for batch in layout.chunks(config.batch_size):
+                    try:
+                        grads = backward(model, adapter, batch, spec)
+                    except NumericError as exc:
+                        raise NumericError(
+                            f"task {task_id} epoch {epoch}: {exc}"
+                        ) from exc
+                    if optimizer is None:
+                        sgd_step(model, adapter, grads, config.lr)
+                    else:
+                        optimizer.step(model, adapter, grads,
+                                       cosine_lr(config.lr, step, total_steps))
+                    step += 1
+        del layout  # the last epoch's slot: free it before the wrap-up allocates
 
         # Task wrap-up: importance from the final delta and clean activations, per
         # batch_size chunk of the training set (the chunks the base table was filled

@@ -36,3 +36,27 @@ def test_summarise_gives_a_no_regression_verdict_against_the_bound(better, paren
     assert (summary["regressed"], summary["unresolved"]) == (regressed, unresolved)
     assert summary["gain"] == gain
     assert summary["parent_iqr"] == (0.015 if parent is TIGHT else 0.35)
+
+
+def test_fewer_than_ten_pairs_give_no_gain():
+    parent, change = TIGHT[:5], [v * 0.7 for v in TIGHT[:5]]  # 5 of 5 pairs won by 30%
+    assert bench_pairs.summarise(parent, change, "lower", 0.25)["change_wins"] == 5
+    assert not bench_pairs.summarise(parent, change, "lower", 0.25)["gain"]
+    assert bench_pairs.summarise(TIGHT, [v * 0.7 for v in TIGHT], "lower", 0.25)["gain"]
+
+
+def test_the_unscaled_run_wall_time_is_read_beside_run_s():
+    lines = [
+        "workload recipe-pecl  seed 3  samples 40 (0 failed); closed loop",
+        "  run_s            p50 0.7632 s (n=40; no percentile above p50)",
+        "  run_wall_s       p50 0.8123 s (n=40; unscaled; 1600 speed probes)",
+        "  digests matrix.csv 0123456789abcdef  ledger.csv fedcba9876543210  (40 samples)",
+        'environment: {"nproc": 2}',
+        '{"correct": true, "attempted": 40, "failed": 0, '
+        '"metrics": {"run_s": {"value": 0.7632, "unit": "s"}}}',
+    ]
+    out = bench_pairs.parse_output(lines)
+    assert out["values"] == {"run_s": 0.7632, "run_wall_s": 0.8123}
+    assert out["digests"] == [{"matrix.csv": "0123456789abcdef",
+                               "ledger.csv": "fedcba9876543210"}]
+    assert out["failed"] == 0 and out["environment"] == {"nproc": 2}

@@ -1,11 +1,15 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
-from pecl.corpus import TaskCorpus, TokenizedSequence, compute_corpus_stats
-from pecl.errors import DataError
+from pecl.corpus import TaskCorpus, TokenizedSequence, Vocabulary, compute_corpus_stats
+from pecl.errors import DataError, NumericError
 from pecl.synthetic import synthetic_stream
 from pecl.seeding import spawn_rng
-from pecl.sculpt import ImportanceState, task_importance, unlearn_loss
+from pecl.sculpt import ImportanceState, SculptConfig, task_importance, unlearn_loss
 from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
 from pecl.sensitivity import score_sequences
 from pecl.tinylm import (
@@ -350,6 +354,18 @@ def budgeted_inputs(mode, model, seqs, privacy, rng):
     return inputs, score, epsilon, sigma
 
 
+def clean_base(model, seqs, batch_size):
+    """The task's clean base table, as ``run_continual`` fills it: natural order."""
+    return frozen_base(model, seqs.batch(model, np.arange(len(seqs.lengths))), batch_size,
+                       np.zeros((seqs.tokens.size, model.d_hidden)))
+
+
+def epoch_slot(inputs, model):
+    """Point ``inputs`` at a fresh epoch slot: the clean embeddings and a zero base."""
+    inputs.table = model.embed[inputs.seqs.tokens]
+    inputs.base = np.zeros((inputs.seqs.tokens.size, model.d_hidden))
+
+
 def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger, epoch):
     """Noise the fed positions of sequences ``rows`` as one batch: one mechanism call
     over the exposures (score > 0) among every position but each sequence's last, in
@@ -385,13 +401,16 @@ def test_packed_training_step_equals_the_list_api(mode):
     rows = np.array([4, 0, 2, 6, 5])
 
     # One epoch whose permutation is ``rows``, laid out as one step, then the
-    # step's gather.  The step computes x @ W0.T from its own noised inputs,
-    # even though the task's clean base table is there.
+    # step's gather.  The step reads x @ W0.T from the epoch's noised base,
+    # filled from this very layout, even though the task's clean base table
+    # is there; the list side below computes the product itself.
     step_ledger, step_rng = PrivacyLedger(), np.random.default_rng(21)
-    inputs.noise_epoch(model, rows, privacy, step_rng, step_ledger, epoch=3)
-    inputs.seqs.base = frozen_base(model, inputs.seqs, len(rows))
+    epoch_slot(inputs, model)
+    inputs.noise_epoch(model, rows, privacy, step_rng, len(rows))
+    inputs.record_epoch(step_ledger, rows, 3, privacy.delta)
+    inputs.seqs.base = clean_base(model, inputs.seqs, len(rows))
     (batch,) = inputs.lay_out(model, rows).chunks(len(rows))
-    assert batch.base is None
+    assert batch.base is inputs.base
     packed = backward(model, adapter, batch, spec)
 
     # The same step from the list of the step's sequences, packed on their
@@ -413,6 +432,7 @@ def test_packed_training_step_equals_the_list_api(mode):
             s = per_seq_scores[i][1:]
             margin[start + 1 : start + len(seqs[i])] = np.where(s > spec.theta, s - spec.theta, 0)
     listed_batch = listed_packed.batch(model, np.arange(len(rows)), table, margin)
+    assert listed_batch.base is None
     listed = backward(model, adapter, listed_batch, spec)
 
     assert list(batch) == listed_seqs
@@ -457,11 +477,12 @@ def test_epoch_noising_equals_per_batch_noising(mode):
     batch_size = 4  # does not divide the 11 sequences
     epoch_ledger, epoch_rng = PrivacyLedger(), np.random.default_rng(21)
     batch_ledger, batch_rng = PrivacyLedger(), np.random.default_rng(21)
+    epoch_slot(inputs, model)
+    table = inputs.table  # a slot: refreshed in place each epoch
     for epoch in range(2):
         perm = np.random.default_rng(epoch).permutation(len(seqs))
-        inputs.noise_epoch(model, perm, privacy, epoch_rng, epoch_ledger, epoch)
-        if epoch == 0:
-            table = inputs.table  # allocated once per task, refreshed each epoch
+        inputs.noise_epoch(model, perm, privacy, epoch_rng, batch_size)
+        inputs.record_epoch(epoch_ledger, perm, epoch, privacy.delta)
         assert inputs.table is table
 
         expected = clean.copy()
@@ -494,14 +515,18 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
         inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
     batch_size = 4  # does not divide the 11 sequences
     ledger, noise_rng = PrivacyLedger(), np.random.default_rng(3)
-    # The clean table is filled in natural order; the epochs below regroup its rows.
-    inputs.seqs.base = frozen_base(model, inputs.seqs, batch_size)
+    # The clean table is filled in natural order; the epochs below regroup its
+    # rows.  A noised epoch's base is filled from its own layout.
+    inputs.seqs.base = clean_base(model, inputs.seqs, batch_size)
+    if mode != "seqft":
+        epoch_slot(inputs, model)
     for epoch in range(2):
         perm = np.random.default_rng(epoch).permutation(len(seqs))
         if mode != "seqft":
-            inputs.noise_epoch(model, perm, privacy, noise_rng, ledger, epoch)
+            inputs.noise_epoch(model, perm, privacy, noise_rng, batch_size)
+            inputs.record_epoch(ledger, perm, epoch, privacy.delta)
         layout = inputs.lay_out(model, perm)
-        assert layout.base is (inputs.seqs.base if mode == "seqft" else None)
+        assert layout.base is (inputs.seqs.base if mode == "seqft" else inputs.base)
         table = model.embed[inputs.seqs.tokens] if inputs.table is None else inputs.table
         trained = 0
         for start, step in zip(range(0, len(perm), batch_size), layout.chunks(batch_size),
@@ -519,18 +544,17 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
                 np.testing.assert_array_equal(step.margin, inputs.margin[targets])
             else:
                 assert step.margin is None
-            # A seqft step's gathered base is x @ W0.T, the step's own 3-D
-            # product, on every valid window; a noised step carries none.
+            # Every step's gathered base is x @ W0.T, the step's own 3-D
+            # product, on every valid window: the clean table's regrouped rows
+            # in seqft, the epoch's noised base otherwise, never the clean one.
             n_windows = targets.shape[1]
             windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
             x = table[src][:, windows].reshape(len(rows), n_windows, model.d_in)
             valid = step.valid
             assert valid.any()
-            if mode == "seqft":
-                np.testing.assert_array_equal(step.base[targets][valid],
-                                              (x @ model.w_hidden.T)[valid])
-            else:
-                assert step.base is None
+            assert (step.base is inputs.seqs.base) == (mode == "seqft")
+            np.testing.assert_array_equal(step.base[targets][valid],
+                                          (x @ model.w_hidden.T)[valid])
             assert list(step) == [seqs[i] for i in rows]
             assert sum(len(seq) - 1 for seq in step) == valid.sum()
             trained += valid.sum()
@@ -541,22 +565,33 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
 def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(monkeypatch,
                                                                              mode):
     config = small_config(mode=mode, epochs=2, batch_size=7)
-    fills, steps = [], []
-    monkeypatch.setattr("pecl.trainer.frozen_base",
-                        lambda *args: fills.append(frozen_base(*args)) or fills[-1])
-    monkeypatch.setattr("pecl.trainer.backward",
-                        lambda *args: steps.append(args[:3]) or backward(*args))
+    clean_fills, steps = [], []
+
+    def fill(model, layout, batch_size, out):
+        if layout.table is model.embed:
+            clean_fills.append(out)
+        return frozen_base(model, layout, batch_size, out)
+
+    def step(model, adapter, batch, spec):
+        # Checked as the step runs: an epoch's slot is rewritten two epochs on.
+        noised = batch.table is not model.embed
+        assert noised == (mode != "seqft")
+        assert (batch.base is clean_fills[-1]) if not noised else batch.base is not None
+        if noised:
+            # Its own epoch's base: x @ W0.T of its own noised inputs.
+            assert not any(batch.base is base for base in clean_fills)
+            x = _windows(model, batch)
+            np.testing.assert_array_equal(batch.base[batch.src[:, model.n_ctx :]][batch.valid],
+                                          (x @ model.w_hidden.T)[batch.valid])
+        steps.append(noised)
+        return backward(model, adapter, batch, spec)
+
+    monkeypatch.setattr("pecl.trainer.frozen_base", fill)
+    monkeypatch.setattr("pecl.trainer.backward", step)
     run_continual(config, small_stream(config).tasks)
     # uniform_dp reads no clean base: its steps are noised and its wrap-up runs no forward.
-    assert len(fills) == (0 if mode == "uniform_dp" else config.num_tasks)
+    assert len(clean_fills) == (0 if mode == "uniform_dp" else config.num_tasks)
     assert len(steps) == config.num_tasks * config.epochs * 5  # ceil(30 / 7) = 5
-    noised = [batch.table is not model.embed for model, _, batch in steps]
-    assert all(noised) if mode != "seqft" else not any(noised)
-    for _, _, batch in steps:
-        if mode == "seqft":
-            assert any(batch.base is table for table in fills)
-        else:
-            assert batch.base is None
 
 
 def test_pecl_reports_sum_the_packed_profile_sequence_by_sequence(monkeypatch):
@@ -578,7 +613,7 @@ def test_pecl_reports_sum_the_packed_profile_sequence_by_sequence(monkeypatch):
         assert report.s_bar == s_bar / len(profile.score)
 
         # A fresh wrap-up forward: the task's clean base, its chunks, its adapter.
-        seqs.base = frozen_base(model, seqs, config.batch_size)
+        seqs.base = clean_base(model, seqs, config.batch_size)
         losses = []
         for chunk in seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
             fb = forward_batch(model, adapter, chunk)
@@ -602,7 +637,7 @@ def test_scoring_and_wrap_up_read_the_bits_they_compute(batch_size):
     computed = score_sequences(model, adapter, stats, seqs, sens, batch_size)
     passes = [forward_batch(model, adapter, chunk)
               for chunk in seqs.batch(model, rows).chunks(batch_size)]
-    seqs.base = frozen_base(model, seqs, batch_size)
+    seqs.base = clean_base(model, seqs, batch_size)
     read = score_sequences(model, adapter, stats, seqs, sens, batch_size)
     for name in ("score1", "score"):
         np.testing.assert_array_equal(getattr(read, name), getattr(computed, name))
@@ -618,11 +653,21 @@ def test_scoring_and_wrap_up_read_the_bits_they_compute(batch_size):
 def test_a_batch_over_a_noised_table_carries_no_clean_base():
     model = init_lm((23, 4, 3, 6), seed=1)
     seqs = PackedSequences.of(model, [[3, 4, 5], [6, 7], [8, 9, 10, 11]])
-    seqs.base = frozen_base(model, seqs, 2)
+    seqs.base = clean_base(model, seqs, 2)
     rows = np.array([2, 0])
     assert seqs.batch(model, rows).base is seqs.base
-    noised = seqs.batch(model, rows, model.embed[seqs.tokens] + 0.1)
-    assert noised.base is None and all(part.base is None for part in noised.chunks(1))
+    table = model.embed[seqs.tokens] + 0.1
+    assert seqs.batch(model, rows, table).base is None
+    # Given the noised base of its own layout, a batch carries that one.
+    base = frozen_base(model, seqs.batch(model, rows, table), 1,
+                       np.zeros((seqs.tokens.size, model.d_hidden)))
+    noised = seqs.batch(model, rows, table, None, base)
+    assert noised.base is base and all(part.base is base for part in noised.chunks(1))
+    for part in noised.chunks(1):
+        targets, valid = part.src[:, model.n_ctx :], part.valid
+        np.testing.assert_array_equal(part.base[targets][valid],
+                                      (_windows(model, part) @ model.w_hidden.T)[valid])
+        assert (part.base[targets][valid] != seqs.base[targets][valid]).all()
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
@@ -639,7 +684,8 @@ def test_each_steps_window_index_is_its_own_feed_at_every_window(mode, lengths):
         inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
     perm = np.random.default_rng(1).permutation(len(seqs))
     if mode != "seqft":
-        inputs.noise_epoch(model, perm, privacy, np.random.default_rng(3), PrivacyLedger(), 0)
+        epoch_slot(inputs, model)
+        inputs.noise_epoch(model, perm, privacy, np.random.default_rng(3), 4)
     widths = set()
     for step in inputs.lay_out(model, perm).chunks(4):
         n_windows = step.valid.shape[1]
@@ -664,7 +710,7 @@ def test_a_batch_without_margins_has_no_unlearning_term(inputs):
         adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
     seqs = PackedSequences.of(model, [rng.integers(1, 23, size=n).tolist()
                                       for n in (2, 5, 3, 7)])
-    seqs.base = frozen_base(model, seqs, 4)
+    seqs.base = clean_base(model, seqs, 4)
     table = model.embed[seqs.tokens] + 0.1 if inputs == "uniform_dp" else None
     rows = np.array([3, 1, 0, 2])
     spec = LossSpec(lambda_unlearn=1.5, reg_weight=0.4,
@@ -718,17 +764,19 @@ def test_each_tasks_omega_folds_the_clean_window_norms_chunk_by_chunk(monkeypatc
         assert report.omega > 0
 
 
-def mechanism_sigmas(monkeypatch):
-    """The sigma of every row of each ``perturb_embeddings`` call the trainer makes."""
-    calls = []
+def mechanism_sigmas(monkeypatch, path):
+    """The sigma of every row of each ``perturb_embeddings`` call the trainer makes, in
+    call order: a function that reads them back.  Each call appends its sigmas to the
+    file ``path``, so calls made in the epoch worker count too."""
 
     def spy(e, sigma, clip_norm, rng):
         assert len(e) == len(sigma)
-        calls.append(sigma.copy())
+        with open(path, "ab") as fh:
+            fh.write(np.asarray(sigma, dtype=np.float64).tobytes())
         return perturb_embeddings(e, sigma, clip_norm, rng)
 
     monkeypatch.setattr("pecl.trainer.perturb_embeddings", spy)
-    return calls
+    return lambda: np.fromfile(path, dtype=np.float64)
 
 
 def assert_ledger_follows_feed_order(config, tasks, ledger, budgets, sigmas):
@@ -754,15 +802,15 @@ def assert_ledger_follows_feed_order(config, tasks, ledger, budgets, sigmas):
             np.array([getattr(r, field) for r in records]).view(np.int64),
             np.array([e[column] for e in expected]).view(np.int64), err_msg=field)
     assert {r.delta for r in records} == {config.privacy.delta}
-    assert sum(len(s) for s in sigmas) == len(ledger)
-    np.testing.assert_array_equal(np.concatenate(sigmas).view(np.int64),
+    assert sigmas.size == len(ledger)
+    np.testing.assert_array_equal(sigmas.view(np.int64),
                                   ledger.columns()["sigma"].view(np.int64))
 
 
-def test_run_ledger_follows_each_epochs_feed_order(monkeypatch):
+def test_run_ledger_follows_each_epochs_feed_order(monkeypatch, tmp_path):
     config = small_config(mode="pecl", num_tasks=1, epochs=2, batch_size=7)
     task = small_stream(config).tasks[0]
-    sigmas = mechanism_sigmas(monkeypatch)
+    sigmas = mechanism_sigmas(monkeypatch, tmp_path / "sigmas")
     result = run_continual(config, [task])
     profile = result.profiles[task.task_id]
     ends = np.cumsum([len(seq) for seq in task.train])
@@ -771,14 +819,14 @@ def test_run_ledger_follows_each_epochs_feed_order(monkeypatch):
         part = slice(ends[i] - len(task.train[i]), ends[i])
         return profile.score[part], profile.epsilon[part], profile.sigma[part]
 
-    assert_ledger_follows_feed_order(config, [task], result.ledger, budgets, sigmas)
+    assert_ledger_follows_feed_order(config, [task], result.ledger, budgets, sigmas())
 
 
-def test_uniform_dp_run_ledger_follows_each_epochs_feed_order(monkeypatch):
+def test_uniform_dp_run_ledger_follows_each_epochs_feed_order(monkeypatch, tmp_path):
     config = small_config(mode="uniform_dp", num_tasks=2, epochs=2, batch_size=7,
                           uniform_eps=3.0, privacy=PrivacyConfig(delta=1e-5, clip_norm=0.5))
     tasks = small_stream(config).tasks
-    sigmas = mechanism_sigmas(monkeypatch)
+    sigmas = mechanism_sigmas(monkeypatch, tmp_path / "sigmas")
     result = run_continual(config, tasks)
     stopword_ids = config.sensitivity.bind(tasks[0].vocab).stopword_ids
     sigma = noise_sigma(3.0, 1e-5, 0.5)
@@ -788,7 +836,7 @@ def test_uniform_dp_run_ledger_follows_each_epochs_feed_order(monkeypatch):
         return (~np.isin(tokens, list(stopword_ids)), np.full(len(tokens), 3.0),
                 np.full(len(tokens), sigma))
 
-    assert_ledger_follows_feed_order(config, tasks, result.ledger, budgets, sigmas)
+    assert_ledger_follows_feed_order(config, tasks, result.ledger, budgets, sigmas())
     assert 0 < len(result.ledger) < config.epochs * sum(
         len(seq.tokens) - 1 for task in tasks for seq in task.train)
 
@@ -806,3 +854,216 @@ def test_run_leaves_every_base_parameter_as_initialised(mode):
                                           strict=True):
         np.testing.assert_array_equal(got, expected, err_msg=name)
     assert (result.adapter.b != 0).any()  # the adapter did train
+
+
+def long_sequence_tasks():
+    """Two tasks of 24 training and 8 eval sequences over a made-up vocabulary
+    with no stopwords, about half of them 20 to 30 tokens long and the rest 3
+    to 9.  At the default layer sizes a step of 3 sequences then has (T, d_in)
+    slices of 2 to 29 rows, across the row count where a gemm row's last bits
+    start to depend on the slice it is computed in."""
+    rng = np.random.default_rng(7)
+    vocab = Vocabulary([f"w{i}" for i in range(40)] + ["yes", "no", "up", "down"])
+    tasks = []
+    for task_id, labels in ((1, ("yes", "no")), (2, ("up", "down"))):
+        label_ids = [vocab.id_of(label) for label in labels]
+
+        def sequence():
+            label = int(rng.choice(label_ids))
+            n_words = rng.integers(19, 30) if rng.random() < 0.5 else rng.integers(2, 9)
+            words = rng.integers(2, 42, size=int(n_words)).tolist()
+            return TokenizedSequence(words + [label], task_id, label)
+
+        tasks.append(TaskCorpus(task_id, [sequence() for _ in range(24)],
+                                [sequence() for _ in range(8)], set(label_ids), vocab))
+    return tasks
+
+
+def count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_with_cpus(monkeypatch, cpus, config, tasks, check_step=None):
+    """``run_continual`` as if the process may run on ``cpus`` CPUs, with the noise
+    generator's final state and the number of epoch workers forked."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks = count_forks(m)
+        made = []
+
+        def spawn(seed, *tags):
+            rng = spawn_rng(seed, *tags)
+            if tags[0] == "embedding-noise":
+                made.append(rng)
+            return rng
+
+        m.setattr("pecl.trainer.spawn_rng", spawn)
+        if check_step is not None:
+            m.setattr("pecl.trainer.backward",
+                      lambda *args: check_step(*args) or backward(*args))
+        result = run_continual(config, tasks)
+    assert_no_child_left()
+    (noise_rng,) = made
+    return result, noise_rng.bit_generator.state, len(forks)
+
+
+@pytest.mark.parametrize("corpus", ["synthetic", "long sequences"])
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, mode, corpus):
+    config = small_config(mode=mode, epochs=3, batch_size=3, uniform_eps=3.0)
+    tasks = small_stream(config).tasks if corpus == "synthetic" else long_sequence_tasks()
+
+    def check_step(model, adapter, batch, spec):
+        # Every noised step reads exactly the x @ W0.T it would compute.
+        x = _windows(model, batch)
+        np.testing.assert_array_equal(batch.base[batch.src[:, model.n_ctx :]][batch.valid],
+                                      (x @ model.w_hidden.T)[batch.valid])
+
+    worker, worker_rng, forks = run_with_cpus(monkeypatch, 2, config, tasks)
+    inline, inline_rng, no_forks = run_with_cpus(monkeypatch, 1, config, tasks, check_step)
+    assert (forks, no_forks) == (len(tasks), 0)  # one worker per task; none on one CPU
+    np.testing.assert_array_equal(worker.matrix.values, inline.matrix.values)
+    assert len(worker.ledger) == len(inline.ledger) > 0
+    worker_columns, inline_columns = worker.ledger.columns(), inline.ledger.columns()
+    assert worker_columns.keys() == inline_columns.keys()
+    for name, column in worker_columns.items():
+        np.testing.assert_array_equal(column, inline_columns[name], err_msg=name)
+    for (name, got), (_, expected) in zip(worker.model.param_items(),
+                                          inline.model.param_items(), strict=True):
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+    np.testing.assert_array_equal(worker.adapter.a, inline.adapter.a)
+    np.testing.assert_array_equal(worker.adapter.b, inline.adapter.b)
+    assert worker.reports == inline.reports
+    assert worker_rng == inline_rng
+    assert worker.profiles.keys() == inline.profiles.keys()
+    for task_id, profile in worker.profiles.items():
+        np.testing.assert_array_equal(profile.score, inline.profiles[task_id].score)
+
+
+def test_a_failing_step_leaves_no_epoch_worker(monkeypatch):
+    config = small_config(mode="pecl", epochs=3, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = count_forks(monkeypatch)
+    calls = []
+
+    def step(*args):
+        calls.append(1)
+        if len(calls) == 7:  # the second step of epoch 1, prepared by the worker
+            raise NumericError("non-finite token loss encountered")
+        return backward(*args)
+
+    monkeypatch.setattr("pecl.trainer.backward", step)
+    with pytest.raises(NumericError, match="^task 1 epoch 1: non-finite token loss"):
+        run_continual(config, small_stream(config).tasks)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [DataError, NumericError])
+@pytest.mark.parametrize("failing_epoch", [1, 2])
+def test_an_error_in_the_epoch_worker_is_raised_again_in_the_run(monkeypatch, error,
+                                                                failing_epoch):
+    config = small_config(mode="uniform_dp", epochs=4, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = count_forks(monkeypatch)
+    run_pid = os.getpid()
+    calls = []
+
+    def mechanism(e, sigma, clip_norm, rng):
+        calls.append(1)  # the worker's copy counts its own calls from epoch 0's one
+        if os.getpid() != run_pid and len(calls) == failing_epoch + 1:
+            raise error(f"refused in epoch {failing_epoch}")
+        return perturb_embeddings(e, sigma, clip_norm, rng)
+
+    monkeypatch.setattr("pecl.trainer.perturb_embeddings", mechanism)
+    with pytest.raises(error) as raised:
+        run_continual(config, small_stream(config).tasks)
+    assert type(raised.value) is error and str(raised.value) == f"refused in epoch {failing_epoch}"
+    assert len(forks) == 1 and calls == [1]
+    assert_no_child_left()
+
+
+def test_a_killed_epoch_worker_is_a_named_error_not_a_hang(monkeypatch):
+    config = small_config(mode="pecl", epochs=3, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_pid = os.getpid()
+    prepare = TaskInputs.noise_epoch
+
+    def dying(self, *args):
+        if os.getpid() != run_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return prepare(self, *args)
+
+    def hung(signum, frame):
+        raise AssertionError("the run waited on a dead worker")
+
+    monkeypatch.setattr(TaskInputs, "noise_epoch", dying)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        started = time.monotonic()
+        with pytest.raises(ChildProcessError, match="epoch worker ended without its result "
+                                                    r"\(killed by signal 9\)"):
+            run_continual(config, small_stream(config).tasks)
+        assert time.monotonic() - started < 30
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("unlearn_mode, sign", [("suppress", -1.0), ("additive", 1.0)])
+def test_unlearn_mode_sets_the_sign_of_the_unlearning_term(monkeypatch, unlearn_mode, sign):
+    config = small_config(mode="pecl", num_tasks=1, epochs=1, batch_size=7, d_emb=4, n_ctx=3,
+                          d_hidden=6, rank=2, unlearn_mode=unlearn_mode,
+                          sculpt=SculptConfig(theta=0.3, lambda_unlearn=1.5))
+    steps = []
+    monkeypatch.setattr("pecl.trainer.backward", lambda model, adapter, batch, spec: steps.append(
+        (model, adapter.copy(), batch, spec)) or backward(model, adapter, batch, spec))
+    run_continual(config, small_stream(config).tasks)
+    model, adapter, batch, spec = steps[-1]
+    assert (spec.unlearn_sign, spec.lambda_unlearn) == (sign, 1.5)
+    assert batch.margin[batch.valid].any()
+    grads = backward(model, adapter, batch, spec)
+    assert grads.l_unlearn > 0 and grads.l_reg == 0
+    assert grads.objective == grads.l_task + sign * 1.5 * grads.l_unlearn
+
+    # The term's gradient enters with the mode's sign: additive adds what suppress takes.
+    def adapter_grads(unlearn_sign, lambda_unlearn):
+        g = backward(model, adapter, batch, LossSpec(theta=spec.theta, unlearn_sign=unlearn_sign,
+                                                     lambda_unlearn=lambda_unlearn))
+        return np.concatenate([g.a.ravel(), g.b.ravel()])
+
+    task_only = adapter_grads(sign, 0.0)
+    np.testing.assert_allclose(adapter_grads(sign, 1.5) - task_only,
+                               sign * 1.5 * (adapter_grads(1.0, 1.0) - task_only),
+                               rtol=1e-9, atol=1e-15)
+
+    def objective():
+        # L_task + sign * lambda * L_unlearn from the losses, per sequence.
+        fb = forward_batch(model, adapter, batch)
+        l_task = l_unlearn = 0.0
+        for losses, margin, valid in zip(fb.losses, batch.margin, fb.valid):
+            l_task += losses[valid].mean() / len(batch)
+            l_unlearn += (margin[valid] * losses[valid]).mean() / len(batch)
+        return l_task + sign * 1.5 * l_unlearn
+
+    for name, param, grad in (("a", adapter.a, grads.a), ("b", adapter.b, grads.b)):
+        for idx in np.ndindex(param.shape):
+            orig = param[idx]
+            param[idx] = orig + 1e-5
+            up = objective()
+            param[idx] = orig - 1e-5
+            down = objective()
+            param[idx] = orig
+            fd = (up - down) / 2e-5
+            assert abs(grad[idx] - fd) <= max(1e-4 * max(abs(grad[idx]), abs(fd)), 1e-8), (
+                f"{name}{idx}: analytic {grad[idx]} vs fd {fd}")

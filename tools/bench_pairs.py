@@ -12,7 +12,8 @@ untracked ones that are not ignored).  Every seed of a workload is one pair of
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 invocations, and the side that runs first alternates from pair to pair.  A run
 value is the median that invocation prints for an end-to-end metric of the
-copy's BENCHMARK.json.  The file records every run, the medians, the distance
+copy's BENCHMARK.json, or for ``run_wall_s``, the unscaled wall time printed
+beside ``run_s``.  The file records every run, the medians, the distance
 between the quartiles of the parent's runs, the pairs the change wins and the
 environment block perfbench prints, and per metric a no-regression verdict
 against the metric's ``bound`` and a gain verdict (see ``summarise``).  It also
@@ -36,6 +37,9 @@ from statistics import median, quantiles
 
 ROOT = Path.cwd()
 ENV_KEYS = ("python", "numpy", "blas", "blas_config", "blas_threads", "nproc")
+# Under no effect, winning 9 or more of 10 pairs has a chance of 11/1024 (one-sided
+# sign test); 5 of 5 has 1/32.  Fewer pairs never give a gain verdict.
+MIN_GAIN_PAIRS = 10
 
 
 def git(*args: str) -> bytes:
@@ -73,13 +77,20 @@ def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"perfbench failed in {copy} ({workload}, seed {seed}):\n"
                          f"{proc.stdout}\n{proc.stderr}")
+    return parse_output(lines)
+
+
+def parse_output(lines: list[str]) -> dict:
+    """The metrics, failed samples, digests and environment a perfbench invocation printed."""
     result = json.loads(lines[-1])
     env = next(json.loads(line.split(":", 1)[1]) for line in lines
                if line.startswith("environment:"))
+    fields = [line.split() for line in lines]
     # "  digests matrix.csv <sha256 prefix>  ledger.csv <sha256 prefix>  (<n> samples)"
-    digests = [dict(zip(fields[1:5:2], fields[2:5:2])) for fields in map(str.split, lines)
-               if fields[:1] == ["digests"]]
-    return {"values": {k: m["value"] for k, m in result["metrics"].items()},
+    digests = [dict(zip(f[1:5:2], f[2:5:2])) for f in fields if f[:1] == ["digests"]]
+    # "  run_wall_s       p50 <seconds> s (n=<n>; unscaled; <k> speed probes)"
+    wall = next(float(f[2]) for f in fields if f[:2] == ["run_wall_s", "p50"])
+    return {"values": {k: m["value"] for k, m in result["metrics"].items()} | {"run_wall_s": wall},
             "failed": result["failed"], "digests": digests, "environment": env}
 
 
@@ -91,8 +102,9 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
     own runs spread wider than that (their quartiles lie more than ``bound``
     times the median apart), and not every change run beats every parent run,
     so the runs cannot tell a change within the bound from none.  ``gain``:
-    the change wins at least nine in ten pairs (a tie is no win) and its
-    median beats the parent's by more than the parent's IQR.
+    there are at least ``MIN_GAIN_PAIRS`` pairs, the change wins at least nine
+    in ten of them (a tie is no win), and its median beats the parent's by
+    more than the parent's IQR.
     """
     sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
     wins = sum(sign * c < sign * p for p, c in zip(parent, change))
@@ -105,7 +117,8 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
         "parent_iqr": round(q3 - q1, 4),
         "change_wins": wins,
         "regressed": sign * (c_med - p_med) > bound * abs(p_med),
-        "gain": 10 * wins >= 9 * len(parent) and sign * (p_med - c_med) > q3 - q1,
+        "gain": (len(parent) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(parent)
+                 and sign * (p_med - c_med) > q3 - q1),
         "unresolved": (q3 - q1 > bound * abs(p_med)
                        and max(sign * c for c in change) >= min(sign * p for p in parent)),
         "parent_runs": [round(v, 4) for v in parent],
@@ -141,6 +154,11 @@ def main(argv: list[str] | None = None) -> int:
         change_commit = (export_revision(args.change, sides["change"]) if args.change
                          else copy_worktree(sides["change"]))
         spec = json.loads((sides["change"] / "BENCHMARK.json").read_text("utf-8"))
+        metrics = []
+        for m in spec["end_to_end"]:
+            metrics.append(m)
+            if m["name"] == "run_s":  # the unscaled wall time, under run_s's bound
+                metrics.append(dict(m, name="run_wall_s"))
         workloads, environment = {}, {}
         for name, seeds in plan:
             runs = {side: [] for side in sides}
@@ -165,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": {m["name"]: summarise([r[m["name"]] for r in runs["parent"]],
                                                  [r[m["name"]] for r in runs["change"]],
                                                  m["better"], m["bound"])
-                            for m in spec["end_to_end"]},
+                            for m in metrics},
             }
 
     bench = {
@@ -177,13 +195,17 @@ def main(argv: list[str] | None = None) -> int:
             "pair; each side is one `python3 perfbench/run.py --workload W --seed S --seconds "
             f"{args.seconds:g} --trace 0` invocation from a clean copy of that side's files, and "
             "each run value is that invocation's median over its samples (run_s and setup_s "
-            "rescaled by perfbench's speed probe). One pair per seed. change_wins counts pairs "
+            "rescaled by perfbench's speed probe); run_wall_s is the unscaled run wall time "
+            "perfbench prints beside run_s, judged under run_s's bound, and is not in "
+            "BENCHMARK.json. One pair per seed. change_wins counts pairs "
             "where the change is better; parent_iqr is the distance between the quartiles of "
             "the parent's runs. regressed: the change's median is worse than the parent's by "
             "more than the metric's bound in BENCHMARK.json; unresolved: the parent's IQR is "
             "wider than bound x its median and not every change run beats every parent run; "
-            "gain: the change wins at least 9 in 10 pairs (ties count for neither side) and its "
-            "median beats the parent's by more than the parent's IQR. "
+            f"gain: at least {MIN_GAIN_PAIRS} pairs, the change wins at least 9 in 10 of them "
+            "(ties count for neither side), and its median beats the parent's by more than the "
+            "parent's IQR; under no effect a one-sided sign test gives 9 or more wins of 10 a "
+            "chance of 11/1024, and 5 of 5 a chance of 1/32, so fewer pairs give no gain. "
             "digests holds each side's matrix.csv/ledger.csv sha256 "
             "prefixes per pair, and digests_differ the seeds where they differ. Written by "
             "tools/bench_pairs.py."
