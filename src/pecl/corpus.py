@@ -134,14 +134,12 @@ def label_surface(label: str) -> str:
     return "_".join(words) if len(words) > 1 else words[0]
 
 
-def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[TaskCorpus]:
+def load_corpus(path: str | Path) -> list[TaskCorpus]:
     """Load a line-delimited corpus file into one TaskCorpus per task id.
 
     Raises DataError on a missing file, a malformed record (with its line
     number), a missing or non-integer ``task_id``, or an empty file.
     """
-    if fmt != "jsonl":
-        raise DataError(f"unknown corpus format {fmt!r} (supported: jsonl)")
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")

@@ -234,7 +234,7 @@ def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus) -> fl
     return int(correct.sum()) / len(task.eval)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskInputs:
     """A task's training set, packed, scored and budgeted once when the task starts.
 
@@ -243,12 +243,8 @@ class TaskInputs:
     where nothing is noised), and its frozen epsilon and sigma, read only
     where it is, one entry per token; and, aligned with ``seqs.tokens``,
     trailing PAD included, every predicted position's unlearning margin
-    (pecl only; 0 on each sequence's first position) and, in the noised
-    modes, the current epoch's ``table``, the vector fed for every token,
-    and ``base``, ``x @ W0.T`` of those vectors under the epoch's layout.
-    ``EpochFeed`` points both at the epoch's slot; ``noise_epoch`` prepares
-    them.  A step gathers its rows of both by index; a step over clean
-    inputs (seqft) reads ``seqs.base``.
+    (pecl only; 0 on each sequence's first position).  Built once per task,
+    after its budgets are known; ``EpochFeed`` lays each epoch out over it.
 
     Preparing a whole epoch before its first step, and computing the clean
     ``x @ W0.T`` once per task, rest on one invariant: ``run_continual``
@@ -259,15 +255,10 @@ class TaskInputs:
     """
 
     seqs: PackedSequences
-    names: np.ndarray                    # ledger sequence id of every sequence
     exposed: np.ndarray | None = None    # (N,) bool
     epsilon: np.ndarray | None = None    # (N,)
     sigma: np.ndarray | None = None      # (N,)
     margin: np.ndarray | None = None     # (N + 1,)
-    table: np.ndarray | None = None      # (N + 1, d_emb), noised modes only
-    base: np.ndarray | None = None       # (N + 1, d_hidden), with ``table``
-    records: RecordTable | None = None   # one ledger record per exposed token
-    record_of: np.ndarray | None = None  # (N,) each exposed token's row of ``records``
 
     def exposures(self, perm: np.ndarray) -> np.ndarray:
         """Where, in ``seqs.tokens``, each exposure of an epoch that feeds ``perm`` in turn is.
@@ -282,44 +273,18 @@ class TaskInputs:
         src = self.seqs.starts[seq] + pos
         return src[self.exposed[src]]
 
-    def noise_epoch(self, model: TinyLM, perm: np.ndarray, privacy: PrivacyConfig,
-                    rng: np.random.Generator, batch_size: int) -> None:
-        """Prepare, in ``table`` and ``base``, the epoch that feeds sequences ``perm`` in turn.
+    def records(self, task_id: int, delta: float) -> tuple[RecordTable, np.ndarray]:
+        """The ledger record of every exposed token, and each token's row in them.
 
-        One mechanism call noises the epoch's exposures (see ``exposures``),
-        and the rows are written into ``table``, whose other rows must hold
-        the clean embeddings.  ``base`` is then filled from the epoch's own
-        layout, in ``batch_size`` chunks, so every step reads the bits it
-        would compute; its rows that no window predicts must hold 0.
+        Sequence i is named ``f"{task_id}:{i}"``.
         """
-        src = self.exposures(perm)
-        self.table[src] = perturb_embeddings(model.embed[self.seqs.tokens[src]], self.sigma[src],
-                                             privacy.clip_norm, rng)
-        frozen_base(model, self.lay_out(model, perm), batch_size, self.base)
-
-    def record_epoch(self, ledger: PrivacyLedger, perm: np.ndarray, epoch: int,
-                     delta: float) -> None:
-        """Give ``ledger`` the epoch's exposures, in feed order, as references into ``records``.
-
-        ``records``, the ledger record of every exposed token, is built from
-        the frozen budgets on the first call.
-        """
-        if self.records is None:
-            tok = np.flatnonzero(self.exposed)
-            seq = np.repeat(np.arange(self.seqs.lengths.size), self.seqs.lengths)[tok]
-            self.records = record_table(self.names[seq], tok - self.seqs.starts[seq],
-                                        self.epsilon[tok], self.sigma[tok], delta)
-            self.record_of = np.cumsum(self.exposed) - 1
-        ledger.add(self.records, self.record_of[self.exposures(perm)], epoch)
-
-    def lay_out(self, model: TinyLM, perm: np.ndarray) -> PackedBatch:
-        """The epoch that feeds sequences ``perm`` in turn as one batch over the current inputs.
-
-        A step is one of its ``chunks(batch_size)``.
-        """
-        if self.exposed is not None and self.table is None:
-            raise ValueError("noise an epoch before laying it out")
-        return self.seqs.batch(model, perm, self.table, self.margin, self.base)
+        n_seqs = self.seqs.lengths.size
+        names = np.array([f"{task_id}:{i}" for i in range(n_seqs)], dtype=object)
+        tok = np.flatnonzero(self.exposed)
+        seq = np.repeat(np.arange(n_seqs), self.seqs.lengths)[tok]
+        return (record_table(names[seq], tok - self.seqs.starts[seq], self.epsilon[tok],
+                             self.sigma[tok], delta),
+                np.cumsum(self.exposed) - 1)
 
 
 def _shared_zeros(rows: int, cols: int) -> np.ndarray:
@@ -342,27 +307,26 @@ def _cpus() -> int:
 class EpochFeed:
     """A task's epochs, each laid out over its inputs; in the noised modes, prepared ahead.
 
-    Iterating yields each epoch's layout in turn.  In the noised modes epoch
-    e is prepared by ``TaskInputs.noise_epoch`` in slot ``e % 2``, a table
-    and a base in anonymous shared memory, and its exposures are recorded in
-    ``ledger`` when it starts.  Epoch 0 is drawn in the caller's process as
-    the feed is made.  When the task has 2 or more epochs and the process may
-    run on 2 or more CPUs, a forked worker then prepares epochs 1, 2, ... on
-    its copy of the noise generator while the previous epoch trains, each
-    once the epoch that last used its slot has ended, and hands the
-    generator's state back at the end.  A process, not a thread: the noise
-    and the fill are small numpy calls, which hold the GIL.  Otherwise each
-    epoch is prepared inline when it starts.  Either way the epochs, the
-    ledger and the generator's final state are the same bits.
+    Iterating yields each epoch's layout in turn.  The feed alone owns the
+    epoch buffers: in the noised modes epoch e is prepared by ``_prepare``
+    in slot ``e % 2``, a table and a base in anonymous shared memory.  Epoch
+    0 is prepared in the caller's process as the feed is made.  When the
+    task has 2 or more epochs and the process may run on 2 or more CPUs, a
+    forked worker then prepares epochs 1, 2, ... on its copy of the noise
+    generator while the previous epoch trains, each once the epoch that
+    last used its slot has ended, and hands the generator's state back at
+    the end.  A process, not a thread: the noise and the fill are small
+    numpy calls, which hold the GIL.  Otherwise each epoch is prepared
+    inline when it starts.  Either way the epochs and the generator's final
+    state are the same bits.
 
     Use it as a context manager: leaving it reaps the worker, and an error
     in the worker is raised again in the caller, with its class and message.
     """
 
     def __init__(self, inputs: TaskInputs, model: TinyLM, perms: list[np.ndarray],
-                 privacy: PrivacyConfig, rng: np.random.Generator, batch_size: int,
-                 ledger: PrivacyLedger):
-        self.inputs, self.model, self.perms, self.ledger = inputs, model, perms, ledger
+                 privacy: PrivacyConfig, rng: np.random.Generator, batch_size: int):
+        self.inputs, self.model, self.perms = inputs, model, perms
         self.privacy, self.rng, self.batch_size = privacy, rng, batch_size
         self.slots: list[tuple[np.ndarray, np.ndarray]] = []
         self.pid = self.conn = self.free = None
@@ -378,9 +342,22 @@ class EpochFeed:
             self._fork()
 
     def _prepare(self, epoch: int) -> None:
-        self.inputs.table, self.inputs.base = self.slots[epoch % 2]
-        self.inputs.noise_epoch(self.model, self.perms[epoch], self.privacy, self.rng,
-                                self.batch_size)
+        """Noise the epoch's exposures into its slot's table, then fill the slot's base.
+
+        One mechanism call noises every exposure; the table's other rows stay
+        clean.  The base is filled from the epoch's own layout, in its steps.
+        """
+        (table, base), inputs = self.slots[epoch % 2], self.inputs
+        src = inputs.exposures(self.perms[epoch])
+        table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
+                                        inputs.sigma[src], self.privacy.clip_norm, self.rng)
+        frozen_base(self.model, self._layout(epoch), self.batch_size, base)
+
+    def _layout(self, epoch: int) -> PackedBatch:
+        """The epoch as one batch over its slot (the embeddings in seqft); a step is a chunk."""
+        table, base = self.slots[epoch % 2] if self.slots else (None, None)
+        return self.inputs.seqs.batch(self.model, self.perms[epoch], table, self.inputs.margin,
+                                      base)
 
     def _fork(self) -> None:
         (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
@@ -423,15 +400,12 @@ class EpochFeed:
         return message
 
     def __iter__(self):
-        for epoch, perm in enumerate(self.perms):
+        for epoch in range(len(self.perms)):
             if self.slots and epoch and self.pid is None:
                 self._prepare(epoch)
             elif self.slots and epoch:  # the worker's: wait until it is ready
-                self.inputs.table, self.inputs.base = self.slots[epoch % 2]
                 self._receive()
-            if self.slots:
-                self.inputs.record_epoch(self.ledger, perm, epoch, self.privacy.delta)
-            yield self.inputs.lay_out(self.model, perm)
+            yield self._layout(epoch)
             if self.pid is not None and epoch + 2 < len(self.perms):
                 try:
                     self.free.write(b"\0")  # its slot is free for epoch + 2
@@ -456,7 +430,6 @@ class EpochFeed:
             for conn in (self.conn, self.free):
                 if conn is not None:
                     conn.close()
-            self.inputs.table = self.inputs.base = None
             self.slots = []
 
 
@@ -519,15 +492,12 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         adapter = adapter.copy(task_id=task_id) if k > 1 else adapter
         state.reset_activations()
 
-        inputs = TaskInputs(PackedSequences.of(model, task.train),
-                            np.array([f"{task_id}:{i}" for i in range(len(task.train))],
-                                     dtype=object))
+        seqs = PackedSequences.of(model, task.train)
         # seqft steps and pecl's scoring and wrap-up forward read the clean base;
         # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
         if config.mode != "uniform_dp":
-            inputs.seqs.base = frozen_base(
-                model, inputs.seqs.batch(model, np.arange(len(task.train))), config.batch_size,
-                np.zeros((inputs.seqs.tokens.size, config.d_hidden)))
+            seqs.base = frozen_base(model, seqs.batch(model, np.arange(len(task.train))),
+                                    config.batch_size, np.zeros((seqs.tokens.size, model.d_hidden)))
         s_bar = lam_dyn = None
         reg_weight = 0.0
         lambda_unlearn = 0.0
@@ -535,23 +505,24 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             pool = corpora if config.stats_scope == "all" else [by_id[t] for t in order[:k]]
             stats = compute_corpus_stats(pool, config.tau)
             profile = assign_budgets(
-                score_sequences(model, adapter, stats, inputs.seqs, sens_cfg, config.batch_size),
+                score_sequences(model, adapter, stats, seqs, sens_cfg, config.batch_size),
                 config.privacy,
             )
-            inputs.exposed = profile.score > 0.0
-            inputs.epsilon, inputs.sigma = profile.epsilon, profile.sigma
-            inputs.margin = inputs.seqs.margins(profile.score, config.sculpt.theta)
+            inputs = TaskInputs(seqs, profile.score > 0.0, profile.epsilon, profile.sigma,
+                                seqs.margins(profile.score, config.sculpt.theta))
             kept_profiles[task_id] = profile
-            s_bar = mean_task_sensitivity(profile.score, inputs.seqs.lengths)
+            s_bar = mean_task_sensitivity(profile.score, seqs.lengths)
             lam_dyn = dynamic_lambda(s_bar, config.sculpt)
             if k >= 2:
                 reg_weight = lam_dyn * state.omega_bar
             lambda_unlearn = config.sculpt.lambda_unlearn
         elif config.mode == "uniform_dp":
-            tokens = inputs.seqs.tokens[:-1]
-            inputs.exposed = ~np.isin(tokens, list(sens_cfg.stopword_ids))
-            inputs.epsilon = np.full(tokens.size, config.uniform_eps)
-            inputs.sigma = np.full(tokens.size, uniform_sigma)
+            tokens = seqs.tokens[:-1]
+            inputs = TaskInputs(seqs, ~np.isin(tokens, list(sens_cfg.stopword_ids)),
+                                np.full(tokens.size, config.uniform_eps),
+                                np.full(tokens.size, uniform_sigma))
+        else:
+            inputs = TaskInputs(seqs)
 
         optimizer = AdamW(weight_decay=config.weight_decay) if config.optimizer == "adamw" else None
         steps_per_epoch = math.ceil(len(task.train) / config.batch_size)
@@ -566,9 +537,13 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         )
         perms = [spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
                  for epoch in range(config.epochs)]
-        with EpochFeed(inputs, model, perms, config.privacy, noise_rng, config.batch_size,
-                       ledger) as epochs:
-            for epoch, layout in enumerate(epochs):
+        with EpochFeed(inputs, model, perms, config.privacy, noise_rng, config.batch_size) as feed:
+            # Built once the worker is forked, while it prepares epoch 1.
+            if inputs.exposed is not None:
+                records, record_of = inputs.records(task_id, config.privacy.delta)
+            for epoch, layout in enumerate(feed):
+                if inputs.exposed is not None:
+                    ledger.add(records, record_of[inputs.exposures(perms[epoch])], epoch)
                 for batch in layout.chunks(config.batch_size):
                     try:
                         grads = backward(model, adapter, batch, spec)
@@ -589,7 +564,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         # in).  Only pecl reads the losses, so only pecl runs a forward pass, and
         # keeps each chunk's losses in sequence and position order.
         train_losses: list[np.ndarray] = []
-        for batch in inputs.seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
+        for batch in seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
             fb = forward_batch(model, adapter, batch) if config.mode == "pecl" else None
             x = _windows(model, batch) if fb is None else fb.x
             state.observe_activation(np.linalg.norm(x, axis=-1)[batch.valid])
@@ -604,7 +579,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                                state.omega_bar) if k >= 2 and config.mode == "pecl" else 0.0
         final_l_unlearn = None
         if config.mode == "pecl":
-            lengths = inputs.seqs.lengths
+            lengths = seqs.lengths
             scores = np.split(profile.score, np.cumsum(lengths)[:-1])
             losses = np.split(np.concatenate(train_losses), np.cumsum(lengths - 1)[:-1])
             final_l_unlearn = float(np.mean([unlearn_loss(s[1:], ell, config.sculpt.theta)

@@ -93,13 +93,6 @@ def test_load_corpus_missing_file():
         load_corpus("/nonexistent/corpus.jsonl")
 
 
-def test_load_corpus_unknown_format(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    write_jsonl(path, [{"task_id": 1, "text": "ok", "label": "a"}])
-    with pytest.raises(DataError, match="format"):
-        load_corpus(path, fmt="parquet")
-
-
 def test_load_corpus_eval_split(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(

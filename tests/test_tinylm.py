@@ -58,7 +58,7 @@ def oracle_forward(model, adapter, context, noisy=None):
 
 
 def noised_batch(model, batch, noisy):
-    """``batch`` laid out as ``TaskInputs`` lays out a noised epoch: over a
+    """``batch`` laid out as ``EpochFeed`` lays out a noised epoch: over a
     per-token input table, the embedding rows with ``noisy[i]`` written over
     the first rows of sequence i (None leaves a sequence clean)."""
     seqs = PackedSequences.of(model, batch)

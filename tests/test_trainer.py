@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import time
@@ -10,7 +11,8 @@ from pecl.errors import DataError, NumericError
 from pecl.synthetic import synthetic_stream
 from pecl.seeding import spawn_rng
 from pecl.sculpt import ImportanceState, SculptConfig, task_importance, unlearn_loss
-from pecl.privacy import PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma, perturb_embeddings
+from pecl.privacy import (PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma,
+                          perturb_embeddings, record_table)
 from pecl.sensitivity import score_sequences
 from pecl.tinylm import (
     LossSpec,
@@ -26,6 +28,7 @@ from pecl.tinylm import (
 )
 from pecl.trainer import (
     AccuracyMatrix,
+    EpochFeed,
     RunConfig,
     TaskInputs,
     avg_acc,
@@ -335,35 +338,38 @@ def test_run_rejects_an_out_of_vocab_id_in_a_later_eval_split_before_training(mo
 
 def budgeted_inputs(mode, model, seqs, privacy, rng):
     """TaskInputs over ``seqs`` with pecl-like random scores or uniform_dp budgets."""
-    names = np.array([f"1:{i}" for i in range(len(seqs))], dtype=object)
+    packed = PackedSequences.of(model, seqs)
     tokens = np.concatenate(seqs)
-    inputs = TaskInputs(PackedSequences.of(model, seqs), names)
+    margin = None
     if mode == "pecl":
         score = rng.uniform(0.0, 0.99, size=tokens.size)
         score[rng.random(tokens.size) < 0.3] = 0.0
         epsilon = np.full(tokens.size, np.nan)
         epsilon[score > 0] = allocate_budget(score[score > 0], privacy)
         sigma = noise_sigma(epsilon, privacy.delta, privacy.clip_norm)
-        inputs.margin = inputs.seqs.margins(score, 0.6)
+        margin = packed.margins(score, 0.6)
     else:
         score = (tokens % 4 != 0).astype(float)  # ids divisible by 4 play stopwords
         epsilon = np.full(tokens.size, 2.0)
         sigma = np.full(tokens.size, noise_sigma(2.0, privacy.delta, privacy.clip_norm))
-    inputs.exposed = score > 0
-    inputs.epsilon, inputs.sigma = epsilon, sigma
-    return inputs, score, epsilon, sigma
+    return TaskInputs(packed, score > 0, epsilon, sigma, margin), score, epsilon, sigma
+
+
+def task_names(n):
+    """The ledger name of each of task 1's ``n`` sequences."""
+    return np.array([f"1:{i}" for i in range(n)], dtype=object)
+
+
+def record_epoch(ledger, inputs, perm, epoch, delta):
+    """Give ``ledger`` task 1's epoch that feeds ``perm``, as ``run_continual`` does."""
+    records, record_of = inputs.records(1, delta)
+    ledger.add(records, record_of[inputs.exposures(perm)], epoch)
 
 
 def clean_base(model, seqs, batch_size):
     """The task's clean base table, as ``run_continual`` fills it: natural order."""
     return frozen_base(model, seqs.batch(model, np.arange(len(seqs.lengths))), batch_size,
                        np.zeros((seqs.tokens.size, model.d_hidden)))
-
-
-def epoch_slot(inputs, model):
-    """Point ``inputs`` at a fresh epoch slot: the clean embeddings and a zero base."""
-    inputs.table = model.embed[inputs.seqs.tokens]
-    inputs.base = np.zeros((inputs.seqs.tokens.size, model.d_hidden))
 
 
 def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger, epoch):
@@ -405,12 +411,12 @@ def test_packed_training_step_equals_the_list_api(mode):
     # filled from this very layout, even though the task's clean base table
     # is there; the list side below computes the product itself.
     step_ledger, step_rng = PrivacyLedger(), np.random.default_rng(21)
-    epoch_slot(inputs, model)
-    inputs.noise_epoch(model, rows, privacy, step_rng, len(rows))
-    inputs.record_epoch(step_ledger, rows, 3, privacy.delta)
     inputs.seqs.base = clean_base(model, inputs.seqs, len(rows))
-    (batch,) = inputs.lay_out(model, rows).chunks(len(rows))
-    assert batch.base is inputs.base
+    with EpochFeed(inputs, model, [rows], privacy, step_rng, len(rows)) as feed:
+        (layout,) = feed
+        (batch,) = layout.chunks(len(rows))
+        assert batch.base is feed.slots[0][1]
+    record_epoch(step_ledger, inputs, rows, 3, privacy.delta)
     packed = backward(model, adapter, batch, spec)
 
     # The same step from the list of the step's sequences, packed on their
@@ -418,8 +424,8 @@ def test_packed_training_step_equals_the_list_api(mode):
     # each sequence's fed positions, and margins from per-sequence scores.
     list_ledger, list_rng = PrivacyLedger(), np.random.default_rng(21)
     listed_seqs = [seqs[i] for i in rows]
-    rows_noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets, inputs.names, privacy,
-                                             list_rng, list_ledger, epoch=3)
+    rows_noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets, task_names(len(seqs)),
+                                             privacy, list_rng, list_ledger, epoch=3)
     listed_packed = PackedSequences.of(model, listed_seqs)
     fed = np.concatenate([start + np.arange(n) for start, n in zip(listed_packed.starts, n_fed)])
     table = model.embed[listed_packed.tokens]
@@ -467,7 +473,9 @@ def test_evaluate_matches_per_sequence_forward_argmax():
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
-def test_epoch_noising_equals_per_batch_noising(mode):
+def test_epoch_noising_equals_per_batch_noising(monkeypatch, mode):
+    # Inline preparation, so the generator has drawn each epoch when it starts.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     privacy = PrivacyConfig(clip_norm=0.5)
     model = init_lm((23, 4, 3, 6), seed=4)
     rng = np.random.default_rng(13)
@@ -477,30 +485,30 @@ def test_epoch_noising_equals_per_batch_noising(mode):
     batch_size = 4  # does not divide the 11 sequences
     epoch_ledger, epoch_rng = PrivacyLedger(), np.random.default_rng(21)
     batch_ledger, batch_rng = PrivacyLedger(), np.random.default_rng(21)
-    epoch_slot(inputs, model)
-    table = inputs.table  # a slot: refreshed in place each epoch
-    for epoch in range(2):
-        perm = np.random.default_rng(epoch).permutation(len(seqs))
-        inputs.noise_epoch(model, perm, privacy, epoch_rng, batch_size)
-        inputs.record_epoch(epoch_ledger, perm, epoch, privacy.delta)
-        assert inputs.table is table
+    perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
+    with EpochFeed(inputs, model, perms, privacy, epoch_rng, batch_size) as feed:
+        for epoch, (perm, layout) in enumerate(zip(perms, feed, strict=True)):
+            record_epoch(epoch_ledger, inputs, perm, epoch, privacy.delta)
+            table = layout.table
+            assert table is feed.slots[epoch % 2][0]  # a slot: refreshed in place
 
-        expected = clean.copy()
-        for start in range(0, len(perm), batch_size):
-            rows = perm[start : start + batch_size]
-            noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets, inputs.names,
-                                                privacy, batch_rng, batch_ledger, epoch)
-            expected[np.concatenate([inputs.seqs.starts[i] + np.arange(n)
-                                     for i, n in zip(rows, n_fed)])] = noised
-        np.testing.assert_array_equal(inputs.table, expected)
-        assert epoch_ledger.records == batch_ledger.records
-        assert epoch_rng.bit_generator.state == batch_rng.bit_generator.state
-        noised_rows = np.append(inputs.exposed, False)  # rows of the table, PAD included
-        noised_rows[inputs.seqs.starts + inputs.seqs.lengths - 1] = False  # never fed
-        assert noised_rows.any() and not noised_rows.all()
-        np.testing.assert_array_equal(inputs.table[~noised_rows], clean[~noised_rows])
-        assert (inputs.table[noised_rows] != clean[noised_rows]).all(axis=1).all()
-    assert len(epoch_ledger) == 2 * noised_rows.sum()
+            expected = clean.copy()
+            for start in range(0, len(perm), batch_size):
+                rows = perm[start : start + batch_size]
+                noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets,
+                                                    task_names(len(seqs)), privacy, batch_rng,
+                                                    batch_ledger, epoch)
+                expected[np.concatenate([inputs.seqs.starts[i] + np.arange(n)
+                                         for i, n in zip(rows, n_fed)])] = noised
+            np.testing.assert_array_equal(table, expected)
+            assert epoch_ledger.records == batch_ledger.records
+            assert epoch_rng.bit_generator.state == batch_rng.bit_generator.state
+            noised_rows = np.append(inputs.exposed, False)  # rows of the table, PAD included
+            noised_rows[inputs.seqs.starts + inputs.seqs.lengths - 1] = False  # never fed
+            assert noised_rows.any() and not noised_rows.all()
+            np.testing.assert_array_equal(table[~noised_rows], clean[~noised_rows])
+            assert (table[noised_rows] != clean[noised_rows]).all(axis=1).all()
+    assert len(epoch_ledger) == 3 * noised_rows.sum()
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
@@ -510,24 +518,21 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
     rng = np.random.default_rng(17)
     seqs = [rng.integers(1, 23, size=n).tolist() for n in (2, 3, 7, 4, 9, 2, 5, 8, 6, 3, 2)]
     if mode == "seqft":
-        inputs = TaskInputs(PackedSequences.of(model, seqs), np.arange(len(seqs)))
+        inputs = TaskInputs(PackedSequences.of(model, seqs))
     else:
         inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
     batch_size = 4  # does not divide the 11 sequences
-    ledger, noise_rng = PrivacyLedger(), np.random.default_rng(3)
+    noise_rng = np.random.default_rng(3)
     # The clean table is filled in natural order; the epochs below regroup its
     # rows.  A noised epoch's base is filled from its own layout.
     inputs.seqs.base = clean_base(model, inputs.seqs, batch_size)
-    if mode != "seqft":
-        epoch_slot(inputs, model)
-    for epoch in range(2):
-        perm = np.random.default_rng(epoch).permutation(len(seqs))
-        if mode != "seqft":
-            inputs.noise_epoch(model, perm, privacy, noise_rng, batch_size)
-            inputs.record_epoch(ledger, perm, epoch, privacy.delta)
-        layout = inputs.lay_out(model, perm)
-        assert layout.base is (inputs.seqs.base if mode == "seqft" else inputs.base)
-        table = model.embed[inputs.seqs.tokens] if inputs.table is None else inputs.table
+    perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(2)]
+    with EpochFeed(inputs, model, perms, privacy, noise_rng, batch_size) as feed:
+        layouts = [(layout, feed.slots[epoch % 2] if feed.slots else (None, inputs.seqs.base))
+                   for epoch, layout in enumerate(feed)]
+    for perm, (layout, (slot_table, slot_base)) in zip(perms, layouts, strict=True):
+        assert layout.base is slot_base
+        table = model.embed[inputs.seqs.tokens] if slot_table is None else slot_table
         trained = 0
         for start, step in zip(range(0, len(perm), batch_size), layout.chunks(batch_size),
                                strict=True):
@@ -679,15 +684,14 @@ def test_each_steps_window_index_is_its_own_feed_at_every_window(mode, lengths):
     rng = np.random.default_rng(19)
     seqs = [rng.integers(1, 23, size=n).tolist() for n in lengths]
     if mode == "seqft":
-        inputs = TaskInputs(PackedSequences.of(model, seqs), np.arange(len(seqs)))
+        inputs = TaskInputs(PackedSequences.of(model, seqs))
     else:
         inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
     perm = np.random.default_rng(1).permutation(len(seqs))
-    if mode != "seqft":
-        epoch_slot(inputs, model)
-        inputs.noise_epoch(model, perm, privacy, np.random.default_rng(3), 4)
+    with EpochFeed(inputs, model, [perm], privacy, np.random.default_rng(3), 4) as feed:
+        (layout,) = feed
     widths = set()
-    for step in inputs.lay_out(model, perm).chunks(4):
+    for step in layout.chunks(4):
         n_windows = step.valid.shape[1]
         windows = np.arange(n_windows)[:, None] + np.arange(model.n_ctx)
         assert step.wfeed.shape == (len(step), n_windows, model.n_ctx)
@@ -948,6 +952,29 @@ def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, 
         np.testing.assert_array_equal(profile.score, inline.profiles[task_id].score)
 
 
+def test_task_inputs_are_frozen():
+    model = init_lm((23, 4, 3, 6), seed=1)
+    privacy = PrivacyConfig(clip_norm=0.5)
+    inputs = budgeted_inputs("pecl", model, [[3, 4, 5], [6, 7]], privacy,
+                             np.random.default_rng(2))[0]
+    for field in dataclasses.fields(TaskInputs):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inputs, field.name, None)
+
+
+def test_each_tasks_worker_is_forked_before_its_record_table_is_built(monkeypatch):
+    config = small_config(mode="pecl", epochs=2, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    events = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: events.append("fork") or real_fork())
+    monkeypatch.setattr("pecl.trainer.record_table",
+                        lambda *args: events.append("records") or record_table(*args))
+    run_continual(config, small_stream(config).tasks)
+    assert events == ["fork", "records"] * config.num_tasks
+    assert_no_child_left()
+
+
 def test_a_failing_step_leaves_no_epoch_worker(monkeypatch):
     config = small_config(mode="pecl", epochs=3, batch_size=7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -995,17 +1022,17 @@ def test_a_killed_epoch_worker_is_a_named_error_not_a_hang(monkeypatch):
     config = small_config(mode="pecl", epochs=3, batch_size=7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     run_pid = os.getpid()
-    prepare = TaskInputs.noise_epoch
+    prepare = EpochFeed._prepare
 
-    def dying(self, *args):
+    def dying(self, epoch):
         if os.getpid() != run_pid:
             os.kill(os.getpid(), signal.SIGKILL)
-        return prepare(self, *args)
+        return prepare(self, epoch)
 
     def hung(signum, frame):
         raise AssertionError("the run waited on a dead worker")
 
-    monkeypatch.setattr(TaskInputs, "noise_epoch", dying)
+    monkeypatch.setattr(EpochFeed, "_prepare", dying)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
