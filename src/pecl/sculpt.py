@@ -84,7 +84,7 @@ def task_importance(delta_w: np.ndarray, x_norm: float) -> float:
         raise NumericError("non-finite adapter delta")
     if x_norm < 0:
         raise ValueError(f"x_norm must be non-negative, got {x_norm}")
-    return float(np.linalg.norm(delta_w) * x_norm)
+    return float(math.sqrt((delta_w * delta_w).sum()) * x_norm)
 
 
 def update_running_importance(state: ImportanceState, omega_k: float) -> ImportanceState:

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pecl
 from pecl.errors import NumericError
 from pecl.sculpt import (
     AdapterSnapshot,
@@ -32,6 +39,30 @@ def test_task_importance_scales_with_matrix():
     base = task_importance(m, 1.7)
     for c in (-3.0, 0.5, 2.0):
         assert task_importance(c * m, 1.7) == pytest.approx(abs(c) * base, rel=1e-12)
+
+
+IMPORTANCE_OF_SEEDED_DELTAS = """
+import numpy as np
+from pecl.sculpt import task_importance
+for seed in range(50):
+    rng = np.random.default_rng(seed)
+    print(task_importance(rng.normal(size=(64, 256)), rng.uniform(0.5, 2.0)).hex())
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs a CPU mask of at least 2 CPUs")
+def test_task_importance_does_not_depend_on_the_cpu_mask():
+    # A BLAS may split a reduction by its thread count, which it sets from the
+    # CPU mask when it loads; the child narrows its mask to one CPU first.
+    narrow = (f"import os, sys; os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}}); "
+              f"sys.path.insert(0, {str(Path(pecl.__file__).parents[1])!r})\n")
+    child = subprocess.run([sys.executable, "-c", narrow + IMPORTANCE_OF_SEEDED_DELTAS],
+                           capture_output=True, text=True, check=True)
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(IMPORTANCE_OF_SEEDED_DELTAS, {})
+    assert child.stdout.split() == here.getvalue().split()
 
 
 def test_task_importance_validation():
