@@ -44,12 +44,12 @@ print(f"sample means {np.round(samples.mean(axis=0), 3)} vs clipped center {np.r
 
 print("== ledger and composition ==")
 print("The mechanism only noises; its caller records each exposure in the ledger.")
-ledger = PrivacyLedger()
+ledger = PrivacyLedger(config.delta)  # one delta for every exposure
 for pos, score in enumerate((0.9, 0.4, 0.7, 0.95)):
     eps = allocate_budget(score, config)
     sigma = noise_sigma(eps, config.delta, config.clip_norm, "appendix")
     perturb_embedding(e, ProfileEntry(score, eps, sigma), config, rng)
-    ledger.extend(["demo:0"], [pos], 0, [eps], [sigma], config.delta)
+    ledger.extend(["demo:0"], [pos], 0, [eps], [sigma])
 eps_total, delta_total = compose_sequence(ledger, delta_prime=1e-6)
 print(f"{len(ledger)} exposures with epsilons {np.round(ledger.columns()['epsilon'], 3)}")
 print(f"composed: eps_total = {eps_total:.3f}, delta_total = {delta_total:.2e}")

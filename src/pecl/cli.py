@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: run, audit, compose, metrics, sweep.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 numeric failure.  Partial outputs of a failed
-command are removed.
+1 usage error, 2 data error or other OS error, 3 numeric failure.  Partial
+outputs of a failed command are removed.
 """
 
 from __future__ import annotations
@@ -126,9 +126,8 @@ class _Outputs:
 
 def _cmd_run(args) -> int:
     config = _load_run_config(args)
-    corpora = _resolve_corpora(config)
+    result = run_continual(config, _resolve_corpora(config))
     with _Outputs(args.out) as outputs:
-        result = run_continual(config, corpora)
         summary = write_run_bundle(args.out, result, config, written=outputs.paths)
         if args.self_check:
             for name in check_bundle(args.out):
@@ -191,22 +190,22 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--sweep-values is empty")
 
     base = config_to_dict(config)
+    lines = ["param,value,bwt,last,avg"]
+    for value in values:
+        point = dict(base)
+        point[args.sweep_param] = value
+        point_config = config_from_dict(point)
+        result = run_continual(point_config, _resolve_corpora(point_config))
+        summary = metrics_summary(result.matrix)
+        lines.append(
+            f"{args.sweep_param},{value!r},{summary['bwt']!r},"
+            f"{summary['last']!r},{summary['avg']!r}"
+        )
+        print(lines[-1])
     with _Outputs(args.out) as outputs:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "sweep.csv"
         outputs.paths.append(path)
-        lines = ["param,value,bwt,last,avg"]
-        for value in values:
-            point = dict(base)
-            point[args.sweep_param] = value
-            point_config = config_from_dict(point)
-            result = run_continual(point_config, _resolve_corpora(point_config))
-            summary = metrics_summary(result.matrix)
-            lines.append(
-                f"{args.sweep_param},{value!r},{summary['bwt']!r},"
-                f"{summary['last']!r},{summary['avg']!r}"
-            )
-            print(lines[-1])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0
 
@@ -244,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # not a write: _Outputs makes those a DataError
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -127,16 +127,13 @@ class LedgerRecord:
     epoch: int
     epsilon: float
     sigma: float
-    delta: float
 
 
-_LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRecord))
-# ledger.csv's columns: delta is the same for every record, so it is not written.
-LEDGER_COLUMNS = tuple(name for name in _LEDGER_FIELDS if name != "delta")
-_LEDGER_DTYPES = dict(zip(_LEDGER_FIELDS, (object, np.int64, np.int64, float, float, float)))
+LEDGER_COLUMNS = tuple(f.name for f in fields(LedgerRecord))  # ledger.csv's columns
+_LEDGER_DTYPES = dict(zip(LEDGER_COLUMNS, (object, np.int64, np.int64, float, float)))
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-RecordTable = namedtuple("RecordTable", [name for name in _LEDGER_FIELDS if name != "epoch"])
+RecordTable = namedtuple("RecordTable", [name for name in LEDGER_COLUMNS if name != "epoch"])
 RecordTable.__doc__ = """Ledger records as aligned columns.  A record holds every field of a
 ``LedgerRecord`` but the epoch: what all exposures of one noised token share."""
 
@@ -151,8 +148,6 @@ def _column(name: str, value) -> np.ndarray:
         floats = col.dtype.kind == "f"
         fits = (col < 2.0**63) & (col == np.trunc(col)) if floats else col <= _INT64_MAX
         rule, ok = "non-negative integers", fits & (col >= 0)
-    elif name == "delta":
-        rule, ok = "values in (0, 1)", (col > 0) & (col < 1)
     else:
         rule, ok = "finite, positive values", (col > 0) & (col < math.inf)
     if not np.all(ok):
@@ -180,10 +175,9 @@ def _aligned(names: Sequence[str], values: Sequence) -> list[np.ndarray]:
     return [col if col.ndim else np.full(n, col) for col in cols]
 
 
-def record_table(sequence_ids, positions, epsilons, sigmas, deltas) -> RecordTable:
+def record_table(sequence_ids, positions, epsilons, sigmas) -> RecordTable:
     """Records given column by column; a scalar fills its column."""
-    return RecordTable(*_aligned(RecordTable._fields,
-                                 (sequence_ids, positions, epsilons, sigmas, deltas)))
+    return RecordTable(*_aligned(RecordTable._fields, (sequence_ids, positions, epsilons, sigmas)))
 
 
 def _csv_field(value: str) -> str:
@@ -193,34 +187,32 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _float_text(values: np.ndarray) -> list[str]:
-    """``repr`` of each float, made once per distinct bit pattern (``-0.0 == 0.0``)."""
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = [repr(v) for v in bits.view(np.float64).tolist()]
-    return [text[i] for i in where.tolist()]
-
-
 def _record_text(table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
     """Each record's ledger.csv row text before its epoch and after it."""
     ids = table.sequence_id.tolist()
     quoted = {seq: _csv_field(seq) for seq in set(ids)}
     before = [f"{quoted[seq]},{pos}," for seq, pos in zip(ids, table.position.tolist())]
-    after = [f",{eps},{sig}\r\n"
-             for eps, sig in zip(_float_text(table.epsilon), _float_text(table.sigma))]
+    after = [f",{eps!r},{sig!r}\r\n"
+             for eps, sig in zip(table.epsilon.tolist(), table.sigma.tolist())]
     return np.array(before, dtype=object), np.array(after, dtype=object)
 
 
 class PrivacyLedger:
-    """Every noised token exposure, kept as references into record tables.
+    """Every noised token exposure under one ``delta``, kept as references into record tables.
 
-    A chunk is a ``RecordTable``, the index of each exposure's record in it,
-    and the epoch of every exposure (one, or one each).  The trainer builds
-    one table per task and appends each epoch's exposures as one chunk over
-    it, since a token's budget is frozen for the task; ``extend`` appends
-    exposures that are each their own record.
+    ``delta`` is the mechanism's failure probability, one for every exposure;
+    a value outside (0, 1) is a ValueError.  A chunk is a ``RecordTable``, the
+    index of each exposure's record in it, and the epoch of every exposure
+    (one, or one each).  The trainer builds one table per task and appends
+    each epoch's exposures as one chunk over it, since a token's budget is
+    frozen for the task; ``extend`` appends exposures that are each their
+    own record.
     """
 
-    def __init__(self):
+    def __init__(self, delta: float):
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+        self.delta = delta
         self._chunks: list[tuple[RecordTable, np.ndarray, np.ndarray]] = []
         self._size = 0
 
@@ -240,11 +232,11 @@ class PrivacyLedger:
         self._chunks.append((table, index, epoch))
         self._size += index.size
 
-    def extend(self, sequence_ids, positions, epochs, epsilons, sigmas, deltas) -> None:
+    def extend(self, sequence_ids, positions, epochs, epsilons, sigmas) -> None:
         """Append exposures given column by column; a scalar fills its column."""
-        ids, pos, epoch, eps, sig, delta = _aligned(
-            _LEDGER_FIELDS, (sequence_ids, positions, epochs, epsilons, sigmas, deltas))
-        self.add(RecordTable(ids, pos, eps, sig, delta), np.arange(epoch.size), epoch)
+        ids, pos, epoch, eps, sig = _aligned(
+            LEDGER_COLUMNS, (sequence_ids, positions, epochs, epsilons, sigmas))
+        self.add(RecordTable(ids, pos, eps, sig), np.arange(epoch.size), epoch)
 
     def columns(self) -> dict[str, np.ndarray]:
         """Each column as one array, in exposure order, gathered from the record tables."""
@@ -282,18 +274,19 @@ class PrivacyLedger:
 
     @classmethod
     def from_csv(cls, path: str | Path, delta: float) -> "PrivacyLedger":
-        """Read a ledger written by ``to_csv``; every row gets ``delta``.
+        """Read a ledger written by ``to_csv`` as a ledger under ``delta``.
 
-        A budget that is not finite and positive, or a negative position or
-        epoch, is a DataError naming the file and the line the bad record
-        ends on.
+        A ``delta`` outside (0, 1) is a DataError.  So is a budget that is not
+        finite and positive, or a negative position or epoch, naming the file
+        and the line the bad record ends on.
         """
-        if not 0.0 < delta < 1.0:
-            raise DataError(f"delta must be in (0, 1), got {delta!r}")
+        try:
+            ledger = cls(delta)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         p = Path(path)
         if not p.exists():
             raise DataError(f"ledger file not found: {p}")
-        ledger = cls()
         rows: list[tuple] = []
         with reading(p), p.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -318,7 +311,7 @@ class PrivacyLedger:
             except csv.Error as exc:
                 raise DataError(f"{p}:{reader.line_num}: malformed ledger row: {exc}") from exc
         if rows:
-            ledger.extend(*zip(*rows), delta)
+            ledger.extend(*zip(*rows))
         return ledger
 
 
@@ -359,14 +352,13 @@ def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, 
 
     Uses the stated composition form verbatim:
     eps_total = sum eps_i + sqrt(2 L ln(1/delta')) * max eps_i, and
-    delta_total = delta + delta'.
+    delta_total = delta + delta', with the ledger's delta.
     """
     if not len(ledger):
         raise DataError("cannot compose an empty ledger")
     if not 0.0 < delta_prime < 1.0:
         raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
-    columns = ledger.columns()
-    eps = columns["epsilon"]
+    eps = ledger.columns()["epsilon"]
     length = len(eps)
     with np.errstate(over="ignore"):
         eps_total = float(eps.sum()
@@ -374,5 +366,4 @@ def compose_sequence(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, 
     if not math.isfinite(eps_total):
         raise NumericError(f"epsilon_total overflows a float ({length} records, "
                            f"largest epsilon {float(eps.max())!r})")
-    delta = float(columns["delta"].max())
-    return eps_total, delta + delta_prime
+    return eps_total, ledger.delta + delta_prime

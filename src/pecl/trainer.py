@@ -273,7 +273,7 @@ class TaskInputs:
         src = self.seqs.starts[seq] + pos
         return src[self.exposed[src]]
 
-    def records(self, task_id: int, delta: float) -> tuple[RecordTable, np.ndarray]:
+    def records(self, task_id: int) -> tuple[RecordTable, np.ndarray]:
         """The ledger record of every exposed token, and each token's row in them.
 
         Sequence i is named ``f"{task_id}:{i}"``.
@@ -283,7 +283,7 @@ class TaskInputs:
         tok = np.flatnonzero(self.exposed)
         seq = np.repeat(np.arange(n_seqs), self.seqs.lengths)[tok]
         return (record_table(names[seq], tok - self.seqs.starts[seq], self.epsilon[tok],
-                             self.sigma[tok], delta),
+                             self.sigma[tok]),
                 np.cumsum(self.exposed) - 1)
 
 
@@ -316,9 +316,9 @@ class EpochFeed:
     generator while the previous epoch trains, each once the epoch that
     last used its slot has ended, and hands the generator's state back at
     the end.  A process, not a thread: the noise and the fill are small
-    numpy calls, which hold the GIL.  Otherwise each epoch is prepared
-    inline when it starts.  Either way the epochs and the generator's final
-    state are the same bits.
+    numpy calls, which hold the GIL.  Otherwise, or when the worker cannot
+    be forked, each epoch is prepared inline when it starts.  Either way the
+    epochs and the generator's final state are the same bits.
 
     Use it as a context manager: leaving it reaps the worker, and an error
     in the worker is raised again in the caller, with its class and message.
@@ -361,7 +361,12 @@ class EpochFeed:
 
     def _fork(self) -> None:
         (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN or ENOMEM: no worker, so each epoch is prepared inline
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            return
         if pid == 0:  # the worker: never returns into the caller's code
             status, out = 0, None
             try:
@@ -472,7 +477,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     model = init_lm((len(vocab), config.d_emb, config.n_ctx, config.d_hidden),
                     seed=config.seed)
     adapter = init_adapter(model, config.rank, seed=config.seed, task_id=order[0])
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(config.privacy.delta)
     noise_rng = spawn_rng(config.seed, "embedding-noise", config.privacy.noise_seed)
     state = ImportanceState()
     snapshot: AdapterSnapshot | None = None
@@ -540,7 +545,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         with EpochFeed(inputs, model, perms, config.privacy, noise_rng, config.batch_size) as feed:
             # Built once the worker is forked, while it prepares epoch 1.
             if inputs.exposed is not None:
-                records, record_of = inputs.records(task_id, config.privacy.delta)
+                records, record_of = inputs.records(task_id)
             for epoch, layout in enumerate(feed):
                 if inputs.exposed is not None:
                     ledger.add(records, record_of[inputs.exposures(perms[epoch])], epoch)

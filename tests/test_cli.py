@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import re
+import signal
 import sys
 import warnings
 from pathlib import Path
@@ -18,7 +20,7 @@ from pecl.errors import DataError
 from pecl.privacy import PrivacyConfig, PrivacyLedger
 from pecl.sculpt import SculptConfig
 from pecl.tinylm import init_lm
-from pecl.trainer import AccuracyMatrix, RunConfig, RunResult, TaskReport
+from pecl.trainer import AccuracyMatrix, EpochFeed, RunConfig, RunResult, TaskReport
 
 SMALL = {
     "train_per_task": 25,
@@ -349,7 +351,7 @@ def test_report_bytes_of_the_bundle_are_pinned(tmp_path):
     reports = [TaskReport(1, 0.1, 1e-300, None, None, 0.0, None),
                TaskReport(2, 2.5, 0.1, 0.30000000000000004, 1e-05, 1e-300, 7.0)]
     result = RunResult(matrix=AccuracyMatrix.from_rows([[0.5], [0.25, 1.0]]),
-                       ledger=PrivacyLedger(), reports=reports,
+                       ledger=PrivacyLedger(1e-6), reports=reports,
                        model=init_lm((4, 2, 2, 3), 0), adapter=None)
     write_run_bundle(tmp_path, result, RunConfig())
     assert (tmp_path / "sculpt_report.csv").read_bytes() == (
@@ -506,6 +508,29 @@ def test_failed_run_leaves_no_partial_outputs(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_killed_epoch_worker_is_an_error_not_an_output_write_error(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    config = write_config(tmp_path, extra={"epochs": 2})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_pid = os.getpid()
+    prepare = EpochFeed._prepare
+
+    def dying(self, epoch):
+        if os.getpid() != run_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return prepare(self, epoch)
+
+    monkeypatch.setattr(EpochFeed, "_prepare", dying)
+    out = tmp_path / "out"
+    flags = ["--sweep-param", "alpha", "--sweep-values", "0.2"] if command == "sweep" else []
+    assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+    # The worker's own message alone: no "cannot write output", no traceback.
+    assert capsys.readouterr().err == (
+        "error: the epoch worker ended without its result (killed by signal 9)\n")
+    assert not out.exists()
+
+
 def test_run_failing_mid_bundle_removes_the_files_it_wrote(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "run"
@@ -551,7 +576,7 @@ BROKEN_BUNDLES = {
 def test_check_bundle_names_an_unreadable_file_in_a_data_error(tmp_path, name):
     reports = [TaskReport(k, 0.1, 0.1, None, None, 0.0, None) for k in (1, 2)]
     result = RunResult(matrix=AccuracyMatrix.from_rows([[0.5], [0.25, 1.0]]),
-                       ledger=PrivacyLedger(), reports=reports,
+                       ledger=PrivacyLedger(1e-6), reports=reports,
                        model=init_lm((4, 2, 2, 3), 0), adapter=None)
     write_run_bundle(tmp_path, result, RunConfig())
     assert len(check_bundle(tmp_path)) == 6

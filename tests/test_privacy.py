@@ -186,9 +186,9 @@ def test_assign_budgets_only_for_positive_scores():
 
 
 def ledger_with(epsilons, delta=1e-6):
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(delta)
     for i, eps in enumerate(epsilons):
-        ledger.extend(["s"], i, 0, [eps], 1.0, delta)
+        ledger.extend(["s"], i, 0, [eps], 1.0)
     return ledger
 
 
@@ -216,7 +216,7 @@ def test_compose_strictly_increases_with_records():
 
 def test_compose_empty_ledger_errors():
     with pytest.raises(DataError):
-        compose_sequence(PrivacyLedger(), 1e-6)
+        compose_sequence(PrivacyLedger(1e-6), 1e-6)
 
 
 def test_ledger_csv_round_trip(tmp_path):
@@ -230,6 +230,31 @@ def test_ledger_csv_round_trip(tmp_path):
     eps_a, delta_a = compose_sequence(ledger, 1e-6)
     eps_b, delta_b = compose_sequence(loaded, 1e-6)
     assert eps_a == eps_b and delta_a == delta_b
+
+
+@pytest.mark.parametrize("delta", [5.0, 0.0, 1.0, math.nan])
+def test_privacy_ledger_refuses_a_delta_outside_0_1(tmp_path, delta):
+    with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\)"):
+        PrivacyLedger(delta)
+    path = tmp_path / "ledger.csv"
+    ledger_with([1.5]).to_csv(path)
+    with pytest.raises(DataError, match=r"^delta must be in \(0, 1\)"):
+        PrivacyLedger.from_csv(path, delta)
+
+
+def test_from_csv_reads_the_ledger_under_the_delta_it_is_given(tmp_path):
+    path = tmp_path / "ledger.csv"
+    ledger_with([1.5, 3.25], delta=3e-6).to_csv(path)
+    loaded = PrivacyLedger.from_csv(path, 2e-5)
+    assert loaded.delta == 2e-5 and len(loaded) == 2
+    assert compose_sequence(loaded, 1e-6)[1] == 2e-5 + 1e-6
+
+
+@pytest.mark.parametrize("delta, delta_prime", [(1e-6, 1e-6), (3e-6, 1e-9), (0.25, 0.5)])
+def test_compose_adds_delta_prime_to_the_ledgers_delta(delta, delta_prime):
+    ledger = ledger_with([1.0, 2.0, 4.0], delta)
+    assert ledger.delta == delta
+    assert compose_sequence(ledger, delta_prime)[1] == delta + delta_prime
 
 
 def reference_ledger_csv(rows) -> bytes:
@@ -263,8 +288,8 @@ def assert_ledger_file_round_trips(ledger, rows, path):
         with pytest.raises(DataError, match=rf":{line}: epsilon and sigma"):
             PrivacyLedger.from_csv(path, delta=1e-6)
         rows = [(*row[:3], *map(valid_budget, row[3:])) for row in rows]
-        ledger = PrivacyLedger()
-        ledger.extend(*zip(*rows), 1e-6)
+        ledger = PrivacyLedger(1e-6)
+        ledger.extend(*zip(*rows))
         ledger.to_csv(path)
         assert path.read_bytes() == reference_ledger_csv(rows)
     loaded = PrivacyLedger.from_csv(path, delta=1e-6)
@@ -297,8 +322,7 @@ def unchecked_table(ids, positions, epsilons, sigmas) -> RecordTable:
     takes any table as it is, so the writer can be handed budgets that ``extend``
     and ``from_csv`` refuse (NaN payloads, -0.0, infinities)."""
     return RecordTable(np.array(ids, dtype=object), np.array(positions, dtype=np.int64),
-                       np.array(epsilons, dtype=float), np.array(sigmas, dtype=float),
-                       np.full(len(epsilons), 1e-6))
+                       np.array(epsilons, dtype=float), np.array(sigmas, dtype=float))
 
 
 def add_unchecked(ledger, ids, positions, epochs, epsilons, sigmas):
@@ -310,7 +334,7 @@ def add_unchecked(ledger, ids, positions, epochs, epsilons, sigmas):
 @settings(max_examples=100, deadline=None)
 @given(rows=ledger_rows, cuts=st.lists(st.integers(0, 12), max_size=6))
 def test_ledger_csv_writes_what_csv_writer_writes(rows, cuts, tmp_path_factory):
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(1e-6)
     # The rows appended as ledger chunks cut at ``cuts``: most examples span
     # several chunks, from one row each to all rows in one, some of them empty.
     for part in np.split(np.arange(len(rows)), sorted(cuts)):
@@ -355,7 +379,7 @@ def test_ledger_csv_longer_than_one_chunk(tmp_path):
     eps = np.array(AWKWARD_FLOATS)[rng.integers(0, len(AWKWARD_FLOATS), size=n)]
     sig = rng.uniform(0.0, 5.0, size=n)
     positions, epochs = rng.integers(0, 9, size=n), np.repeat(np.arange(3), [n - 20, 10, 10])
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(1e-6)
     for part in np.split(np.arange(n), [4096, 2 * 4096]):  # three chunks, the last of 7 rows
         add_unchecked(ledger, np.array(ids, dtype=object)[part], positions[part], epochs[part],
                       eps[part], sig[part])
@@ -375,7 +399,7 @@ def test_ledger_csv_of_record_table_chunks_mixed_with_extend_chunks(tmp_path):
     odd = [-0.0, 0.0, nan_with_payload(1), nan_with_payload(7, sign=1), math.nan, 2.5, -0.0]
     first = unchecked_table(AWKWARD_IDS[:7], np.arange(7), odd, odd[::-1])
     second = unchecked_table(["b", "a,b", "b"], [4, 0, 4], [0.0, -0.0, 1e-300], [-0.0, 0.0, 0.5])
-    ledger, rows = PrivacyLedger(), []
+    ledger, rows = PrivacyLedger(1e-6), []
 
     def add(table, index, epoch):
         ledger.add(table, index, epoch)
@@ -401,7 +425,7 @@ def test_ledger_csv_of_record_table_chunks_mixed_with_extend_chunks(tmp_path):
     ledger.to_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == reference_ledger_csv(rows)
     assert_ledger_file_round_trips(ledger, rows, tmp_path / "ledger.csv")
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(1e-6)
     ledger.add(second, [0, 1], 0)
     ledger.to_csv(tmp_path / "second.csv")
     assert (tmp_path / "second.csv").read_bytes() == reference_ledger_csv(
@@ -409,11 +433,10 @@ def test_ledger_csv_of_record_table_chunks_mixed_with_extend_chunks(tmp_path):
 
 
 def test_ledger_columns_gather_records_through_each_chunks_index():
-    table = record_table(["a", "b", "c"], [5, 6, 7], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3],
-                         [1e-6, 2e-6, 3e-6])
-    ledger = PrivacyLedger()
+    table = record_table(["a", "b", "c"], [5, 6, 7], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+    ledger = PrivacyLedger(1e-6)
     ledger.add(table, [2, 0, 2], 4)
-    ledger.extend("d", [8], 1, 4.0, [0.4], 1e-5)
+    ledger.extend("d", [8], 1, 4.0, [0.4])
     ledger.add(table, np.array([1]), [7])
     cols = ledger.columns()
     assert len(ledger) == 5
@@ -422,41 +445,39 @@ def test_ledger_columns_gather_records_through_each_chunks_index():
     assert cols["epoch"].tolist() == [4, 4, 4, 1, 7]
     assert cols["epsilon"].tolist() == [3.0, 1.0, 3.0, 4.0, 2.0]
     assert cols["sigma"].tolist() == [0.3, 0.1, 0.3, 0.4, 0.2]
-    assert cols["delta"].tolist() == [3e-6, 1e-6, 3e-6, 1e-5, 2e-6]
     assert [r.epsilon for r in ledger.records] == cols["epsilon"].tolist()
-    assert {name: c.dtype for name, c in PrivacyLedger().columns().items()} == {
+    assert {name: c.dtype for name, c in PrivacyLedger(1e-6).columns().items()} == {
         name: c.dtype for name, c in cols.items()}
-    assert compose_sequence(ledger, 1e-6)[1] == 1e-5 + 1e-6
 
 
 @pytest.mark.parametrize("columns, name", [
-    ((["a", "b", "c"], [1], 0, [1.0, 2.0], 1.0, 1e-6), "position"),
-    ((["a"], [1, 2], 0, 1.0, 1.0, 1e-6), "position"),
-    (("a", 1, [0, 0], [1.0, 2.0, 3.0], 1.0, 1e-6), "epsilon"),
-    (("a", 1, 0, [1.0], [[1.0]], 1e-6), "sigma"),
+    ((["a", "b", "c"], [1], 0, [1.0, 2.0], 1.0), "position"),
+    ((["a"], [1, 2], 0, 1.0, 1.0), "position"),
+    (("a", 1, [0, 0], [1.0, 2.0, 3.0], 1.0), "epsilon"),
+    (("a", 1, 0, [1.0], [[1.0]]), "sigma"),
 ])
 def test_ledger_extend_rejects_columns_of_different_lengths(columns, name):
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(1e-6)
     with pytest.raises(ValueError, match=f"ledger column {name} has shape"):
         ledger.extend(*columns)
     assert len(ledger) == 0 and ledger.records == []
 
 
 def test_ledger_extend_takes_its_row_count_from_the_array_like_columns():
-    ledger = PrivacyLedger()
-    ledger.extend(["a", "b"], [3, 4], 2, 1.5, 0.25, 1e-6)  # scalar epsilon and sigma fill
+    ledger = PrivacyLedger(1e-6)
+    ledger.extend(["a", "b"], [3, 4], 2, 1.5, 0.25)  # scalar epsilon and sigma fill
     assert [(r.sequence_id, r.position, r.epoch, r.epsilon, r.sigma) for r in ledger.records] == [
         ("a", 3, 2, 1.5, 0.25), ("b", 4, 2, 1.5, 0.25)]
     with pytest.raises(ValueError, match="all scalars"):
-        ledger.extend("a", 3, 2, 1.5, 0.25, 1e-6)
+        ledger.extend("a", 3, 2, 1.5, 0.25)
     with pytest.raises(ValueError, match="all scalars"):
-        record_table("a", 3, 1.5, 0.25, 1e-6)
+        record_table("a", 3, 1.5, 0.25)
     assert len(ledger) == 2
 
 
 def test_ledger_add_rejects_a_bad_index_or_epochs():
-    table = record_table(["a", "b"], [0, 1], 1.0, 1.0, 1e-6)
-    ledger = PrivacyLedger()
+    table = record_table(["a", "b"], [0, 1], 1.0, 1.0)
+    ledger = PrivacyLedger(1e-6)
     with pytest.raises(ValueError, match="one epoch or one per exposure"):
         ledger.add(table, [0, 1, 1], [0, 1])
     with pytest.raises(ValueError, match="1-D index"):
@@ -471,13 +492,12 @@ def test_ledger_add_rejects_a_bad_index_or_epochs():
     ("position", 1.7), ("position", -1), ("position", 2**63), ("position", math.nan),
     ("epoch", 2.9), ("epoch", -1), ("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", math.nan),
     ("epsilon", math.inf), ("sigma", math.nan), ("sigma", -0.0), ("sigma", math.inf),
-    ("delta", 5.0), ("delta", 0.0), ("delta", 1.0), ("delta", math.nan),
 ])
 def test_ledger_extend_and_record_table_refuse_what_from_csv_refuses(column, value):
     cells = {"sequence_id": ["a", "b"], "position": [3, 4], "epoch": [0, 1],
-             "epsilon": [1.5, 2.0], "sigma": [0.5, 0.25], "delta": [1e-6, 1e-6]}
+             "epsilon": [1.5, 2.0], "sigma": [0.5, 0.25]}
     cells[column] = [cells[column][0], value]  # the bad value in the second row
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(1e-6)
     with pytest.raises(ValueError, match=f"ledger column {column} must hold"):
         ledger.extend(*cells.values())
     assert len(ledger) == 0
@@ -487,17 +507,17 @@ def test_ledger_extend_and_record_table_refuse_what_from_csv_refuses(column, val
 
 
 def test_ledger_extend_keeps_whole_numbers_and_composes_a_valid_delta():
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(1e-6)
     with pytest.raises(ValueError, match="column epsilon"):
-        ledger.extend(["a"], [3], 0, [-1.0], math.nan, 5.0)
+        ledger.extend(["a"], [3], 0, [-1.0], math.nan)
     with pytest.raises(ValueError, match="column position"):
-        ledger.extend(["a"], [1.7], 2.9, [1.0], 1.0, 1e-6)
-    with pytest.raises(ValueError, match="column delta"):
-        ledger.extend(["a"], [3], 0, [1.0], 1.0, 5.0)
+        ledger.extend(["a"], [1.7], 2.9, [1.0], 1.0)
+    with pytest.raises(ValueError, match="delta must be in"):
+        PrivacyLedger(5.0)
     assert len(ledger) == 0
     # Whole numbers given as floats, and the largest int64 position, are kept.
-    ledger.extend(["a", "b"], [3.0, 4.0], 2.0, [1.0, 2.0], 1.0, 1e-6)
-    ledger.extend(["c"], [2**63 - 1], 0, [1.0], 1.0, 1e-6)
+    ledger.extend(["a", "b"], [3.0, 4.0], 2.0, [1.0, 2.0], 1.0)
+    ledger.extend(["c"], [2**63 - 1], 0, [1.0], 1.0)
     assert [(r.position, r.epoch) for r in ledger.records] == [(3, 2), (4, 2), (2**63 - 1, 0)]
     assert compose_sequence(ledger, 1e-6)[1] == 1e-6 + 1e-6
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import signal
 import time
@@ -11,8 +12,8 @@ from pecl.errors import DataError, NumericError
 from pecl.synthetic import synthetic_stream
 from pecl.seeding import spawn_rng
 from pecl.sculpt import ImportanceState, SculptConfig, task_importance, unlearn_loss
-from pecl.privacy import (PrivacyConfig, PrivacyLedger, allocate_budget, noise_sigma,
-                          perturb_embeddings, record_table)
+from pecl.privacy import (PrivacyConfig, PrivacyLedger, allocate_budget, compose_sequence,
+                          noise_sigma, perturb_embeddings, record_table)
 from pecl.sensitivity import score_sequences
 from pecl.tinylm import (
     LossSpec,
@@ -360,9 +361,9 @@ def task_names(n):
     return np.array([f"1:{i}" for i in range(n)], dtype=object)
 
 
-def record_epoch(ledger, inputs, perm, epoch, delta):
+def record_epoch(ledger, inputs, perm, epoch):
     """Give ``ledger`` task 1's epoch that feeds ``perm``, as ``run_continual`` does."""
-    records, record_of = inputs.records(1, delta)
+    records, record_of = inputs.records(1)
     ledger.add(records, record_of[inputs.exposures(perm)], epoch)
 
 
@@ -385,7 +386,7 @@ def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger,
     fed[hit] = perturb_embeddings(fed[hit], sigma[hit], privacy.clip_norm, rng)
     ledger.extend(np.repeat(names[rows], n_fed)[hit],
                   np.concatenate([np.arange(n) for n in n_fed])[hit], epoch,
-                  epsilon[hit], sigma[hit], privacy.delta)
+                  epsilon[hit], sigma[hit])
     return fed, n_fed
 
 
@@ -410,19 +411,19 @@ def test_packed_training_step_equals_the_list_api(mode):
     # step's gather.  The step reads x @ W0.T from the epoch's noised base,
     # filled from this very layout, even though the task's clean base table
     # is there; the list side below computes the product itself.
-    step_ledger, step_rng = PrivacyLedger(), np.random.default_rng(21)
+    step_ledger, step_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     inputs.seqs.base = clean_base(model, inputs.seqs, len(rows))
     with EpochFeed(inputs, model, [rows], privacy, step_rng, len(rows)) as feed:
         (layout,) = feed
         (batch,) = layout.chunks(len(rows))
         assert batch.base is feed.slots[0][1]
-    record_epoch(step_ledger, inputs, rows, 3, privacy.delta)
+    record_epoch(step_ledger, inputs, rows, 3)
     packed = backward(model, adapter, batch, spec)
 
     # The same step from the list of the step's sequences, packed on their
     # own: one mechanism call over every fed position, its rows written over
     # each sequence's fed positions, and margins from per-sequence scores.
-    list_ledger, list_rng = PrivacyLedger(), np.random.default_rng(21)
+    list_ledger, list_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     listed_seqs = [seqs[i] for i in rows]
     rows_noised, n_fed = per_batch_mechanism(model, seqs, rows, budgets, task_names(len(seqs)),
                                              privacy, list_rng, list_ledger, epoch=3)
@@ -483,12 +484,12 @@ def test_epoch_noising_equals_per_batch_noising(monkeypatch, mode):
     inputs, *budgets = budgeted_inputs(mode, model, seqs, privacy, rng)
     clean = model.embed[inputs.seqs.tokens]
     batch_size = 4  # does not divide the 11 sequences
-    epoch_ledger, epoch_rng = PrivacyLedger(), np.random.default_rng(21)
-    batch_ledger, batch_rng = PrivacyLedger(), np.random.default_rng(21)
+    epoch_ledger, epoch_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
+    batch_ledger, batch_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
     with EpochFeed(inputs, model, perms, privacy, epoch_rng, batch_size) as feed:
         for epoch, (perm, layout) in enumerate(zip(perms, feed, strict=True)):
-            record_epoch(epoch_ledger, inputs, perm, epoch, privacy.delta)
+            record_epoch(epoch_ledger, inputs, perm, epoch)
             table = layout.table
             assert table is feed.slots[epoch % 2][0]  # a slot: refreshed in place
 
@@ -786,8 +787,8 @@ def mechanism_sigmas(monkeypatch, path):
 def assert_ledger_follows_feed_order(config, tasks, ledger, budgets, sigmas):
     """Each epoch's exposures are its shuffled sequences in turn, positions
     0..len-2 in order, where the frozen score is positive; each record carries,
-    bit for bit, the frozen epsilon and sigma of its position, and the
-    configured delta.  ``budgets(task, i)`` gives sequence i's frozen score,
+    bit for bit, the frozen epsilon and sigma of its position, and the ledger
+    the configured delta.  ``budgets(task, i)`` gives sequence i's frozen score,
     epsilon and sigma, one entry per position.  The mechanism noises exactly
     the recorded exposures: ``sigmas``, its calls' rows, are the ledger's
     sigma column, bit for bit and in order."""
@@ -805,7 +806,7 @@ def assert_ledger_follows_feed_order(config, tasks, ledger, budgets, sigmas):
         np.testing.assert_array_equal(
             np.array([getattr(r, field) for r in records]).view(np.int64),
             np.array([e[column] for e in expected]).view(np.int64), err_msg=field)
-    assert {r.delta for r in records} == {config.privacy.delta}
+    assert ledger.delta == config.privacy.delta
     assert sigmas.size == len(ledger)
     np.testing.assert_array_equal(sigmas.view(np.int64),
                                   ledger.columns()["sigma"].view(np.int64))
@@ -843,6 +844,17 @@ def test_uniform_dp_run_ledger_follows_each_epochs_feed_order(monkeypatch, tmp_p
     assert_ledger_follows_feed_order(config, tasks, result.ledger, budgets, sigmas())
     assert 0 < len(result.ledger) < config.epochs * sum(
         len(seq.tokens) - 1 for task in tasks for seq in task.train)
+
+
+def test_a_pecl_runs_ledger_read_back_under_its_delta_composes_the_same(tmp_path):
+    config = small_config(mode="pecl", privacy=PrivacyConfig(delta=3e-6), delta_prime=1e-7)
+    ledger = run_continual(config, small_stream(config).tasks).ledger
+    assert ledger.delta == config.privacy.delta and len(ledger) > 0
+    ledger.to_csv(tmp_path / "ledger.csv")
+    loaded = PrivacyLedger.from_csv(tmp_path / "ledger.csv", config.privacy.delta)
+    composed = compose_sequence(ledger, config.delta_prime)
+    assert compose_sequence(loaded, config.delta_prime) == composed
+    assert composed[1] == config.privacy.delta + config.delta_prime
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
@@ -934,22 +946,56 @@ def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, 
     worker, worker_rng, forks = run_with_cpus(monkeypatch, 2, config, tasks)
     inline, inline_rng, no_forks = run_with_cpus(monkeypatch, 1, config, tasks, check_step)
     assert (forks, no_forks) == (len(tasks), 0)  # one worker per task; none on one CPU
-    np.testing.assert_array_equal(worker.matrix.values, inline.matrix.values)
-    assert len(worker.ledger) == len(inline.ledger) > 0
-    worker_columns, inline_columns = worker.ledger.columns(), inline.ledger.columns()
-    assert worker_columns.keys() == inline_columns.keys()
-    for name, column in worker_columns.items():
-        np.testing.assert_array_equal(column, inline_columns[name], err_msg=name)
-    for (name, got), (_, expected) in zip(worker.model.param_items(),
-                                          inline.model.param_items(), strict=True):
-        np.testing.assert_array_equal(got, expected, err_msg=name)
-    np.testing.assert_array_equal(worker.adapter.a, inline.adapter.a)
-    np.testing.assert_array_equal(worker.adapter.b, inline.adapter.b)
-    assert worker.reports == inline.reports
+    assert_same_run(worker, inline)
     assert worker_rng == inline_rng
-    assert worker.profiles.keys() == inline.profiles.keys()
-    for task_id, profile in worker.profiles.items():
-        np.testing.assert_array_equal(profile.score, inline.profiles[task_id].score)
+
+
+def assert_same_run(got, expected):
+    """The two runs agree bit for bit: matrix, ledger, model, adapter, reports, scores."""
+    np.testing.assert_array_equal(got.matrix.values, expected.matrix.values)
+    assert len(got.ledger) == len(expected.ledger) > 0
+    got_columns, expected_columns = got.ledger.columns(), expected.ledger.columns()
+    assert got_columns.keys() == expected_columns.keys()
+    for name, column in got_columns.items():
+        np.testing.assert_array_equal(column, expected_columns[name], err_msg=name)
+    for (name, got_param), (_, expected_param) in zip(got.model.param_items(),
+                                                      expected.model.param_items(), strict=True):
+        np.testing.assert_array_equal(got_param, expected_param, err_msg=name)
+    np.testing.assert_array_equal(got.adapter.a, expected.adapter.a)
+    np.testing.assert_array_equal(got.adapter.b, expected.adapter.b)
+    assert got.reports == expected.reports
+    assert got.profiles.keys() == expected.profiles.keys()
+    for task_id, profile in got.profiles.items():
+        np.testing.assert_array_equal(profile.score, expected.profiles[task_id].score)
+
+
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_a_failed_fork_prepares_each_epoch_inline_and_closes_its_pipes(monkeypatch, mode):
+    config = small_config(mode=mode, epochs=3, batch_size=7, uniform_eps=3.0)
+    tasks = small_stream(config).tasks
+    inline, inline_rng, _ = run_with_cpus(monkeypatch, 1, config, tasks)
+    piped = []
+    real_pipe = os.pipe
+
+    def pipe():
+        fds = real_pipe()
+        piped.extend(fds)
+        return fds
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    with monkeypatch.context() as m:
+        m.setattr("pecl.trainer.os.pipe", pipe)
+        m.setattr("pecl.trainer.os.fork", no_fork)
+        failed, failed_rng, forks = run_with_cpus(m, 2, config, tasks)
+    assert forks == len(tasks) and len(piped) == 4 * len(tasks)  # a fork tried per task
+    assert_same_run(failed, inline)
+    assert failed_rng == inline_rng
+    for fd in piped:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
 
 
 def test_task_inputs_are_frozen():
