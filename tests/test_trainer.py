@@ -931,25 +931,6 @@ def run_with_cpus(monkeypatch, cpus, config, tasks, check_step=None):
     return result, noise_rng.bit_generator.state, len(forks)
 
 
-@pytest.mark.parametrize("corpus", ["synthetic", "long sequences"])
-@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
-def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, mode, corpus):
-    config = small_config(mode=mode, epochs=3, batch_size=3, uniform_eps=3.0)
-    tasks = small_stream(config).tasks if corpus == "synthetic" else long_sequence_tasks()
-
-    def check_step(model, adapter, batch, spec):
-        # Every noised step reads exactly the x @ W0.T it would compute.
-        x = _windows(model, batch)
-        np.testing.assert_array_equal(batch.base[batch.src[:, model.n_ctx :]][batch.valid],
-                                      (x @ model.w_hidden.T)[batch.valid])
-
-    worker, worker_rng, forks = run_with_cpus(monkeypatch, 2, config, tasks)
-    inline, inline_rng, no_forks = run_with_cpus(monkeypatch, 1, config, tasks, check_step)
-    assert (forks, no_forks) == (len(tasks), 0)  # one worker per task; none on one CPU
-    assert_same_run(worker, inline)
-    assert worker_rng == inline_rng
-
-
 def assert_same_run(got, expected):
     """The two runs agree bit for bit: matrix, ledger, model, adapter, reports, scores."""
     np.testing.assert_array_equal(got.matrix.values, expected.matrix.values)
@@ -967,6 +948,25 @@ def assert_same_run(got, expected):
     assert got.profiles.keys() == expected.profiles.keys()
     for task_id, profile in got.profiles.items():
         np.testing.assert_array_equal(profile.score, expected.profiles[task_id].score)
+
+
+@pytest.mark.parametrize("corpus", ["synthetic", "long sequences"])
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, mode, corpus):
+    config = small_config(mode=mode, epochs=3, batch_size=3, uniform_eps=3.0)
+    tasks = small_stream(config).tasks if corpus == "synthetic" else long_sequence_tasks()
+
+    def check_step(model, adapter, batch, spec):
+        # Every noised step reads exactly the x @ W0.T it would compute.
+        x = _windows(model, batch)
+        np.testing.assert_array_equal(batch.base[batch.src[:, model.n_ctx :]][batch.valid],
+                                      (x @ model.w_hidden.T)[batch.valid])
+
+    worker, worker_rng, forks = run_with_cpus(monkeypatch, 2, config, tasks)
+    inline, inline_rng, no_forks = run_with_cpus(monkeypatch, 1, config, tasks, check_step)
+    assert (forks, no_forks) == (len(tasks), 0)  # one worker per task; none on one CPU
+    assert_same_run(worker, inline)
+    assert worker_rng == inline_rng
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
