@@ -12,7 +12,6 @@ from .corpus import (
     load_stopwords,
 )
 from .privacy import (
-    LedgerRecord,
     PrivacyConfig,
     PrivacyLedger,
     allocate_budget,

@@ -28,7 +28,8 @@ import csv
 import io
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -118,28 +119,27 @@ def assign_budgets(profile: SensitivityProfile, config: PrivacyConfig) -> Sensit
     return profile
 
 
-@dataclass(frozen=True)
-class LedgerRecord:
-    """One noised exposure, as a row of ``PrivacyLedger.records``."""
-
-    sequence_id: str
-    position: int
-    epoch: int
-    epsilon: float
-    sigma: float
-
-
-LEDGER_COLUMNS = tuple(f.name for f in fields(LedgerRecord))  # ledger.csv's columns
-_LEDGER_DTYPES = dict(zip(LEDGER_COLUMNS, (object, np.int64, np.int64, float, float)))
+# ledger.csv's columns, in file order, with each one's dtype in memory.
+_LEDGER_DTYPES = {"sequence_id": object, "position": np.int64, "epoch": np.int64,
+                  "epsilon": float, "sigma": float}
+LEDGER_COLUMNS = tuple(_LEDGER_DTYPES)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 RecordTable = namedtuple("RecordTable", [name for name in LEDGER_COLUMNS if name != "epoch"])
-RecordTable.__doc__ = """Ledger records as aligned columns.  A record holds every field of a
-``LedgerRecord`` but the epoch: what all exposures of one noised token share."""
+RecordTable.__doc__ = """Ledger records as aligned columns: every ledger column but the
+epoch, what all exposures of one noised token share."""
+
+
+class _Refused(ValueError):
+    """A value ``from_csv`` refuses in a ledger column; ``row`` is the first row holding one."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 def _column(name: str, value) -> np.ndarray:
-    """``value`` as ledger column ``name``; a value ``from_csv`` refuses is a ValueError."""
+    """``value`` as ledger column ``name``; a value ``from_csv`` refuses is a ``_Refused``."""
     integral = name in ("position", "epoch")
     col = np.asarray(value, dtype=None if integral else _LEDGER_DTYPES[name])
     if name == "sequence_id":
@@ -151,7 +151,9 @@ def _column(name: str, value) -> np.ndarray:
     else:
         rule, ok = "finite, positive values", (col > 0) & (col < math.inf)
     if not np.all(ok):
-        raise ValueError(f"ledger column {name} must hold {rule}")
+        row = int(np.argmin(ok))
+        raise _Refused(f"ledger column {name} must hold {rule}; row {row} holds "
+                       f"{shown(np.ravel(col).tolist()[row])}", row)
     return col.astype(_LEDGER_DTYPES[name], copy=False)
 
 
@@ -247,38 +249,29 @@ class PrivacyLedger:
             parts["epoch"].append(np.broadcast_to(epoch, index.shape))
         return {name: np.concatenate(part) for name, part in parts.items()}
 
-    @property
-    def records(self) -> list[LedgerRecord]:
-        """The exposures as rows, built from the columns on each read."""
-        return [LedgerRecord(*row) for row in zip(*(c.tolist() for c in self.columns().values()))]
-
     def to_csv(self, path: str | Path) -> None:
         """Write the same bytes as ``csv.writer`` rows with each float as its ``repr``.
 
         A row is its record's text around its epoch: the quoted sequence id
         and the position before it, epsilon and sigma after it.  A record
-        table's text is made when its first chunk is written and dropped
-        after its last.
+        table's text is made once per run of consecutive chunks over it.
         """
-        last = {id(table): i for i, (table, _, _) in enumerate(self._chunks)}
-        texts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(LEDGER_COLUMNS) + "\r\n")
-            for i, (table, index, epoch) in enumerate(self._chunks):
-                key = id(table)
-                if key not in texts:
-                    texts[key] = _record_text(table)
-                before, after = texts.pop(key) if last[key] == i else texts[key]
-                epoch_text = epoch.astype(str).astype(object)
-                fh.write("".join((before[index] + epoch_text + after[index]).tolist()))
+            for _, run in groupby(self._chunks, key=lambda chunk: id(chunk[0])):
+                run = list(run)
+                before, after = _record_text(run[0][0])
+                for _, index, epoch in run:
+                    epoch_text = epoch.astype(str).astype(object)
+                    fh.write("".join((before[index] + epoch_text + after[index]).tolist()))
 
     @classmethod
     def from_csv(cls, path: str | Path, delta: float) -> "PrivacyLedger":
         """Read a ledger written by ``to_csv`` as a ledger under ``delta``.
 
-        A ``delta`` outside (0, 1) is a DataError.  So is a budget that is not
-        finite and positive, or a negative position or epoch, naming the file
-        and the line the bad record ends on.
+        A ``delta`` outside (0, 1) is a DataError.  So is a row that does not
+        parse, or a value ``extend`` refuses, naming the file and the line
+        the bad record ends on.
         """
         try:
             ledger = cls(delta)
@@ -287,7 +280,7 @@ class PrivacyLedger:
         p = Path(path)
         if not p.exists():
             raise DataError(f"ledger file not found: {p}")
-        rows: list[tuple] = []
+        rows: list[tuple] = []  # each record's file line, then its cells
         with reading(p), p.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             try:
@@ -295,23 +288,20 @@ class PrivacyLedger:
                     raise DataError(f"{p}: ledger header must be {sorted(LEDGER_COLUMNS)}")
                 for row in reader:
                     try:
-                        seq, pos, epoch, eps, sigma = (
-                            row["sequence_id"], int(row["position"]), int(row["epoch"]),
-                            float(row["epsilon"]), float(row["sigma"]))
+                        rows.append((reader.line_num, row["sequence_id"], int(row["position"]),
+                                     int(row["epoch"]), float(row["epsilon"]),
+                                     float(row["sigma"])))
                     except (TypeError, ValueError) as exc:
                         raise DataError(
                             f"{p}:{reader.line_num}: malformed ledger row: {exc}") from exc
-                    if not (0 <= pos <= _INT64_MAX and 0 <= epoch <= _INT64_MAX):
-                        raise DataError(f"{p}:{reader.line_num}: position and epoch must be "
-                                        f"non-negative 64-bit integers, got {pos}, {epoch}")
-                    if not (0.0 < eps < math.inf and 0.0 < sigma < math.inf):
-                        raise DataError(f"{p}:{reader.line_num}: epsilon and sigma must be "
-                                        f"finite and positive, got {eps!r}, {sigma!r}")
-                    rows.append((seq, pos, epoch, eps, sigma))
             except csv.Error as exc:
                 raise DataError(f"{p}:{reader.line_num}: malformed ledger row: {exc}") from exc
         if rows:
-            ledger.extend(*zip(*rows))
+            lines, *columns = zip(*rows)
+            try:
+                ledger.extend(*columns)
+            except _Refused as exc:
+                raise DataError(f"{p}:{lines[exc.row]}: {exc}") from None
         return ledger
 
 

@@ -65,8 +65,8 @@ class SensitivityProfile:
         return len(self.tokens)
 
 
-def contextual_score(stats: CorpusStats, token_id: int, clamp: bool = True) -> float:
-    """Cross-task discriminativeness of a token; optionally clamped at 0.
+def contextual_score(stats: CorpusStats, token_id: int) -> float:
+    """Cross-task discriminativeness of a token, clamped at 0.
 
     The raw value goes negative once a token's support d(t) reaches N, which
     would break the non-negativity the fused score relies on, hence the clamp.
@@ -76,7 +76,7 @@ def contextual_score(stats: CorpusStats, token_id: int, clamp: bool = True) -> f
     if total == 0.0:
         return 0.0
     raw = (total / n_tasks) * math.log(n_tasks / (1.0 + stats.support_of(token_id)))
-    return max(raw, 0.0) if clamp else raw
+    return max(raw, 0.0)
 
 
 def fuse_scores(score1, score2, alpha: float):

@@ -361,7 +361,6 @@ class BatchForward:
     ``p[target]`` is every window's probability of its target token.
     """
 
-    ids: np.ndarray        # (B, n_ctx + T) left-PAD-padded token ids
     lengths: np.ndarray    # (B,)
     x: np.ndarray          # (B, T, d_in) concatenated window inputs
     u: np.ndarray | None   # (B, T, rank) adapter projections x @ A.T; None without one
@@ -387,7 +386,7 @@ def forward_batch(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence) -
     u, h, p = _mlp(model, adapter, x, base)
     target = (np.arange(n_batch)[:, None], np.arange(n_windows), pb.ids[:, model.n_ctx :])
     losses = -np.log(p[target])
-    return BatchForward(pb.ids, pb.lengths, x, u, h, p, losses, pb.valid, target)
+    return BatchForward(pb.lengths, x, u, h, p, losses, pb.valid, target)
 
 
 def _windows(model: TinyLM, pb: PackedBatch) -> np.ndarray:

@@ -260,17 +260,16 @@ class TaskInputs:
     sigma: np.ndarray | None = None      # (N,)
     margin: np.ndarray | None = None     # (N + 1,)
 
-    def exposures(self, perm: np.ndarray) -> np.ndarray:
-        """Where, in ``seqs.tokens``, each exposure of an epoch that feeds ``perm`` in turn is.
+    def exposures(self, layout: PackedBatch) -> np.ndarray:
+        """Where, in ``seqs.tokens``, each exposure of an epoch laid out as ``layout`` is.
 
-        The exposures, in feed order, are the exposed tokens among positions
-        ``0 .. len - 2`` of each sequence of ``perm``: the concatenation of
-        every batch's (sequence, position) order, whatever the batch size.
+        The exposures, in feed order, are the layout's exposed input cells row
+        by row: every column but the last (each sequence's last token is only
+        a target), padding cells dropped.  That is each sequence of the epoch
+        in turn, positions ``0 .. len - 2``, whatever the batch size.
         """
-        n_fed = self.seqs.lengths[perm] - 1
-        seq = np.repeat(perm, n_fed)
-        pos = np.arange(seq.size) - np.repeat(np.cumsum(n_fed) - n_fed, n_fed)
-        src = self.seqs.starts[seq] + pos
+        src = layout.src[:, :-1]
+        src = src[src < self.exposed.size]
         return src[self.exposed[src]]
 
     def records(self, task_id: int) -> tuple[RecordTable, np.ndarray]:
@@ -344,14 +343,15 @@ class EpochFeed:
     def _prepare(self, epoch: int) -> None:
         """Noise the epoch's exposures into its slot's table, then fill the slot's base.
 
-        One mechanism call noises every exposure; the table's other rows stay
-        clean.  The base is filled from the epoch's own layout, in its steps.
+        The epoch is laid out first.  One mechanism call noises every exposure
+        of that layout; the table's other rows stay clean.  The base is filled
+        from the same layout, in its steps.
         """
-        (table, base), inputs = self.slots[epoch % 2], self.inputs
-        src = inputs.exposures(self.perms[epoch])
+        (table, base), inputs, layout = self.slots[epoch % 2], self.inputs, self._layout(epoch)
+        src = inputs.exposures(layout)
         table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
                                         inputs.sigma[src], self.privacy.clip_norm, self.rng)
-        frozen_base(self.model, self._layout(epoch), self.batch_size, base)
+        frozen_base(self.model, layout, self.batch_size, base)
 
     def _layout(self, epoch: int) -> PackedBatch:
         """The epoch as one batch over its slot (the embeddings in seqft); a step is a chunk."""
@@ -360,13 +360,16 @@ class EpochFeed:
                                       base)
 
     def _fork(self) -> None:
-        (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
+        fds: list[int] = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             pid = os.fork()
-        except OSError:  # EAGAIN or ENOMEM: no worker, so each epoch is prepared inline
-            for fd in (ready_r, ready_w, free_r, free_w):
+        except OSError:  # EMFILE, EAGAIN or ENOMEM: no worker, so each epoch is prepared inline
+            for fd in fds:
                 os.close(fd)
             return
+        ready_r, ready_w, free_r, free_w = fds
         if pid == 0:  # the worker: never returns into the caller's code
             status, out = 0, None
             try:
@@ -548,7 +551,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                 records, record_of = inputs.records(task_id)
             for epoch, layout in enumerate(feed):
                 if inputs.exposed is not None:
-                    ledger.add(records, record_of[inputs.exposures(perms[epoch])], epoch)
+                    ledger.add(records, record_of[inputs.exposures(layout)], epoch)
                 for batch in layout.chunks(config.batch_size):
                     try:
                         grads = backward(model, adapter, batch, spec)

@@ -17,7 +17,6 @@ from pecl.corpus import (
     load_stopwords,
 )
 from pecl.privacy import (
-    LedgerRecord,
     PrivacyConfig,
     PrivacyLedger,
     allocate_budget,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pecl.errors import DataError, NumericError
 from pecl.privacy import (
+    LEDGER_COLUMNS,
     PrivacyConfig,
     PrivacyLedger,
     RecordTable,
@@ -192,6 +193,17 @@ def ledger_with(epsilons, delta=1e-6):
     return ledger
 
 
+def assert_columns(ledger, **expected):
+    """``ledger.columns()`` is ``expected``, column by column; floats bit for bit."""
+    cols = ledger.columns()
+    assert list(cols) == list(expected)
+    for name, values in expected.items():
+        got, want = cols[name], np.array(values, dtype=cols[name].dtype)
+        if want.dtype == float:
+            got, want = got.view(np.int64), want.view(np.int64)
+        assert got.tolist() == want.tolist(), name
+
+
 def test_compose_single_record():
     eps_total, delta_total = compose_sequence(ledger_with([2.0]), 1e-6)
     expected = 2.0 + math.sqrt(2 * math.log(1e6)) * 2.0
@@ -225,8 +237,8 @@ def test_ledger_csv_round_trip(tmp_path):
     ledger.to_csv(path)
     loaded = PrivacyLedger.from_csv(path, delta=1e-6)
     assert len(loaded) == 3
-    np.testing.assert_array_equal(loaded.columns()["epsilon"], ledger.columns()["epsilon"])
-    assert [r.position for r in loaded.records] == [0, 1, 2]
+    assert_columns(loaded, **ledger.columns())
+    assert loaded.columns()["position"].tolist() == [0, 1, 2]
     eps_a, delta_a = compose_sequence(ledger, 1e-6)
     eps_b, delta_b = compose_sequence(loaded, 1e-6)
     assert eps_a == eps_b and delta_a == delta_b
@@ -282,10 +294,14 @@ def assert_ledger_file_round_trips(ledger, rows, path):
     assert path.read_bytes() == reference_ledger_csv(rows)
     bad = [i for i, row in enumerate(rows) if not all(0 < v < math.inf for v in row[3:])]
     if bad:
-        # A budget that is not finite and positive is refused on read, by line;
-        # the same rows with valid budgets must still read back bit for bit.
-        line = last_line_of(rows[: bad[0] + 1])
-        with pytest.raises(DataError, match=rf":{line}: epsilon and sigma"):
+        # A budget that is not finite and positive is refused on read: the
+        # first such row of the first column that holds one, by its file line.
+        # The same rows with valid budgets must still read back bit for bit.
+        column, k = next((name, k) for k, name in ((3, "epsilon"), (4, "sigma"))
+                         if any(not 0 < row[k] < math.inf for row in rows))
+        first = next(i for i, row in enumerate(rows) if not 0 < row[k] < math.inf)
+        line = last_line_of(rows[: first + 1])
+        with pytest.raises(DataError, match=rf":{line}: ledger column {column} must hold"):
             PrivacyLedger.from_csv(path, delta=1e-6)
         rows = [(*row[:3], *map(valid_budget, row[3:])) for row in rows]
         ledger = PrivacyLedger(1e-6)
@@ -445,7 +461,6 @@ def test_ledger_columns_gather_records_through_each_chunks_index():
     assert cols["epoch"].tolist() == [4, 4, 4, 1, 7]
     assert cols["epsilon"].tolist() == [3.0, 1.0, 3.0, 4.0, 2.0]
     assert cols["sigma"].tolist() == [0.3, 0.1, 0.3, 0.4, 0.2]
-    assert [r.epsilon for r in ledger.records] == cols["epsilon"].tolist()
     assert {name: c.dtype for name, c in PrivacyLedger(1e-6).columns().items()} == {
         name: c.dtype for name, c in cols.items()}
 
@@ -460,14 +475,15 @@ def test_ledger_extend_rejects_columns_of_different_lengths(columns, name):
     ledger = PrivacyLedger(1e-6)
     with pytest.raises(ValueError, match=f"ledger column {name} has shape"):
         ledger.extend(*columns)
-    assert len(ledger) == 0 and ledger.records == []
+    assert len(ledger) == 0
+    assert_columns(ledger, **{name: [] for name in LEDGER_COLUMNS})
 
 
 def test_ledger_extend_takes_its_row_count_from_the_array_like_columns():
     ledger = PrivacyLedger(1e-6)
     ledger.extend(["a", "b"], [3, 4], 2, 1.5, 0.25)  # scalar epsilon and sigma fill
-    assert [(r.sequence_id, r.position, r.epoch, r.epsilon, r.sigma) for r in ledger.records] == [
-        ("a", 3, 2, 1.5, 0.25), ("b", 4, 2, 1.5, 0.25)]
+    assert_columns(ledger, sequence_id=["a", "b"], position=[3, 4], epoch=[2, 2],
+                   epsilon=[1.5, 1.5], sigma=[0.25, 0.25])
     with pytest.raises(ValueError, match="all scalars"):
         ledger.extend("a", 3, 2, 1.5, 0.25)
     with pytest.raises(ValueError, match="all scalars"):
@@ -498,11 +514,12 @@ def test_ledger_extend_and_record_table_refuse_what_from_csv_refuses(column, val
              "epsilon": [1.5, 2.0], "sigma": [0.5, 0.25]}
     cells[column] = [cells[column][0], value]  # the bad value in the second row
     ledger = PrivacyLedger(1e-6)
-    with pytest.raises(ValueError, match=f"ledger column {column} must hold"):
+    refused = f"ledger column {column} must hold .*; row 1 holds "
+    with pytest.raises(ValueError, match=refused):
         ledger.extend(*cells.values())
     assert len(ledger) == 0
     if column != "epoch":
-        with pytest.raises(ValueError, match=f"ledger column {column} must hold"):
+        with pytest.raises(ValueError, match=refused):
             record_table(*(cells[name] for name in RecordTable._fields))
 
 
@@ -518,7 +535,8 @@ def test_ledger_extend_keeps_whole_numbers_and_composes_a_valid_delta():
     # Whole numbers given as floats, and the largest int64 position, are kept.
     ledger.extend(["a", "b"], [3.0, 4.0], 2.0, [1.0, 2.0], 1.0)
     ledger.extend(["c"], [2**63 - 1], 0, [1.0], 1.0)
-    assert [(r.position, r.epoch) for r in ledger.records] == [(3, 2), (4, 2), (2**63 - 1, 0)]
+    cols = ledger.columns()
+    assert cols["position"].tolist() == [3, 4, 2**63 - 1] and cols["epoch"].tolist() == [2, 2, 0]
     assert compose_sequence(ledger, 1e-6)[1] == 1e-6 + 1e-6
 
 
@@ -529,16 +547,33 @@ def test_ledger_csv_rejects_bad_header(tmp_path):
         PrivacyLedger.from_csv(path, delta=1e-6)
 
 
-@pytest.mark.parametrize("cells, message", [
-    ("s,0,0,nan,1.0", "epsilon and sigma"),
-    ("s,-1,0,1.0,1.0", "position and epoch"),
+@pytest.mark.parametrize("cells, refused", [
+    ("s,0,0,nan,1.0", "epsilon"),
+    ("s,-1,0,1.0,1.0", "position"),
     ("s,x,0,1.0,1.0", "malformed ledger row"),
 ])
-def test_ledger_row_error_names_the_file_line_after_a_multi_line_id(tmp_path, cells, message):
+def test_ledger_row_error_names_the_file_line_after_a_multi_line_id(tmp_path, cells, refused):
+    # A cell that does not parse is a malformed row; one that parses but that
+    # the column refuses is named by its column.
+    message = refused if " " in refused else f"ledger column {refused} must hold"
     path = tmp_path / "ledger.csv"
     path.write_text('sequence_id,position,epoch,epsilon,sigma\n"two\nlines",0,0,1.0,1.0\n'
                     + cells + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(f"{path}:4: {message}")):
+        PrivacyLedger.from_csv(path, delta=1e-6)
+
+
+@pytest.mark.parametrize("column, cell", [("position", str(2**63)), ("epsilon", "0.0"),
+                                          ("sigma", "inf")])
+def test_from_csv_names_the_line_and_column_of_a_refused_value(tmp_path, column, cell):
+    # The bad record is the second of three and ends on line 4, after a
+    # two-line id: the error names the file line, not the record's index.
+    row = {"sequence_id": "s", "position": "5", "epoch": "0", "epsilon": "1.0", "sigma": "1.0",
+           column: cell}
+    path = tmp_path / "ledger.csv"
+    path.write_text('sequence_id,position,epoch,epsilon,sigma\n"two\nlines",0,0,1.0,1.0\n'
+                    + ",".join(row.values()) + "\ns,1,0,1.0,1.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: ledger column {column} must hold ")):
         PrivacyLedger.from_csv(path, delta=1e-6)
 
 

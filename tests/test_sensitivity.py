@@ -74,7 +74,10 @@ def test_contextual_score_clamps_negative():
     # token 5 maximal in both of 2 tasks: raw = ln(2/3) < 0
     tasks = [make_task(1, [[5, 5]], label=6), make_task(2, [[5, 5]], label=7)]
     stats = compute_corpus_stats(tasks, tau=0.2)
-    raw = contextual_score(stats, 5, clamp=False)
+    # The raw statistic, mean salience times ln(N / (1 + d(t))), computed here.
+    n_tasks = stats.num_tasks_observed
+    salience = sum(stats.salience(tid, 5) for tid in stats.task_ids) / n_tasks
+    raw = salience * math.log(n_tasks / (1.0 + stats.support_of(5)))
     assert raw == pytest.approx(math.log(2.0 / 3.0), rel=1e-12)
     assert raw < 0
     assert contextual_score(stats, 5) == 0.0

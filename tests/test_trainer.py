@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pecl.corpus import TaskCorpus, TokenizedSequence, Vocabulary, compute_corpus_stats
 from pecl.errors import DataError, NumericError
@@ -222,7 +224,7 @@ def test_run_deterministic_replay():
     r1 = run_continual(config, tasks_a)
     r2 = run_continual(config, tasks_b)
     assert np.array_equal(r1.matrix.values, r2.matrix.values, equal_nan=True)
-    assert r1.ledger.records == r2.ledger.records
+    assert_same_ledger(r1.ledger, r2.ledger)
     for (_, a), (_, b) in zip(r1.model.param_items(), r2.model.param_items()):
         assert np.array_equal(a, b)
     assert np.array_equal(r1.adapter.a, r2.adapter.a)
@@ -361,10 +363,23 @@ def task_names(n):
     return np.array([f"1:{i}" for i in range(n)], dtype=object)
 
 
-def record_epoch(ledger, inputs, perm, epoch):
-    """Give ``ledger`` task 1's epoch that feeds ``perm``, as ``run_continual`` does."""
+def record_epoch(ledger, inputs, layout, epoch):
+    """Give ``ledger`` task 1's epoch laid out as ``layout``, as ``run_continual`` does."""
     records, record_of = inputs.records(1)
-    ledger.add(records, record_of[inputs.exposures(perm)], epoch)
+    ledger.add(records, record_of[inputs.exposures(layout)], epoch)
+
+
+def assert_same_ledger(got, expected):
+    """Two ledgers hold the same exposures under the same delta: every column
+    bit for bit, floats by their bit patterns."""
+    assert got.delta == expected.delta
+    got_columns, expected_columns = got.columns(), expected.columns()
+    assert got_columns.keys() == expected_columns.keys()
+    for name, column in got_columns.items():
+        want = expected_columns[name]
+        if column.dtype == float:
+            column, want = column.view(np.int64), want.view(np.int64)
+        np.testing.assert_array_equal(column, want, err_msg=name)
 
 
 def clean_base(model, seqs, batch_size):
@@ -417,7 +432,7 @@ def test_packed_training_step_equals_the_list_api(mode):
         (layout,) = feed
         (batch,) = layout.chunks(len(rows))
         assert batch.base is feed.slots[0][1]
-    record_epoch(step_ledger, inputs, rows, 3)
+    record_epoch(step_ledger, inputs, layout, 3)
     packed = backward(model, adapter, batch, spec)
 
     # The same step from the list of the step's sequences, packed on their
@@ -446,7 +461,8 @@ def test_packed_training_step_equals_the_list_api(mode):
     _, pos = inputs.seqs.cells(model.n_ctx, rows)
     consumed = (pos >= 0) & (pos < inputs.seqs.lengths[rows][:, None] - 1)
     np.testing.assert_array_equal(batch.table[batch.feed][consumed], rows_noised)
-    assert step_ledger.records == list_ledger.records and len(step_ledger) > 0
+    assert_same_ledger(step_ledger, list_ledger)
+    assert len(step_ledger) > 0
     assert step_rng.bit_generator.state == list_rng.bit_generator.state
     for name in ("a", "b"):
         np.testing.assert_array_equal(getattr(packed, name), getattr(listed, name))
@@ -489,7 +505,7 @@ def test_epoch_noising_equals_per_batch_noising(monkeypatch, mode):
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
     with EpochFeed(inputs, model, perms, privacy, epoch_rng, batch_size) as feed:
         for epoch, (perm, layout) in enumerate(zip(perms, feed, strict=True)):
-            record_epoch(epoch_ledger, inputs, perm, epoch)
+            record_epoch(epoch_ledger, inputs, layout, epoch)
             table = layout.table
             assert table is feed.slots[epoch % 2][0]  # a slot: refreshed in place
 
@@ -502,7 +518,7 @@ def test_epoch_noising_equals_per_batch_noising(monkeypatch, mode):
                 expected[np.concatenate([inputs.seqs.starts[i] + np.arange(n)
                                          for i, n in zip(rows, n_fed)])] = noised
             np.testing.assert_array_equal(table, expected)
-            assert epoch_ledger.records == batch_ledger.records
+            assert_same_ledger(epoch_ledger, batch_ledger)
             assert epoch_rng.bit_generator.state == batch_rng.bit_generator.state
             noised_rows = np.append(inputs.exposed, False)  # rows of the table, PAD included
             noised_rows[inputs.seqs.starts + inputs.seqs.lengths - 1] = False  # never fed
@@ -800,11 +816,12 @@ def assert_ledger_follows_feed_order(config, tasks, ledger, budgets, sigmas):
         for budget in [budgets(task, i)]
         for pos in np.flatnonzero(budget[0][:-1] > 0).tolist()
     ]
-    records = ledger.records
-    assert [(r.sequence_id, r.position, r.epoch) for r in records] == [e[:3] for e in expected]
+    cols = ledger.columns()
+    assert list(zip(*(cols[name].tolist() for name in ("sequence_id", "position", "epoch")))) \
+        == [e[:3] for e in expected]
     for field, column in (("epsilon", 3), ("sigma", 4)):
         np.testing.assert_array_equal(
-            np.array([getattr(r, field) for r in records]).view(np.int64),
+            cols[field].view(np.int64),
             np.array([e[column] for e in expected]).view(np.int64), err_msg=field)
     assert ledger.delta == config.privacy.delta
     assert sigmas.size == len(ledger)
@@ -935,10 +952,7 @@ def assert_same_run(got, expected):
     """The two runs agree bit for bit: matrix, ledger, model, adapter, reports, scores."""
     np.testing.assert_array_equal(got.matrix.values, expected.matrix.values)
     assert len(got.ledger) == len(expected.ledger) > 0
-    got_columns, expected_columns = got.ledger.columns(), expected.ledger.columns()
-    assert got_columns.keys() == expected_columns.keys()
-    for name, column in got_columns.items():
-        np.testing.assert_array_equal(column, expected_columns[name], err_msg=name)
+    assert_same_ledger(got.ledger, expected.ledger)
     for (name, got_param), (_, expected_param) in zip(got.model.param_items(),
                                                       expected.model.param_items(), strict=True):
         np.testing.assert_array_equal(got_param, expected_param, err_msg=name)
@@ -974,28 +988,56 @@ def test_a_failed_fork_prepares_each_epoch_inline_and_closes_its_pipes(monkeypat
     config = small_config(mode=mode, epochs=3, batch_size=7, uniform_eps=3.0)
     tasks = small_stream(config).tasks
     inline, inline_rng, _ = run_with_cpus(monkeypatch, 1, config, tasks)
-    piped = []
     real_pipe = os.pipe
-
-    def pipe():
-        fds = real_pipe()
-        piped.extend(fds)
-        return fds
 
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-    with monkeypatch.context() as m:
-        m.setattr("pecl.trainer.os.pipe", pipe)
-        m.setattr("pecl.trainer.os.fork", no_fork)
-        failed, failed_rng, forks = run_with_cpus(m, 2, config, tasks)
-    assert forks == len(tasks) and len(piped) == 4 * len(tasks)  # a fork tried per task
-    assert_same_run(failed, inline)
-    assert failed_rng == inline_rng
-    for fd in piped:
-        with pytest.raises(OSError) as closed:
-            os.fstat(fd)
-        assert closed.value.errno == errno.EBADF
+    # The fork fails (EAGAIN), or before it the second of its two pipes (EMFILE).
+    for failure in ("fork", "second pipe"):
+        piped, calls = [], []
+
+        def pipe():
+            calls.append(None)
+            if failure == "second pipe" and len(calls) % 2 == 0:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            fds = real_pipe()
+            piped.extend(fds)
+            return fds
+
+        with monkeypatch.context() as m:
+            m.setattr("pecl.trainer.os.pipe", pipe)
+            m.setattr("pecl.trainer.os.fork", no_fork)
+            failed, failed_rng, forks = run_with_cpus(m, 2, config, tasks)
+        if failure == "fork":
+            assert forks == len(tasks) and len(piped) == 4 * len(tasks)  # a fork tried per task
+        else:
+            assert forks == 0 and len(calls) == len(piped) == 2 * len(tasks)
+        assert_same_run(failed, inline)
+        assert failed_rng == inline_rng
+        for fd in piped:
+            with pytest.raises(OSError) as closed:
+                os.fstat(fd)
+            assert closed.value.errno == errno.EBADF
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exposures_are_the_layouts_exposed_input_cells_in_feed_order(data):
+    lengths = data.draw(st.lists(st.integers(2, 14), min_size=1, max_size=12))
+    perm = np.array(data.draw(st.permutations(range(len(lengths)))), dtype=np.intp)
+    exposed = np.array(data.draw(st.lists(st.booleans(), min_size=sum(lengths),
+                                          max_size=sum(lengths))), dtype=bool)
+    model = init_lm((9, 2, data.draw(st.integers(1, 5)), 3), seed=0)
+    seqs = PackedSequences.of(model, [[1] * n for n in lengths])
+    # Reference: each sequence of the permutation in turn, positions
+    # 0 .. len - 2, where exposed, by index arithmetic over the lengths.
+    n_fed = seqs.lengths[perm] - 1
+    seq = np.repeat(perm, n_fed)
+    pos = np.arange(seq.size) - np.repeat(np.cumsum(n_fed) - n_fed, n_fed)
+    src = seqs.starts[seq] + pos
+    got = TaskInputs(seqs, exposed).exposures(seqs.batch(model, perm))
+    np.testing.assert_array_equal(got, src[exposed[src]])
 
 
 def test_task_inputs_are_frozen():
