@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: run, audit, compose, metrics, sweep.  Exit codes: 0 success,
-1 usage error, 2 data error or other OS error, 3 numeric failure.  Partial
-outputs of a failed command are removed.
+1 usage error, 2 data error, other OS error or out of memory, 3 numeric
+failure.  Partial outputs of a failed command are removed.
 """
 
 from __future__ import annotations
@@ -246,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:  # not a write: _Outputs makes those a DataError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -50,6 +50,8 @@ def _coerce(key: str, tp, value):
     if tp is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise DataError(f"config key {key!r} must be an integer, got {shown(value)}")
+        if not -2**63 <= value < 2**63:  # numpy sizes, shapes and seeds are int64
+            raise DataError(f"config key {key!r} must fit in 64 bits, got {shown(value)}")
         return value
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -329,35 +329,32 @@ class EpochFeed:
         self.privacy, self.rng, self.batch_size = privacy, rng, batch_size
         self.slots: list[tuple[np.ndarray, np.ndarray]] = []
         self.pid = self.conn = self.free = None
-        if inputs.exposed is None:
-            return
-        n = inputs.seqs.tokens.size
-        for _ in range(2):
-            table = _shared_zeros(n, model.d_emb)
-            table[:] = model.embed[inputs.seqs.tokens]
-            self.slots.append((table, _shared_zeros(n, model.d_hidden)))
-        self._prepare(0)
-        if len(perms) >= 2 and hasattr(os, "fork") and _cpus() >= 2:
+        if inputs.exposed is not None:
+            n = inputs.seqs.tokens.size
+            for _ in range(2):
+                table = _shared_zeros(n, model.d_emb)
+                table[:] = model.embed[inputs.seqs.tokens]
+                self.slots.append((table, _shared_zeros(n, model.d_hidden)))
+        self.first = self._prepare(0)
+        if self.slots and len(perms) >= 2 and hasattr(os, "fork") and _cpus() >= 2:
             self._fork()
 
-    def _prepare(self, epoch: int) -> None:
-        """Noise the epoch's exposures into its slot's table, then fill the slot's base.
+    def _prepare(self, epoch: int) -> PackedBatch:
+        """The epoch as one batch over its slot (the embeddings in seqft); a step is a chunk.
 
-        The epoch is laid out first.  One mechanism call noises every exposure
-        of that layout; the table's other rows stay clean.  The base is filled
-        from the same layout, in its steps.
+        When this process prepares a noised epoch (no worker was forked, or this
+        is the worker), one mechanism call noises the layout's exposures into the
+        slot's table, whose other rows stay clean, then fills the slot's base.
         """
-        (table, base), inputs, layout = self.slots[epoch % 2], self.inputs, self._layout(epoch)
-        src = inputs.exposures(layout)
-        table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
-                                        inputs.sigma[src], self.privacy.clip_norm, self.rng)
-        frozen_base(self.model, layout, self.batch_size, base)
-
-    def _layout(self, epoch: int) -> PackedBatch:
-        """The epoch as one batch over its slot (the embeddings in seqft); a step is a chunk."""
         table, base = self.slots[epoch % 2] if self.slots else (None, None)
-        return self.inputs.seqs.batch(self.model, self.perms[epoch], table, self.inputs.margin,
-                                      base)
+        inputs = self.inputs
+        layout = inputs.seqs.batch(self.model, self.perms[epoch], table, inputs.margin, base)
+        if table is not None and self.pid is None:
+            src = inputs.exposures(layout)
+            table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
+                                            inputs.sigma[src], self.privacy.clip_norm, self.rng)
+            frozen_base(self.model, layout, self.batch_size, base)
+        return layout
 
     def _fork(self) -> None:
         fds: list[int] = []
@@ -408,12 +405,13 @@ class EpochFeed:
         return message
 
     def __iter__(self):
+        layout, self.first = self.first, None
         for epoch in range(len(self.perms)):
-            if self.slots and epoch and self.pid is None:
-                self._prepare(epoch)
-            elif self.slots and epoch:  # the worker's: wait until it is ready
-                self._receive()
-            yield self._layout(epoch)
+            if epoch:
+                if self.pid is not None:  # the worker's: wait until it is ready
+                    self._receive()
+                layout = self._prepare(epoch)
+            yield layout
             if self.pid is not None and epoch + 2 < len(self.perms):
                 try:
                     self.free.write(b"\0")  # its slot is free for epoch + 2
@@ -537,7 +535,6 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         total_steps = steps_per_epoch * config.epochs
         step = 0
         spec = LossSpec(
-            theta=config.sculpt.theta,
             lambda_unlearn=lambda_unlearn,
             unlearn_sign=unlearn_sign,
             reg_weight=reg_weight,
@@ -582,8 +579,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         del batch  # it holds the base table, which must be freed before the next task's fill
         delta_final = lora_delta(adapter)
         omega_k = task_importance(delta_final, state.activation_norm_accum)
-        final_l_reg = reg_loss(delta_final, snapshot,
-                               lam_dyn if lam_dyn is not None else 0.0,
+        final_l_reg = reg_loss(delta_final, snapshot, lam_dyn,
                                state.omega_bar) if k >= 2 and config.mode == "pecl" else 0.0
         final_l_unlearn = None
         if config.mode == "pecl":

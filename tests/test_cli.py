@@ -107,6 +107,54 @@ def test_non_finite_float_key_is_a_data_error(tmp_path, capsys, monkeypatch, key
     assert err.startswith("data error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1, 10**30])
+@pytest.mark.parametrize("key", sorted(k for k, (_, tp) in SCHEMA.items() if tp is int))
+def test_int_key_numpy_cannot_hold_is_a_data_error(tmp_path, capsys, monkeypatch, key, value):
+    # numpy cannot size an array or seed a generator with such a value: init_lm
+    # would end in a TypeError traceback.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on an integer numpy cannot hold")
+
+    monkeypatch.setattr("pecl.trainer.backward", no_training)
+    config = write_config(tmp_path, {key: value})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: config key {key!r} must fit in 64 bits")
+
+
+def test_int_keys_at_the_int64_limits_are_accepted():
+    for value in (2**63 - 1, -2**63):
+        assert config_from_dict({"noise_seed": value}).privacy.noise_seed == value
+
+
+def test_running_out_of_memory_is_an_error_without_a_traceback(tmp_path, capsys,
+                                                               monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+    monkeypatch.setattr("pecl.cli.run_continual", no_memory)
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.45 GiB for an array with shape "
+        "(1000000000,)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_seed_outside_32_bits_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # Kept modulo 2**32, seeds 0 and 2**32 would write the same bundle.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on a seed outside [0, 2**32)")
+
+    monkeypatch.setattr("pecl.trainer.backward", no_training)
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--seed", "4294967296"]) == 2
+    assert capsys.readouterr().err == (
+        "data error: seed must be in [0, 2**32), got 4294967296\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("make", [
     lambda v: RunConfig(lr=v), lambda v: RunConfig(weight_decay=v),
     lambda v: RunConfig(uniform_eps=v), lambda v: PrivacyConfig(eps_lower=v),

@@ -1,8 +1,10 @@
 import dataclasses
 import errno
+import operator
 import os
 import signal
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -581,6 +583,56 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
             assert sum(len(seq) - 1 for seq in step) == valid.sum()
             trained += valid.sum()
         assert trained == sum(len(seq) - 1 for seq in seqs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+def test_each_epoch_is_laid_out_once_in_the_runs_process(monkeypatch, mode, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = count_forks(monkeypatch)
+    privacy = PrivacyConfig(clip_norm=0.5)
+    model = init_lm((23, 4, 3, 6), seed=6)
+    rng = np.random.default_rng(17)
+    seqs = [rng.integers(1, 23, size=n).tolist() for n in (2, 3, 7, 4, 9, 2, 5, 8, 6, 3, 2)]
+    if mode == "seqft":
+        inputs = TaskInputs(PackedSequences.of(model, seqs))
+    else:
+        inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
+    # Layouts made in this process (a forked worker appends to its own copy),
+    # and the layouts whose exposures were read, to noise them.
+    laid_out, noised = [], []
+    batch, exposures = PackedSequences.batch, TaskInputs.exposures
+
+    def lay_out(self, *args):
+        laid_out.append(batch(self, *args))
+        return laid_out[-1]
+
+    monkeypatch.setattr(PackedSequences, "batch", lay_out)
+    monkeypatch.setattr(TaskInputs, "exposures",
+                        lambda self, layout: noised.append(layout) or exposures(self, layout))
+    perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
+    with EpochFeed(inputs, model, perms, privacy, np.random.default_rng(3), 4) as feed:
+        for epoch, layout in enumerate(feed):
+            assert len(laid_out) == epoch + 1 and layout is laid_out[-1]
+    assert len(laid_out) == len(perms)
+    assert_no_child_left()
+    assert len(forks) == (mode != "seqft" and cpus == 2)
+    # The mechanism noised the very layout each epoch prepared here trains on:
+    # none in seqft, epoch 0 alone when a worker prepared the rest.
+    here = laid_out if cpus == 1 else laid_out[:1]
+    expected = [] if mode == "seqft" else here
+    assert len(noised) == len(expected) and all(map(operator.is_, noised, expected))
+
+
+def test_a_seed_outside_32_bits_is_refused_and_one_inside_keeps_its_bits():
+    for seed in (2**32, -1):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*32\), got {seed}$"):
+            spawn_rng(seed, "shuffle")
+    for seed in (0, 2**32 - 1):
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            [seed, zlib.crc32(b"shuffle"), zlib.crc32(b"1")])))
+        np.testing.assert_array_equal(spawn_rng(seed, "shuffle", 1).integers(2**62, size=4),
+                                      expected.integers(2**62, size=4))
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])

@@ -10,6 +10,14 @@ non-empty ledger, the ``<workload> <seed> compose <line>`` that ``pecl compose``
 prints for ``ledger.csv`` under the run's delta and delta'.  It then runs
 ``pecl audit`` on the default config at that seed and prints the digest of
 ``audit.csv``.  Run it in two checkouts and ``diff`` the outputs.
+
+Run it a second time under ``taskset -c 0`` as well:
+
+    taskset -c 0 python3 tools/bundle_digests.py 0 1 2 3 4 > digests-1cpu.txt
+
+On one CPU every noised epoch is prepared inline in the run's process; on
+two or more a forked worker prepares epochs 1, 2, ... (``trainer.EpochFeed``).
+Only both runs check both paths against the other checkout.
 """
 
 from __future__ import annotations
