@@ -318,7 +318,11 @@ def perturb_embeddings(
     decides which tokens are exposures and records them.
     """
     e = np.asarray(e, dtype=float)
-    return clip(e, clip_norm) + sigma[:, None] * rng.standard_normal(e.shape)
+    out = clip(e, clip_norm)
+    noise = rng.standard_normal(e.shape)
+    noise *= sigma[:, None]
+    out += noise  # in place: the epoch's whole exposure matrix, so one copy fewer matters
+    return out
 
 
 def perturb_embedding(

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusStats, Vocabulary, load_stopwords
-from .tinylm import LoraAdapter, PackedSequences, TinyLM, forward_batch
+from .tinylm import LoraAdapter, PackedSequences, TinyLM, Workspace, forward_batch
 
 
 @dataclass(frozen=True)
@@ -103,26 +103,28 @@ def score_sequences(
     packed: PackedSequences,
     config: SensitivityConfig,
     batch_size: int = 32,
+    work: Workspace | None = None,
 ) -> SensitivityProfile:
     """Score every position of packed sequences with the model state of the moment.
 
     Returns one profile over all their tokens end to end.  score1 comes
-    from ``forward_batch`` over ``batch_size`` sequences at a time, score2
-    from one table over the distinct token ids.  Stopword positions are
-    zeroed after fusion; budgets are left unassigned (see
-    privacy.assign_budgets).
+    from ``forward_batch`` over ``batch_size`` sequences at a time, which
+    share ``work`` (or one workspace made for them), score2 from one table
+    over the distinct token ids.  Stopword positions are zeroed after
+    fusion; budgets are left unassigned (see privacy.assign_budgets).
     """
     tokens = packed.tokens[:-1]
     score1 = np.zeros(tokens.size)
     predicted = np.ones(tokens.size, dtype=bool)
     predicted[packed.starts[packed.lengths > 0]] = False
     scored = np.flatnonzero(packed.lengths >= 2)
-    losses = []
-    for chunk in packed.batch(model, scored).chunks(batch_size) if scored.size else ():
-        fb = forward_batch(model, adapter, chunk)
-        losses.append(fb.losses[fb.valid])
-        del fb  # free this chunk's arrays before the next pass allocates its own
-    if losses:
+    if scored.size:
+        layout = packed.batch(model, scored)
+        work = work or Workspace(layout, batch_size)
+        losses = []
+        for chunk in layout.chunks(batch_size):
+            fb = forward_batch(model, adapter, chunk, work)
+            losses.append(fb.losses[fb.valid])
         score1[predicted] = np.concatenate(losses)
 
     distinct, where = np.unique(tokens, return_inverse=True)

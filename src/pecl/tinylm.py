@@ -14,6 +14,7 @@ so analytic gradients can be checked against central finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -75,9 +76,9 @@ class LoraAdapter:
                        task_id=self.task_id if task_id is None else task_id)
 
 
-def lora_delta(adapter: LoraAdapter) -> np.ndarray:
-    """Materialize the low-rank update ``b @ a`` (shape d_out x d_in)."""
-    return adapter.b @ adapter.a
+def lora_delta(adapter: LoraAdapter, out: np.ndarray | None = None) -> np.ndarray:
+    """Materialize the low-rank update ``b @ a`` (shape d_out x d_in), into ``out`` if given."""
+    return np.matmul(adapter.b, adapter.a, out=out)
 
 
 def init_lm(dims: tuple[int, int, int, int], seed: int) -> TinyLM:
@@ -257,6 +258,35 @@ class PackedBatch:
         return (self[i : i + size] for i in range(0, len(self), size))
 
 
+class Workspace:
+    """Working arrays that the chunks of a loop over ``layout`` reuse (see the README).
+
+    ``take(name, shape)`` returns a contiguous ``shape`` view of buffer
+    ``name``, made on first use or for a larger request, and sized for the
+    loop's largest chunk (``size`` rows of the layout's windows) when
+    ``shape`` is (B, T, ...).  Without a layout each buffer fits its request,
+    so a workspace made per call hands out arrays that the caller owns.
+    """
+
+    def __init__(self, layout: "PackedBatch | None" = None, size: int = 0):
+        self.windows = 0 if layout is None else min(size, len(layout)) * layout.valid.shape[1]
+        self.buffers: dict[str, np.ndarray] = {}
+        # Each view made, by (name, shape): a batch-8 step takes eight, and making
+        # one costs about as much as allocating the small array it replaces.
+        self.views: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        view = self.views.get((name, shape))
+        if view is None:
+            n = math.prod(shape)
+            buf = self.buffers.get(name)
+            if buf is None or buf.size < n:
+                buf = self.buffers[name] = np.empty(max(n, self.windows * math.prod(shape[2:])))
+                self.views = {key: v for key, v in self.views.items() if key[0] != name}
+            view = self.views[name, shape] = buf[:n].reshape(shape)
+        return view
+
+
 def pack(
     model: TinyLM,
     batch: Sequence,
@@ -291,7 +321,8 @@ def pack(
 
 
 def _mlp(
-    model: TinyLM, adapter: LoraAdapter | None, x: np.ndarray, base: np.ndarray | None = None
+    model: TinyLM, adapter: LoraAdapter | None, x: np.ndarray, base: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Adapter projections u, hidden activations h and next-token distributions p of x (B, T, d_in).
 
@@ -302,17 +333,22 @@ def _mlp(
     ``u`` is None and the layer is ``x @ W_hidden.T``.  numpy multiplies a
     3-D ``x`` one (T, d_in) slice at a time, which keeps every BLAS call
     under OpenBLAS's multithreading cut-off; a flat (B*T, d_in) product
-    crosses it and runs several times slower at these sizes.  Bias, tanh and
-    softmax work in place, so no other batch-sized temporaries stay alive.
+    crosses it and runs several times slower at these sizes.  Products are
+    written into ``work``'s buffers (fresh ones without it), and bias, tanh
+    and softmax work in place, so no other batch-sized temporaries exist.
     """
-    h = x @ model.w_hidden.T if base is None else base
+    work = work or Workspace()
+    rows = x.shape[:-1]
+    h = base
+    if h is None:
+        h = np.matmul(x, model.w_hidden.T, out=work.take("h", (*rows, model.d_hidden)))
     u = None
     if adapter is not None:
-        u = x @ adapter.a.T
-        h += u @ adapter.b.T
+        u = np.matmul(x, adapter.a.T, out=work.take("u", (*rows, adapter.rank)))
+        h += np.matmul(u, adapter.b.T, out=work.take("p", h.shape))  # p is not yet formed
     h += model.b_hidden
     np.tanh(h, out=h)
-    p = h @ model.w_out.T
+    p = np.matmul(h, model.w_out.T, out=work.take("p", (*rows, model.vocab)))
     p += model.b_out
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -371,31 +407,41 @@ class BatchForward:
     target: tuple[np.ndarray, np.ndarray, np.ndarray]   # (batch, window, token) index into p
 
 
-def forward_batch(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence) -> BatchForward:
+def forward_batch(model: TinyLM, adapter: LoraAdapter | None, batch: Sequence,
+                  work: Workspace | None = None) -> BatchForward:
     """Forward every predicted position of a batch through one window gather.
 
     ``batch`` is a ``PackedBatch``, whose ``table`` may hold noised inputs,
     or a list of sequences that ``pack`` lays out over the embedding table.
     A batch's ``base`` stands in for ``x @ W0.T``, whichever inputs the batch
-    reads, but only when W0 is frozen.
+    reads, but only when W0 is frozen.  Given ``work``, the result's x, u, h
+    and p are views of its buffers, which the loop's next chunk overwrites.
     """
+    work = work or Workspace()
     pb = pack(model, batch)
-    x = _windows(model, pb)
+    x = _windows(model, pb, work)
     n_batch, n_windows = pb.valid.shape
-    base = None if adapter is None or pb.base is None else pb.base[pb.src[:, model.n_ctx :]]
-    u, h, p = _mlp(model, adapter, x, base)
+    base = None
+    if adapter is not None and pb.base is not None:
+        base = pb.base.take(pb.src[:, model.n_ctx :], axis=0, mode="clip",
+                            out=work.take("h", (n_batch, n_windows, model.d_hidden)))
+    u, h, p = _mlp(model, adapter, x, base, work)
     target = (np.arange(n_batch)[:, None], np.arange(n_windows), pb.ids[:, model.n_ctx :])
     losses = -np.log(p[target])
     return BatchForward(pb.lengths, x, u, h, p, losses, pb.valid, target)
 
 
-def _windows(model: TinyLM, pb: PackedBatch) -> np.ndarray:
+def _windows(model: TinyLM, pb: PackedBatch, work: Workspace | None = None) -> np.ndarray:
     """The (B, T, d_in) window inputs, gathered through the batch's window index."""
-    return pb.table[pb.wfeed].reshape(*pb.valid.shape, model.d_in)
+    out = (work or Workspace()).take("x", (*pb.wfeed.shape, model.d_emb))
+    # The indices are in range; under the default mode="raise" np.take gathers
+    # into a temporary and then copies it into ``out``.
+    return pb.table.take(pb.wfeed, axis=0, mode="clip", out=out).reshape(
+        *pb.valid.shape, model.d_in)
 
 
 def frozen_base(model: TinyLM, layout: PackedBatch, batch_size: int,
-                out: np.ndarray) -> np.ndarray:
+                out: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """``x @ W0.T`` of the window that predicts each token of ``layout``, written into ``out``.
 
     ``out`` has one row per packed token (``tokens``' entries) and is
@@ -405,11 +451,14 @@ def frozen_base(model: TinyLM, layout: PackedBatch, batch_size: int,
     of a noised table those chunks are the steps themselves.  Regrouped rows
     keep them while every gemm stays on one side of the BLAS's size cut-off
     (see the README).  Rows that no valid window predicts (each sequence's
-    first token, the trailing PAD) are left as they are in ``out``.
+    first token, the trailing PAD) are left as they are in ``out``.  The
+    chunks share ``work``, or one workspace made for them.
     """
+    work = work or Workspace(layout, batch_size)
     for pb in layout.chunks(batch_size):
-        x = _windows(model, pb)
-        out[pb.src[:, model.n_ctx :][pb.valid]] = (x @ model.w_hidden.T)[pb.valid]
+        x = _windows(model, pb, work)
+        h = np.matmul(x, model.w_hidden.T, out=work.take("h", (*x.shape[:-1], model.d_hidden)))
+        out[pb.src[:, model.n_ctx :][pb.valid]] = h[pb.valid]
     return out
 
 
@@ -480,19 +529,23 @@ def backward(
     adapter: LoraAdapter | None,
     batch: Sequence,
     loss_spec: LossSpec | None = None,
+    work: Workspace | None = None,
 ) -> GradientBundle:
     """Exact gradients of the assembled objective over a batch.
 
     With an adapter attached only its factors receive gradients (W0 and the
     rest of the base stay frozen); without one, all base parameters do, the
     embedding table included, so the batch must read it: a ``PackedBatch``
-    over a table of noised inputs trains an adapter only.
+    over a table of noised inputs trains an adapter only.  The forward pass
+    and the batch-sized products work in ``work`` (see ``Workspace``); the
+    returned gradients are fresh arrays.
     """
     spec = loss_spec or LossSpec()
+    work = work or Workspace()
     pb = pack(model, batch, spec.scores, spec.theta)
     if adapter is None and pb.table is not model.embed:
         raise ValueError("full finetune trains the embedding table, so it takes clean inputs only")
-    fb = forward_batch(model, adapter, pb)
+    fb = forward_batch(model, adapter, pb, work)
     if not np.isfinite(fb.losses[fb.valid]).all():
         raise NumericError("non-finite token loss encountered")
     n_batch, n_windows = fb.valid.shape
@@ -514,8 +567,13 @@ def backward(
     dU = fb.p
     dU[fb.target] -= 1.0
     dU *= weights[:, :, None]
-    dZ = (dU @ model.w_out) * (1.0 - fb.h * fb.h)
+    dZ = np.matmul(dU, model.w_out, out=work.take("dZ", fb.h.shape))
     base: dict[str, np.ndarray] = {}
+    if adapter is None:
+        base = dict(w_out=_sum_slice_products(dU, fb.h), b_out=dU.sum(axis=1).sum(axis=0))
+    # tanh' = 1 - h * h, formed over h, which nothing reads again.
+    tanh_grad = np.multiply(fb.h, fb.h, out=fb.h)
+    dZ *= np.subtract(1.0, tanh_grad, out=tanh_grad)
     l_reg = 0.0
     d_a = d_b = None
     if adapter is None:
@@ -524,9 +582,8 @@ def backward(
         d_slots = (dZ @ model.w_hidden).reshape(n_batch, n_windows, model.n_ctx, model.d_emb)
         d_embed = np.zeros_like(model.embed)
         np.add.at(d_embed, pb.wfeed[fb.valid], d_slots[fb.valid])
-        base = dict(embed=d_embed, w_hidden=_sum_slice_products(dZ, fb.x),
-                    b_hidden=dZ.sum(axis=1).sum(axis=0),
-                    w_out=_sum_slice_products(dU, fb.h), b_out=dU.sum(axis=1).sum(axis=0))
+        base.update(embed=d_embed, w_hidden=_sum_slice_products(dZ, fb.x),
+                    b_hidden=dZ.sum(axis=1).sum(axis=0))
     else:
         # dJ/dA = B.T @ D and dJ/dB = D @ A.T with D = sum dZ.T @ x, taken as
         # rank-r products so D is never formed.  Each flat reduction stays
@@ -536,12 +593,14 @@ def backward(
         d_a = (g @ adapter.b).T @ fb.x.reshape(-1, model.d_in)
         d_b = g.T @ fb.u.reshape(-1, adapter.rank)
         if spec.reg_weight != 0.0 and spec.reg_reference is not None:
-            drift = lora_delta(adapter)
+            # x and dZ are spent: the drift and its squares take their buffers.
+            drift = lora_delta(adapter, work.take("x", model.w_hidden.shape))
             drift -= spec.reg_reference
             # The sum sculpt.reg_loss takes, not np.vdot: a BLAS dot this long
             # runs threaded, and its helper thread would then spin on the core
             # that prepares the next epoch (see trainer.EpochFeed).
-            l_reg = float(spec.reg_weight * (drift * drift).sum())
+            squares = np.multiply(drift, drift, out=work.take("dZ", drift.shape))
+            l_reg = float(spec.reg_weight * squares.sum())
             drift *= 2.0 * spec.reg_weight  # now the penalty's gradient in B @ A
             d_a += adapter.b.T @ drift
             d_b += drift @ adapter.a.T

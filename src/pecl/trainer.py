@@ -27,7 +27,7 @@ import pickle
 import signal
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .tinylm import (
     PackedBatch,
     PackedSequences,
     TinyLM,
+    Workspace,
     _windows,
     backward,
     cosine_lr,
@@ -134,6 +135,12 @@ class RunConfig:
                      "train_per_task", "eval_per_task"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {shown(getattr(self, name))}")
+        # The hidden layer's input width and weight count, which numpy sizes in int64.
+        for names in (("n_ctx", "d_emb"), ("d_hidden", "n_ctx", "d_emb")):
+            values = [getattr(self, name) for name in names]
+            if math.prod(values) >= 2**63:
+                raise ValueError(f"{' * '.join(names)} must fit in 64 bits, got "
+                                 f"{' * '.join(map(shown, values))}")
         if self.task_order is not None:
             if len(set(self.task_order)) != len(self.task_order):
                 raise ValueError("task_order must not repeat task ids")
@@ -306,9 +313,12 @@ def _cpus() -> int:
 class EpochFeed:
     """A task's epochs, each laid out over its inputs; in the noised modes, prepared ahead.
 
-    Iterating yields each epoch's layout in turn.  The feed alone owns the
-    epoch buffers: in the noised modes epoch e is prepared by ``_prepare``
-    in slot ``e % 2``, a table and a base in anonymous shared memory.  Epoch
+    Iterating yields each epoch's layout in turn, its rows in the order
+    ``shuffle(epoch)`` draws when the feed reaches the epoch.  The feed alone
+    owns the epoch buffers: in the noised modes epoch e is prepared by
+    ``_prepare`` in slot ``e % 2``, a table and a base in anonymous shared
+    memory, whose base is filled in ``work``, the caller's workspace (one
+    process never fills a base while it steps).  Epoch
     0 is prepared in the caller's process as the feed is made.  When the
     task has 2 or more epochs and the process may run on 2 or more CPUs, a
     forked worker then prepares epochs 1, 2, ... on its copy of the noise
@@ -323,20 +333,22 @@ class EpochFeed:
     in the worker is raised again in the caller, with its class and message.
     """
 
-    def __init__(self, inputs: TaskInputs, model: TinyLM, perms: list[np.ndarray],
-                 privacy: PrivacyConfig, rng: np.random.Generator, batch_size: int):
-        self.inputs, self.model, self.perms = inputs, model, perms
+    def __init__(self, inputs: TaskInputs, model: TinyLM, epochs: int,
+                 shuffle: Callable[[int], np.ndarray], privacy: PrivacyConfig,
+                 rng: np.random.Generator, batch_size: int, work: Workspace | None = None):
+        self.inputs, self.model, self.epochs, self.shuffle = inputs, model, epochs, shuffle
         self.privacy, self.rng, self.batch_size = privacy, rng, batch_size
+        self.work = work or Workspace()
         self.slots: list[tuple[np.ndarray, np.ndarray]] = []
         self.pid = self.conn = self.free = None
         if inputs.exposed is not None:
             n = inputs.seqs.tokens.size
             for _ in range(2):
                 table = _shared_zeros(n, model.d_emb)
-                table[:] = model.embed[inputs.seqs.tokens]
+                np.take(model.embed, inputs.seqs.tokens, axis=0, mode="clip", out=table)
                 self.slots.append((table, _shared_zeros(n, model.d_hidden)))
         self.first = self._prepare(0)
-        if self.slots and len(perms) >= 2 and hasattr(os, "fork") and _cpus() >= 2:
+        if self.slots and epochs >= 2 and hasattr(os, "fork") and _cpus() >= 2:
             self._fork()
 
     def _prepare(self, epoch: int) -> PackedBatch:
@@ -348,12 +360,12 @@ class EpochFeed:
         """
         table, base = self.slots[epoch % 2] if self.slots else (None, None)
         inputs = self.inputs
-        layout = inputs.seqs.batch(self.model, self.perms[epoch], table, inputs.margin, base)
+        layout = inputs.seqs.batch(self.model, self.shuffle(epoch), table, inputs.margin, base)
         if table is not None and self.pid is None:
             src = inputs.exposures(layout)
             table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
                                             inputs.sigma[src], self.privacy.clip_norm, self.rng)
-            frozen_base(self.model, layout, self.batch_size, base)
+            frozen_base(self.model, layout, self.batch_size, base, self.work)
         return layout
 
     def _fork(self) -> None:
@@ -373,7 +385,7 @@ class EpochFeed:
                 os.close(ready_r)
                 os.close(free_w)
                 out, freed = open(ready_w, "wb"), open(free_r, "rb", buffering=0)
-                for epoch in range(1, len(self.perms)):
+                for epoch in range(1, self.epochs):
                     if epoch >= 2 and not freed.read(1):  # epoch - 2 has freed its slot
                         raise EOFError("the run stopped")
                     self._prepare(epoch)
@@ -406,13 +418,13 @@ class EpochFeed:
 
     def __iter__(self):
         layout, self.first = self.first, None
-        for epoch in range(len(self.perms)):
+        for epoch in range(self.epochs):
             if epoch:
                 if self.pid is not None:  # the worker's: wait until it is ready
                     self._receive()
                 layout = self._prepare(epoch)
             yield layout
-            if self.pid is not None and epoch + 2 < len(self.perms):
+            if self.pid is not None and epoch + 2 < self.epochs:
                 try:
                     self.free.write(b"\0")  # its slot is free for epoch + 2
                 except OSError:  # the worker has ended; its last message says why
@@ -436,7 +448,7 @@ class EpochFeed:
             for conn in (self.conn, self.free):
                 if conn is not None:
                     conn.close()
-            self.slots = []
+            self.slots, self.work = [], None
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
@@ -499,11 +511,17 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         state.reset_activations()
 
         seqs = PackedSequences.of(model, task.train)
+        rows = np.arange(len(task.train))
+        clean = seqs.batch(model, rows)
+        # Every chunk loop of the task (the base fills, scoring, the steps and the
+        # wrap-up) lays out the whole training set, so one workspace fits them all.
+        work = Workspace(clean, config.batch_size)
         # seqft steps and pecl's scoring and wrap-up forward read the clean base;
         # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
         if config.mode != "uniform_dp":
-            seqs.base = frozen_base(model, seqs.batch(model, np.arange(len(task.train))),
-                                    config.batch_size, np.zeros((seqs.tokens.size, model.d_hidden)))
+            seqs.base = frozen_base(model, clean, config.batch_size,
+                                    np.zeros((seqs.tokens.size, model.d_hidden)), work)
+        del clean
         s_bar = lam_dyn = None
         reg_weight = 0.0
         lambda_unlearn = 0.0
@@ -511,7 +529,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             pool = corpora if config.stats_scope == "all" else [by_id[t] for t in order[:k]]
             stats = compute_corpus_stats(pool, config.tau)
             profile = assign_budgets(
-                score_sequences(model, adapter, stats, seqs, sens_cfg, config.batch_size),
+                score_sequences(model, adapter, stats, seqs, sens_cfg, config.batch_size, work),
                 config.privacy,
             )
             inputs = TaskInputs(seqs, profile.score > 0.0, profile.epsilon, profile.sigma,
@@ -540,9 +558,12 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             reg_weight=reg_weight,
             reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
         )
-        perms = [spawn_rng(config.seed, "shuffle", k, epoch).permutation(len(task.train))
-                 for epoch in range(config.epochs)]
-        with EpochFeed(inputs, model, perms, config.privacy, noise_rng, config.batch_size) as feed:
+
+        def shuffle(epoch: int, k: int = k, n: int = len(task.train)) -> np.ndarray:
+            return spawn_rng(config.seed, "shuffle", k, epoch).permutation(n)
+
+        with EpochFeed(inputs, model, config.epochs, shuffle, config.privacy, noise_rng,
+                       config.batch_size, work) as feed:
             # Built once the worker is forked, while it prepares epoch 1.
             if inputs.exposed is not None:
                 records, record_of = inputs.records(task_id)
@@ -551,7 +572,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                     ledger.add(records, record_of[inputs.exposures(layout)], epoch)
                 for batch in layout.chunks(config.batch_size):
                     try:
-                        grads = backward(model, adapter, batch, spec)
+                        grads = backward(model, adapter, batch, spec, work)
                     except NumericError as exc:
                         raise NumericError(
                             f"task {task_id} epoch {epoch}: {exc}"
@@ -569,14 +590,17 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
         # in).  Only pecl reads the losses, so only pecl runs a forward pass, and
         # keeps each chunk's losses in sequence and position order.
         train_losses: list[np.ndarray] = []
-        for batch in seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
-            fb = forward_batch(model, adapter, batch) if config.mode == "pecl" else None
-            x = _windows(model, batch) if fb is None else fb.x
-            state.observe_activation(np.linalg.norm(x, axis=-1)[batch.valid])
+        for batch in seqs.batch(model, rows).chunks(config.batch_size):
+            fb = forward_batch(model, adapter, batch, work) if config.mode == "pecl" else None
+            x = _windows(model, batch, work) if fb is None else fb.x
+            # np.linalg.norm(x, axis=-1), its squares taken in place: x is spent.
+            norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=-1))
+            state.observe_activation(norms[batch.valid])
             if fb is not None:
                 train_losses.append(fb.losses[fb.valid])
-            del fb, x  # free this chunk's arrays before the next pass allocates its own
-        del batch  # it holds the base table, which must be freed before the next task's fill
+        # The base table, which batch holds, and the working arrays must be freed
+        # before the next task's fill.
+        del batch, fb, x, work
         delta_final = lora_delta(adapter)
         omega_k = task_importance(delta_final, state.activation_norm_accum)
         final_l_reg = reg_loss(delta_final, snapshot, lam_dyn,

@@ -122,6 +122,32 @@ def test_int_key_numpy_cannot_hold_is_a_data_error(tmp_path, capsys, monkeypatch
     assert err.startswith(f"data error: config key {key!r} must fit in 64 bits")
 
 
+@pytest.mark.parametrize("given, named", [
+    ({"n_ctx": 2**62}, "n_ctx * d_emb"),
+    ({"n_ctx": 2**31, "d_emb": 2**32}, "n_ctx * d_emb"),
+    ({"d_hidden": 2**40, "n_ctx": 2**20, "d_emb": 2**10}, "d_hidden * n_ctx * d_emb"),
+], ids=["n_ctx", "n_ctx_d_emb", "d_hidden_n_ctx_d_emb"])
+def test_shape_products_numpy_cannot_hold_are_data_errors(tmp_path, capsys, monkeypatch, given,
+                                                          named):
+    # Each key fits in int64 but the model's shapes do not: init_lm ended in a
+    # TypeError traceback from np.sqrt of the hidden layer's input width.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on shapes numpy cannot hold")
+
+    monkeypatch.setattr("pecl.trainer.backward", no_training)
+    config = write_config(tmp_path, given)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: invalid config: {named} must fit in 64 bits, got ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_shape_products_at_the_int64_limit_are_accepted():
+    n_ctx = 7 * 73 * 127  # a divisor of 2**63 - 1
+    config = config_from_dict({"n_ctx": n_ctx, "d_emb": (2**63 - 1) // n_ctx, "d_hidden": 1})
+    assert config.d_hidden * config.n_ctx * config.d_emb == 2**63 - 1
+
+
 def test_int_keys_at_the_int64_limits_are_accepted():
     for value in (2**63 - 1, -2**63):
         assert config_from_dict({"noise_seed": value}).privacy.noise_seed == value

@@ -13,10 +13,12 @@ from pecl.tinylm import (
     PackedBatch,
     PackedSequences,
     TinyLM,
+    Workspace,
     backward,
     cosine_lr,
     forward,
     forward_batch,
+    frozen_base,
     init_adapter,
     init_lm,
     label_probs,
@@ -564,3 +566,71 @@ def test_margins_match_the_closed_form():
     # Below every score, a 0 score would give a margin; the PAD, which no window
     # predicts, still gets none.
     assert seqs.margins(score, -0.5)[[0, 3, 5, 9]].tolist() == [0, 0, 0, 0]
+
+
+def reuse_layout(model, mode, rng):
+    """An epoch as the step loop lays it out, in chunks of 4 of different widths:
+    sequences of 20-30 tokens, then of 3-9, then a short last chunk of 2.  pecl's
+    is over a noised table with margins and its own base; seqft's is over the
+    embedding table with the clean base."""
+    lengths = [*rng.integers(20, 31, size=4), *rng.integers(3, 10, size=4), 6, 4]
+    seqs = PackedSequences.of(model, [rng.integers(0, model.vocab, size=n) for n in lengths])
+    rows = np.arange(len(lengths))
+    base = np.zeros((seqs.tokens.size, model.d_hidden))
+    if mode != "pecl":
+        seqs.base = frozen_base(model, seqs.batch(model, rows), 4, base)
+        return seqs.batch(model, rows)
+    table = model.embed[seqs.tokens] + rng.normal(scale=0.1, size=(seqs.tokens.size, model.d_emb))
+    margin = seqs.margins(rng.uniform(0.0, 0.99, size=seqs.tokens.size - 1), 0.6)
+    frozen_base(model, seqs.batch(model, rows, table, margin), 4, base)
+    return seqs.batch(model, rows, table, margin, base)
+
+
+def assert_same_gradients(got, expected):
+    assert [name for name, _ in got.arrays()] == [name for name, _ in expected.arrays()]
+    for (name, g), (_, e) in zip(got.arrays(), expected.arrays()):
+        np.testing.assert_array_equal(g, e, err_msg=name)
+    for part in ("l_task", "l_reg", "l_unlearn", "objective"):
+        assert getattr(got, part) == getattr(expected, part), part
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "finetune"])
+def test_a_reused_workspace_gives_each_chunk_the_bits_of_a_fresh_one(mode):
+    rng = np.random.default_rng(31)
+    model = init_lm((13, 4, 3, 6), seed=30)
+    adapter = None
+    if mode != "finetune":
+        adapter = init_adapter(model, rank=2, seed=1, task_id=1)
+        adapter.b[:] = rng.normal(scale=0.4, size=adapter.b.shape)
+    spec = LossSpec()
+    if mode == "pecl":  # margins, unlearning and the drift penalty all on
+        spec = LossSpec(lambda_unlearn=1.5, reg_weight=0.7,
+                        reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
+    layout = reuse_layout(model, mode, rng)
+    chunks = list(layout.chunks(4))
+    # Wide, then narrow, then short: a later chunk reads only a prefix of each buffer.
+    assert [chunk.valid.shape for chunk in chunks] == [
+        (4, layout.valid.shape[1]), (4, chunks[1].valid.shape[1]), (2, chunks[2].valid.shape[1])]
+    assert chunks[1].valid.shape[1] < 10 < 19 <= layout.valid.shape[1]
+    work, scoring = Workspace(layout, 4), Workspace(layout, 4)
+    for chunk in chunks:
+        assert_same_gradients(backward(model, adapter, chunk, spec, work),
+                              backward(model, adapter, chunk, spec))
+        reused, fresh = forward_batch(model, adapter, chunk, scoring), forward_batch(
+            model, adapter, chunk)
+        np.testing.assert_array_equal(reused.losses[reused.valid], fresh.losses[fresh.valid])
+    assert set(work.buffers) == ({"x", "h", "p", "dZ"} | ({"u"} if adapter else set()))
+
+
+def test_a_batch_forward_from_the_list_api_keeps_its_values_after_more_calls():
+    model = init_lm((13, 4, 3, 6), seed=30)
+    adapter = init_adapter(model, rank=2, seed=1, task_id=1)
+    adapter.b[:] = 0.3
+    first = forward_batch(model, adapter, small_batch())
+    kept = {name: getattr(first, name).copy() for name in ("x", "u", "h", "p", "losses")}
+    forward_batch(model, adapter, [[2, 1, 3, 4, 5, 1, 7, 8, 9, 12]] * 5)
+    backward(model, adapter, small_batch(), LossSpec(reg_weight=1.0,
+                                                     reg_reference=np.ones_like(model.w_hidden)))
+    backward(model, None, small_batch())
+    for name, values in kept.items():
+        np.testing.assert_array_equal(getattr(first, name), values, err_msg=name)

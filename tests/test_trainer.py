@@ -4,6 +4,7 @@ import operator
 import os
 import signal
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -430,7 +431,7 @@ def test_packed_training_step_equals_the_list_api(mode):
     # is there; the list side below computes the product itself.
     step_ledger, step_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     inputs.seqs.base = clean_base(model, inputs.seqs, len(rows))
-    with EpochFeed(inputs, model, [rows], privacy, step_rng, len(rows)) as feed:
+    with EpochFeed(inputs, model, 1, lambda _: rows, privacy, step_rng, len(rows)) as feed:
         (layout,) = feed
         (batch,) = layout.chunks(len(rows))
         assert batch.base is feed.slots[0][1]
@@ -505,7 +506,8 @@ def test_epoch_noising_equals_per_batch_noising(monkeypatch, mode):
     epoch_ledger, epoch_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     batch_ledger, batch_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
-    with EpochFeed(inputs, model, perms, privacy, epoch_rng, batch_size) as feed:
+    with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy, epoch_rng,
+                   batch_size) as feed:
         for epoch, (perm, layout) in enumerate(zip(perms, feed, strict=True)):
             record_epoch(epoch_ledger, inputs, layout, epoch)
             table = layout.table
@@ -546,7 +548,8 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
     # rows.  A noised epoch's base is filled from its own layout.
     inputs.seqs.base = clean_base(model, inputs.seqs, batch_size)
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(2)]
-    with EpochFeed(inputs, model, perms, privacy, noise_rng, batch_size) as feed:
+    with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy, noise_rng,
+                   batch_size) as feed:
         layouts = [(layout, feed.slots[epoch % 2] if feed.slots else (None, inputs.seqs.base))
                    for epoch, layout in enumerate(feed)]
     for perm, (layout, (slot_table, slot_base)) in zip(perms, layouts, strict=True):
@@ -611,7 +614,8 @@ def test_each_epoch_is_laid_out_once_in_the_runs_process(monkeypatch, mode, cpus
     monkeypatch.setattr(TaskInputs, "exposures",
                         lambda self, layout: noised.append(layout) or exposures(self, layout))
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
-    with EpochFeed(inputs, model, perms, privacy, np.random.default_rng(3), 4) as feed:
+    with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy,
+                   np.random.default_rng(3), 4) as feed:
         for epoch, layout in enumerate(feed):
             assert len(laid_out) == epoch + 1 and layout is laid_out[-1]
     assert len(laid_out) == len(perms)
@@ -641,12 +645,12 @@ def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(mo
     config = small_config(mode=mode, epochs=2, batch_size=7)
     clean_fills, steps = [], []
 
-    def fill(model, layout, batch_size, out):
+    def fill(model, layout, batch_size, out, work=None):
         if layout.table is model.embed:
             clean_fills.append(out)
-        return frozen_base(model, layout, batch_size, out)
+        return frozen_base(model, layout, batch_size, out, work)
 
-    def step(model, adapter, batch, spec):
+    def step(model, adapter, batch, spec, work):
         # Checked as the step runs: an epoch's slot is rewritten two epochs on.
         noised = batch.table is not model.embed
         assert noised == (mode != "seqft")
@@ -658,7 +662,7 @@ def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(mo
             np.testing.assert_array_equal(batch.base[batch.src[:, model.n_ctx :]][batch.valid],
                                           (x @ model.w_hidden.T)[batch.valid])
         steps.append(noised)
-        return backward(model, adapter, batch, spec)
+        return backward(model, adapter, batch, spec, work)
 
     monkeypatch.setattr("pecl.trainer.frozen_base", fill)
     monkeypatch.setattr("pecl.trainer.backward", step)
@@ -757,7 +761,7 @@ def test_each_steps_window_index_is_its_own_feed_at_every_window(mode, lengths):
     else:
         inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
     perm = np.random.default_rng(1).permutation(len(seqs))
-    with EpochFeed(inputs, model, [perm], privacy, np.random.default_rng(3), 4) as feed:
+    with EpochFeed(inputs, model, 1, lambda _: perm, privacy, np.random.default_rng(3), 4) as feed:
         (layout,) = feed
     widths = set()
     for step in layout.chunks(4):
@@ -1022,7 +1026,7 @@ def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, 
     config = small_config(mode=mode, epochs=3, batch_size=3, uniform_eps=3.0)
     tasks = small_stream(config).tasks if corpus == "synthetic" else long_sequence_tasks()
 
-    def check_step(model, adapter, batch, spec):
+    def check_step(model, adapter, batch, spec, work):
         # Every noised step reads exactly the x @ W0.T it would compute.
         x = _windows(model, batch)
         np.testing.assert_array_equal(batch.base[batch.src[:, model.n_ctx :]][batch.valid],
@@ -1134,6 +1138,38 @@ def test_a_failing_step_leaves_no_epoch_worker(monkeypatch):
     assert_no_child_left()
 
 
+class FirstStep(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "worker"])
+def test_a_run_of_2_62_epochs_reaches_its_first_step_at_once(monkeypatch, cpus):
+    # Each epoch's shuffle is drawn as the feed reaches the epoch: nothing before
+    # the first step grows with ``epochs``.
+    config = small_config(mode="pecl", epochs=2**62, num_tasks=1, train_per_task=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = count_forks(monkeypatch)
+    shuffled = []
+
+    def spawn(seed, *tags):
+        if tags[0] == "shuffle":
+            shuffled.append(tags[2])
+            # Only the worker prepares epoch 1 before epoch 0 has ended.
+            assert tags[2] < 2, "an epoch's shuffle was drawn before the feed reached it"
+        return spawn_rng(seed, *tags)
+
+    def step(*args):
+        raise FirstStep
+
+    monkeypatch.setattr("pecl.trainer.spawn_rng", spawn)
+    monkeypatch.setattr("pecl.trainer.backward", step)
+    with pytest.raises(FirstStep):
+        run_continual(config, small_stream(config).tasks)
+    assert shuffled == [0]  # in this process; the worker drew epoch 1's in its own
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("error", [DataError, NumericError])
 @pytest.mark.parametrize("failing_epoch", [1, 2])
 def test_an_error_in_the_epoch_worker_is_raised_again_in_the_run(monkeypatch, error,
@@ -1193,8 +1229,12 @@ def test_unlearn_mode_sets_the_sign_of_the_unlearning_term(monkeypatch, unlearn_
                           d_hidden=6, rank=2, unlearn_mode=unlearn_mode,
                           sculpt=SculptConfig(theta=0.3, lambda_unlearn=1.5))
     steps = []
-    monkeypatch.setattr("pecl.trainer.backward", lambda model, adapter, batch, spec: steps.append(
-        (model, adapter.copy(), batch, spec)) or backward(model, adapter, batch, spec))
+
+    def step(model, adapter, batch, spec, work):
+        steps.append((model, adapter.copy(), batch, spec))
+        return backward(model, adapter, batch, spec, work)
+
+    monkeypatch.setattr("pecl.trainer.backward", step)
     run_continual(config, small_stream(config).tasks)
     model, adapter, batch, spec = steps[-1]
     assert (spec.unlearn_sign, spec.lambda_unlearn) == (sign, 1.5)
@@ -1234,3 +1274,38 @@ def test_unlearn_mode_sets_the_sign_of_the_unlearning_term(monkeypatch, unlearn_
             fd = (up - down) / 2e-5
             assert abs(grad[idx] - fd) <= max(1e-4 * max(abs(grad[idx]), abs(fd)), 1e-8), (
                 f"{name}{idx}: analytic {grad[idx]} vs fd {fd}")
+
+
+def test_steps_and_scoring_chunks_after_the_first_allocate_no_batch_sized_arrays(monkeypatch):
+    # RunConfig's default sizes (batch 32): a step or scoring chunk that allocated its
+    # own x, h, p and dZ would raise the traced peak by about 1 MiB.
+    config = RunConfig(num_tasks=2, seed=3)  # the drift penalty is on from task 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    peaks = {"backward": [], "score": []}
+
+    def measured(name, function):
+        def call(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = function(*args)
+            peaks[name].append((args[-1], tracemalloc.get_traced_memory()[1] - start))
+            return result
+        return call
+
+    monkeypatch.setattr("pecl.trainer.backward", measured("backward", backward))
+    monkeypatch.setattr("pecl.sensitivity.forward_batch", measured("score", forward_batch))
+    tasks = small_stream(config).tasks
+    tracemalloc.start()
+    try:
+        run_continual(config, tasks)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks["backward"]) == 2 * 3 * 10 and len(peaks["score"]) == 2 * 10
+    for name, calls in peaks.items():
+        warmed = []  # the workspaces, kept alive so that no two share an id
+        for work, peak in calls:
+            if any(work is seen for seen in warmed):
+                assert peak < 128 * 1024, (name, peak)
+            else:
+                warmed.append(work)
+        assert len(warmed) == 2, name  # one workspace per task
