@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import CorpusStats, Vocabulary, load_stopwords
-from .tinylm import LoraAdapter, PackedSequences, TinyLM, Workspace, forward_batch
+from .tinylm import LoraAdapter, PackedBatch, PackedSequences, TinyLM, Workspace, forward_batch
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,17 @@ def fuse_scores(score1, score2, alpha: float):
     return fused
 
 
+def window_losses(model: TinyLM, adapter: LoraAdapter | None, layout: PackedBatch,
+                  batch_size: int, work: Workspace | None = None) -> list[np.ndarray]:
+    """Each ``batch_size`` chunk's valid-window losses, in the layout's order."""
+    work = work or Workspace()
+    losses = []
+    for chunk in layout.chunks(batch_size):
+        fb = forward_batch(model, adapter, chunk, work)
+        losses.append(fb.losses[fb.valid])
+    return losses
+
+
 def score_sequences(
     model: TinyLM,
     adapter: LoraAdapter | None,
@@ -104,13 +115,16 @@ def score_sequences(
     config: SensitivityConfig,
     batch_size: int = 32,
     work: Workspace | None = None,
+    losses: np.ndarray | None = None,
 ) -> SensitivityProfile:
     """Score every position of packed sequences with the model state of the moment.
 
     Returns one profile over all their tokens end to end.  score1 comes
     from ``forward_batch`` over ``batch_size`` sequences at a time, which
-    share ``work`` (or one workspace made for them), score2 from one table
-    over the distinct token ids.  Stopword positions are zeroed after
+    share ``work`` (or one workspace made for them): the ``window_losses`` of
+    the sequences of 2 or more tokens in order, or ``losses``, those losses
+    end to end, when the caller has computed them.  score2 comes from one
+    table over the distinct token ids.  Stopword positions are zeroed after
     fusion; budgets are left unassigned (see privacy.assign_budgets).
     """
     tokens = packed.tokens[:-1]
@@ -119,13 +133,10 @@ def score_sequences(
     predicted[packed.starts[packed.lengths > 0]] = False
     scored = np.flatnonzero(packed.lengths >= 2)
     if scored.size:
-        layout = packed.batch(model, scored)
-        work = work or Workspace(layout, batch_size)
-        losses = []
-        for chunk in layout.chunks(batch_size):
-            fb = forward_batch(model, adapter, chunk, work)
-            losses.append(fb.losses[fb.valid])
-        score1[predicted] = np.concatenate(losses)
+        if losses is None:
+            losses = np.concatenate(window_losses(model, adapter, packed.batch(model, scored),
+                                                  batch_size, work))
+        score1[predicted] = losses
 
     distinct, where = np.unique(tokens, return_inverse=True)
     table = np.array([contextual_score(stats, tok) for tok in distinct.tolist()])

@@ -169,6 +169,11 @@ class PackedSequences:
         src = np.where(pos >= 0, self.starts[rows][:, None] + pos, self.tokens.size - 1)
         return src, pos
 
+    def windows(self, n_ctx: int, size: int) -> int:
+        """How many windows a chunk of ``size`` of these sequences has at most, in any order:
+        what a ``Workspace`` for their chunk loops is sized for."""
+        return min(size, self.lengths.size) * (_width(n_ctx, self.lengths) - n_ctx)
+
     def margins(self, score: np.ndarray, theta: float) -> np.ndarray:
         """Every packed token's unlearning margin ``max(score - theta, 0)``.
 
@@ -204,7 +209,7 @@ class PackedSequences:
 
 
 def _width(n_ctx: int, lengths: np.ndarray) -> int:
-    return n_ctx - 1 + max(int(lengths.max()), 3)
+    return n_ctx - 1 + max(int(lengths.max(initial=0)), 3)
 
 
 @dataclass
@@ -259,17 +264,18 @@ class PackedBatch:
 
 
 class Workspace:
-    """Working arrays that the chunks of a loop over ``layout`` reuse (see the README).
+    """Working arrays that the chunks of a loop reuse (see the README).
 
     ``take(name, shape)`` returns a contiguous ``shape`` view of buffer
-    ``name``, made on first use or for a larger request, and sized for the
-    loop's largest chunk (``size`` rows of the layout's windows) when
-    ``shape`` is (B, T, ...).  Without a layout each buffer fits its request,
-    so a workspace made per call hands out arrays that the caller owns.
+    ``name``, made on first use or for a larger request, and sized for
+    ``windows`` windows, the loop's largest chunk, when ``shape`` is
+    (B, T, ...) (see ``PackedSequences.windows``).  Without a window count
+    each buffer fits its request, so a workspace made per call hands out
+    arrays that the caller owns.
     """
 
-    def __init__(self, layout: "PackedBatch | None" = None, size: int = 0):
-        self.windows = 0 if layout is None else min(size, len(layout)) * layout.valid.shape[1]
+    def __init__(self, windows: int = 0):
+        self.windows = windows
         self.buffers: dict[str, np.ndarray] = {}
         # Each view made, by (name, shape): a batch-8 step takes eight, and making
         # one costs about as much as allocating the small array it replaces.
@@ -451,10 +457,12 @@ def frozen_base(model: TinyLM, layout: PackedBatch, batch_size: int,
     of a noised table those chunks are the steps themselves.  Regrouped rows
     keep them while every gemm stays on one side of the BLAS's size cut-off
     (see the README).  Rows that no valid window predicts (each sequence's
-    first token, the trailing PAD) are left as they are in ``out``.  The
-    chunks share ``work``, or one workspace made for them.
+    first token, the trailing PAD) are left as they are in ``out``: only
+    padding windows read them, and no bit of a loss or gradient depends on
+    what a padding window computes.  The chunks share ``work``, or one
+    workspace made for them.
     """
-    work = work or Workspace(layout, batch_size)
+    work = work or Workspace()
     for pb in layout.chunks(batch_size):
         x = _windows(model, pb, work)
         h = np.matmul(x, model.w_hidden.T, out=work.take("h", (*x.shape[:-1], model.d_hidden)))

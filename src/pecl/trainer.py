@@ -27,7 +27,7 @@ import pickle
 import signal
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .sculpt import (
     unlearn_loss,
     update_running_importance,
 )
-from .sensitivity import SensitivityConfig, SensitivityProfile, score_sequences
+from .sensitivity import SensitivityConfig, SensitivityProfile, score_sequences, window_losses
 from .tinylm import (
     AdamW,
     LoraAdapter,
@@ -293,9 +293,11 @@ class TaskInputs:
                 np.cumsum(self.exposed) - 1)
 
 
-def _shared_zeros(rows: int, cols: int) -> np.ndarray:
-    """A float64 array of zeros in anonymous shared memory: a forked child's writes show."""
-    return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=np.float64).reshape(rows, cols)
+def _shared(*shape: int, dtype=np.float64) -> np.ndarray:
+    """Zeros in anonymous shared memory: what a forked process writes there, the other reads."""
+    size = math.prod(shape)
+    buffer = mmap.mmap(-1, size * np.dtype(dtype).itemsize)
+    return np.frombuffer(buffer, dtype=dtype, count=size).reshape(shape)
 
 
 def _put(stream, message) -> None:
@@ -310,100 +312,118 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class EpochFeed:
-    """A task's epochs, each laid out over its inputs; in the noised modes, prepared ahead.
+class _Failure(NamedTuple):
+    """An error raised in the worker, as the worker sends it to the run."""
 
-    Iterating yields each epoch's layout in turn, its rows in the order
-    ``shuffle(epoch)`` draws when the feed reaches the epoch.  The feed alone
-    owns the epoch buffers: in the noised modes epoch e is prepared by
-    ``_prepare`` in slot ``e % 2``, a table and a base in anonymous shared
-    memory, whose base is filled in ``work``, the caller's workspace (one
-    process never fills a base while it steps).  Epoch
-    0 is prepared in the caller's process as the feed is made.  When the
-    task has 2 or more epochs and the process may run on 2 or more CPUs, a
-    forked worker then prepares epochs 1, 2, ... on its copy of the noise
-    generator while the previous epoch trains, each once the epoch that
-    last used its slot has ended, and hands the generator's state back at
-    the end.  A process, not a thread: the noise and the fill are small
-    numpy calls, which hold the GIL.  Otherwise, or when the worker cannot
-    be forked, each epoch is prepared inline when it starts.  Either way the
-    epochs and the generator's final state are the same bits.
+    kind: type
+    text: str
 
-    Use it as a context manager: leaving it reaps the worker, and an error
-    in the worker is raised again in the caller, with its class and message.
+    def error(self) -> BaseException:
+        """``kind(text)``, or else the first class in ``kind``'s MRO that takes the message
+        alone: numpy's ``_ArrayMemoryError`` also needs a shape and a dtype, MemoryError not."""
+        for cls in self.kind.__mro__:
+            if issubclass(cls, BaseException):  # BaseException itself takes any message
+                with contextlib.suppress(Exception):
+                    return cls(self.text)
+
+
+def _wrap_up(model: TinyLM, adapter: LoraAdapter | None, layout: PackedBatch, batch_size: int,
+             work: Workspace):
+    """Each ``batch_size`` chunk's clean window norms at its valid windows and, given an
+    adapter (pecl), the chunk's valid-window losses, in the layout's order."""
+    for batch in layout.chunks(batch_size):
+        fb = forward_batch(model, adapter, batch, work) if adapter is not None else None
+        x = _windows(model, batch, work) if fb is None else fb.x
+        # np.linalg.norm(x, axis=-1), its squares taken in place: x is spent.
+        norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=-1))
+        yield norms[batch.valid], None if fb is None else fb.losses[fb.valid]
+
+
+class RunWorker:
+    """The buffers a run's tasks reuse, and the worker process that shares them (see the README).
+
+    Made once per run and mapped once, sized for the run's largest task (N
+    packed tokens, PAD included): ``slots`` (noised modes), the two epoch
+    slots ``EpochFeed`` lays epochs over, each an (N, d_emb) input table and
+    an (N, d_hidden) base; ``clean`` (pecl, seqft), the clean ``x @ W0.T``
+    table of the task that trains, two with a worker (task k's is
+    ``clean[k % 2]``); and, with a worker, ``exposed`` and ``sigma``, what
+    scoring decided, and ``losses`` and ``norms``, what the worker's share of
+    a pass gives back.
+
+    A noised run that may use 2 or more CPUs forks the worker as this is made.
+    The worker, which has every task's packed sequences, shuffle and eval
+    split, prepares epochs 1, 2, ... of each task, fills task k+1's clean
+    table while task k trains, and runs the rows ``share`` sends it of task
+    1's clean fill, the scoring forward, the epoch-0 base fill and the
+    wrap-up, and the later half of each round of evaluations.  Every chunk
+    keeps its rows, shape and order, so the bits are the same without a
+    worker (seqft, one CPU, a failed fork or pipe), where the run does it all.
+
+    Leaving it reaps the worker, killed first when the run fails.  An error in
+    the worker is raised again in the run with its class and message; a worker
+    that dies is a ``ChildProcessError``.  ``pid`` is the worker's in the run,
+    0 in the worker itself, and None without a worker.
     """
 
-    def __init__(self, inputs: TaskInputs, model: TinyLM, epochs: int,
-                 shuffle: Callable[[int], np.ndarray], privacy: PrivacyConfig,
-                 rng: np.random.Generator, batch_size: int, work: Workspace | None = None):
-        self.inputs, self.model, self.epochs, self.shuffle = inputs, model, epochs, shuffle
-        self.privacy, self.rng, self.batch_size = privacy, rng, batch_size
-        self.work = work or Workspace()
-        self.slots: list[tuple[np.ndarray, np.ndarray]] = []
-        self.pid = self.conn = self.free = None
-        if inputs.exposed is not None:
-            n = inputs.seqs.tokens.size
-            for _ in range(2):
-                table = _shared_zeros(n, model.d_emb)
-                np.take(model.embed, inputs.seqs.tokens, axis=0, mode="clip", out=table)
-                self.slots.append((table, _shared_zeros(n, model.d_hidden)))
-        self.first = self._prepare(0)
-        if self.slots and epochs >= 2 and hasattr(os, "fork") and _cpus() >= 2:
+    def __init__(self, model: TinyLM, config: RunConfig, packed: list[PackedSequences],
+                 shuffles: list[Callable[[int], np.ndarray]], evals: list[TaskCorpus]):
+        self.model, self.config, self.packed = model, config, packed
+        self.shuffles, self.evals = shuffles, evals
+        self.windows = max(seqs.windows(model.n_ctx, config.batch_size) for seqs in packed)
+        n = max(seqs.tokens.size for seqs in packed)
+        fork = config.mode != "seqft" and hasattr(os, "fork") and _cpus() >= 2
+        self.slots = [(_shared(n, model.d_emb), _shared(n, model.d_hidden))
+                      for _ in range(2 if config.mode != "seqft" else 0)]
+        self.clean = [_shared(n, model.d_hidden)
+                      for _ in range((1 + fork) if config.mode != "uniform_dp" else 0)]
+        self.pid = self.commands = self.frees = self.replies = self.work = None
+        if fork:
+            self.exposed, self.sigma = _shared(n, dtype=bool), _shared(n)
+            self.losses, self.norms = _shared(n), _shared(n)
             self._fork()
 
-    def _prepare(self, epoch: int) -> PackedBatch:
-        """The epoch as one batch over its slot (the embeddings in seqft); a step is a chunk.
+    def clean_table(self, k: int) -> np.ndarray:
+        """Task k's clean base table (k from 0), one row per packed token."""
+        return self.clean[k % len(self.clean) if self.pid is not None else 0][
+            : self.packed[k].tokens.size]
 
-        When this process prepares a noised epoch (no worker was forked, or this
-        is the worker), one mechanism call noises the layout's exposures into the
-        slot's table, whose other rows stay clean, then fills the slot's base.
+    def share(self, op: str, k: int, rows: int, *args) -> int:
+        """How many of the ``rows`` sequences of task k's pass the run itself runs.
+
+        Without a worker, all of them.  Otherwise the first half of the pass's
+        ``batch_size`` chunks, rounded up, once the worker has been sent ``op``
+        with the row it starts from and ``args``.
         """
-        table, base = self.slots[epoch % 2] if self.slots else (None, None)
-        inputs = self.inputs
-        layout = inputs.seqs.batch(self.model, self.shuffle(epoch), table, inputs.margin, base)
-        if table is not None and self.pid is None:
-            src = inputs.exposures(layout)
-            table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
-                                            inputs.sigma[src], self.privacy.clip_norm, self.rng)
-            frozen_base(self.model, layout, self.batch_size, base, self.work)
-        return layout
+        if not self.pid:
+            return rows
+        size = self.config.batch_size
+        cut = min(rows, (-(-rows // size) + 1) // 2 * size)
+        self.send(op, k, cut, *args)
+        return cut
 
-    def _fork(self) -> None:
-        fds: list[int] = []
+    def send(self, *message) -> None:
         try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:  # EMFILE, EAGAIN or ENOMEM: no worker, so each epoch is prepared inline
-            for fd in fds:
-                os.close(fd)
-            return
-        ready_r, ready_w, free_r, free_w = fds
-        if pid == 0:  # the worker: never returns into the caller's code
-            status, out = 0, None
-            try:
-                os.close(ready_r)
-                os.close(free_w)
-                out, freed = open(ready_w, "wb"), open(free_r, "rb", buffering=0)
-                for epoch in range(1, self.epochs):
-                    if epoch >= 2 and not freed.read(1):  # epoch - 2 has freed its slot
-                        raise EOFError("the run stopped")
-                    self._prepare(epoch)
-                    _put(out, epoch)
-                _put(out, self.rng.bit_generator.state)
-            except BaseException as exc:
-                status = 1
-                with contextlib.suppress(BaseException):
-                    _put(out, (type(exc), str(exc)))
-            finally:
-                os._exit(status)
-        os.close(ready_w)
-        os.close(free_r)
-        self.pid, self.conn, self.free = pid, open(ready_r, "rb"), open(free_w, "wb", buffering=0)
+            _put(self.commands, message)
+        except OSError:  # the worker has ended; its last message says why
+            self._ended()
 
-    def _receive(self):
+    def free(self) -> None:
+        """Tell the worker that the epoch slot the run last trained on is free."""
         try:
-            message = pickle.load(self.conn)
+            self.frees.write(b"\0")
+        except OSError:
+            self._ended()
+
+    def _ended(self):
+        """The worker has ended: raise what it said last, or how it ended."""
+        while True:
+            self.receive()
+
+    def receive(self):
+        """The worker's next reply; an error the worker raised is raised here."""
+        try:
+            message = pickle.load(self.replies)
         except (EOFError, OSError, pickle.UnpicklingError):
             _, status = os.waitpid(self.pid, 0)
             self.pid = None
@@ -411,51 +431,221 @@ class EpochFeed:
                 "the epoch worker ended without its result ("
                 + (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
                    else f"exit status {os.waitstatus_to_exitcode(status)}") + ")") from None
-        if isinstance(message, tuple):
-            kind, text = message
-            raise kind(text)
+        if isinstance(message, _Failure):
+            raise message.error()
         return message
+
+    def __enter__(self) -> "RunWorker":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for stream in (self.commands, self.frees):  # at the end of its commands the worker exits
+            if stream is not None:
+                with contextlib.suppress(OSError):
+                    stream.close()
+        if self.pid:
+            if exc_type is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.replies is not None:
+            self.replies.close()
+
+    def _fork(self) -> None:
+        fds: list[int] = []
+        try:
+            for _ in range(3):
+                fds += os.pipe()
+            pid = os.fork()
+        except OSError:  # EMFILE, EAGAIN or ENOMEM: no worker, so the run does it all
+            for fd in fds:
+                os.close(fd)
+            return
+        commands_r, commands_w, frees_r, frees_w, replies_r, replies_w = fds
+        if pid == 0:  # the worker: never returns into the run's code
+            status, out = 0, None
+            try:
+                for fd in (commands_w, frees_w, replies_r):
+                    os.close(fd)
+                self.pid, out = 0, open(replies_w, "wb")
+                self._serve(open(commands_r, "rb"), open(frees_r, "rb", buffering=0), out)
+            except BaseException as exc:
+                status = 1
+                with contextlib.suppress(BaseException):
+                    _put(out, _Failure(type(exc), str(exc)))
+            finally:
+                os._exit(status)
+        for fd in (commands_r, frees_r, replies_w):
+            os.close(fd)
+        self.pid = pid
+        self.commands = open(commands_w, "wb")
+        self.frees, self.replies = open(frees_w, "wb", buffering=0), open(replies_r, "rb")
+
+    # The worker's side: each command the run sends is one call below.
+
+    def _serve(self, commands, frees, replies) -> None:
+        # Here ``frees`` and ``replies`` are the ends of the run's pipes that it does not hold.
+        self.frees, self.replies, self.work = frees, replies, Workspace(self.windows)
+        while True:
+            try:
+                op, *args = pickle.load(commands)
+            except EOFError:  # the run has ended
+                return
+            getattr(self, "_" + op)(*args)
+
+    def _rows(self, k: int, cut: int, adapter: LoraAdapter | None = None) -> PackedBatch:
+        """Task k's training set in order from sequence ``cut`` on, over its clean table
+        when an adapter will read it."""
+        seqs = self.packed[k]
+        seqs.base = self.clean_table(k) if adapter is not None else None
+        return seqs.batch(self.model, np.arange(cut, seqs.lengths.size))
+
+    def _adapter(self, a: np.ndarray, b: np.ndarray) -> LoraAdapter | None:
+        return LoraAdapter(a, b, a.shape[0], task_id=0) if self.config.mode == "pecl" else None
+
+    def _clean(self, k: int, cut: int) -> None:
+        frozen_base(self.model, self._rows(k, cut), self.config.batch_size, self.clean_table(k),
+                    self.work)
+
+    def _score(self, k: int, cut: int, a: np.ndarray, b: np.ndarray) -> None:
+        adapter, start = self._adapter(a, b), 0
+        for losses in window_losses(self.model, adapter, self._rows(k, cut, adapter),
+                                    self.config.batch_size, self.work):
+            self.losses[start : start + losses.size] = losses
+            start += losses.size
+        _put(self.replies, start)
+
+    def _epochs(self, k: int, cut: int, state: dict) -> None:
+        """Task k's epochs: epoch 0's base from sequence ``cut`` of its shuffle on, then
+        epochs 1, 2, ... whole, each once the epoch that last used its slot has ended, and
+        then the generator's state."""
+        config, seqs = self.config, self.packed[k]
+        n = seqs.tokens.size - 1
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        feed = EpochFeed(TaskInputs(seqs, self.exposed[:n], None, self.sigma[:n]), self.model,
+                         config.epochs, self.shuffles[k], config.privacy, rng,
+                         config.batch_size, self.work, self, k)
+        table, base = feed.slots[0]
+        frozen_base(self.model, seqs.batch(self.model, feed.shuffle(0)[cut:], table, None, base),
+                    config.batch_size, base, self.work)
+        _put(self.replies, 0)
+        for epoch in range(1, config.epochs):
+            if epoch >= 2 and not self.frees.read(1):  # epoch - 2 has freed its slot
+                raise EOFError("the run stopped")
+            feed._prepare(epoch)
+            _put(self.replies, epoch)
+        _put(self.replies, rng.bit_generator.state)
+
+    def _wrapup(self, k: int, cut: int, a: np.ndarray, b: np.ndarray) -> None:
+        adapter = self._adapter(a, b)
+        counts, start = [], 0
+        for norms, losses in _wrap_up(self.model, adapter, self._rows(k, cut, adapter),
+                                      self.config.batch_size, self.work):
+            self.norms[start : start + norms.size] = norms
+            if losses is not None:
+                self.losses[start : start + losses.size] = losses
+            counts.append(norms.size)
+            start += norms.size
+        _put(self.replies, counts)
+
+    def _evaluate(self, first: int, last: int, a: np.ndarray, b: np.ndarray) -> None:
+        adapter = LoraAdapter(a, b, a.shape[0], task_id=0)
+        _put(self.replies, [evaluate(self.model, adapter, task) for task in self.evals[first:last]])
+
+
+class EpochFeed:
+    """A task's epochs, each laid out over its inputs; in the noised modes, prepared ahead.
+
+    Iterating yields each epoch's layout in turn, its rows in the order
+    ``shuffle(epoch)`` draws when the feed reaches the epoch.  In the noised
+    modes epoch e is prepared by ``_prepare`` in slot ``e % 2``, a table and a
+    base, the ``worker``'s or, without one, the feed's own; a base is filled in
+    ``work``, the caller's workspace.  Entering the feed resets both tables to
+    the clean inputs and prepares epoch 0 in the caller's process.  When the
+    worker has a process, the caller fills only the first half of epoch 0's
+    base and sends the worker, as task ``task``, what scoring decided and the
+    noise generator's state: the worker fills the rest of epoch 0's base, then
+    prepares epochs 1, 2, ... on its copy of the generator while the previous
+    epoch trains, each once the epoch that last used its slot has ended, and
+    hands the generator's state back at the end.  Otherwise each epoch is
+    prepared in the caller's process when it starts.  Either way the epochs
+    and the generator's final state are the same bits.
+
+    Use it as a context manager: an error in the worker is raised in the
+    caller as the epoch that waits on it starts, or as the feed is left.
+    """
+
+    def __init__(self, inputs: TaskInputs, model: TinyLM, epochs: int,
+                 shuffle: Callable[[int], np.ndarray], privacy: PrivacyConfig,
+                 rng: np.random.Generator, batch_size: int, work: Workspace | None = None,
+                 worker: RunWorker | None = None, task: int = 0):
+        self.inputs, self.model, self.epochs, self.shuffle = inputs, model, epochs, shuffle
+        self.privacy, self.rng, self.batch_size = privacy, rng, batch_size
+        self.work, self.worker, self.task = work or Workspace(), worker, task
+        # The run's side of a worker that prepares this task's epochs 1, 2, ...
+        self.ahead = worker is not None and bool(worker.pid)
+        self.slots: list[tuple[np.ndarray, np.ndarray]] = []
+        if inputs.exposed is not None:
+            n = inputs.seqs.tokens.size
+            slots = worker.slots if worker is not None else [
+                (_shared(n, model.d_emb), _shared(n, model.d_hidden)) for _ in range(2)]
+            self.slots = [(table[:n], base[:n]) for table, base in slots]
+
+    def _prepare(self, epoch: int) -> PackedBatch:
+        """The epoch as one batch over its slot (the embeddings in seqft); a step is a chunk.
+
+        When this process prepares a noised epoch (epoch 0, or every epoch when
+        no worker prepares them ahead), one mechanism call noises the layout's
+        exposures into the slot's table, whose other rows stay clean, then the
+        slot's base is filled: all of it, or epoch 0's first rows when the
+        worker fills the rest.
+        """
+        table, base = self.slots[epoch % 2] if self.slots else (None, None)
+        inputs = self.inputs
+        layout = inputs.seqs.batch(self.model, self.shuffle(epoch), table, inputs.margin, base)
+        if table is not None and (epoch == 0 or not self.ahead):
+            src = inputs.exposures(layout)
+            table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
+                                            inputs.sigma[src], self.privacy.clip_norm, self.rng)
+            part = layout
+            if self.ahead:
+                worker, n = self.worker, inputs.exposed.size
+                worker.exposed[:n], worker.sigma[:n] = inputs.exposed, inputs.sigma
+                part = layout[: worker.share("epochs", self.task, len(layout),
+                                             self.rng.bit_generator.state)]
+            frozen_base(self.model, part, self.batch_size, base, self.work)
+        return layout
 
     def __iter__(self):
         layout, self.first = self.first, None
         for epoch in range(self.epochs):
             if epoch:
-                if self.pid is not None:  # the worker's: wait until it is ready
-                    self._receive()
                 layout = self._prepare(epoch)
+            if self.ahead:
+                self.worker.receive()  # the worker has prepared its part of the epoch
             yield layout
-            if self.pid is not None and epoch + 2 < self.epochs:
-                try:
-                    self.free.write(b"\0")  # its slot is free for epoch + 2
-                except OSError:  # the worker has ended; its last message says why
-                    while True:
-                        self._receive()
+            if self.ahead and epoch + 2 < self.epochs:
+                self.worker.free()  # the epoch's slot is free for epoch + 2
 
     def __enter__(self) -> "EpochFeed":
+        for table, _ in self.slots:
+            np.take(self.model.embed, self.inputs.seqs.tokens, axis=0, mode="clip", out=table)
+        self.first = self._prepare(0)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if self.pid is not None and exc_type is None:
-                self.rng.bit_generator.state = self._receive()
-        finally:
-            if self.pid is not None:
-                if exc_type is not None:
-                    with contextlib.suppress(ProcessLookupError):
-                        os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-                self.pid = None
-            for conn in (self.conn, self.free):
-                if conn is not None:
-                    conn.close()
-            self.slots, self.work = [], None
+        if self.ahead and exc_type is None:
+            self.rng.bit_generator.state = self.worker.receive()
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     """Train tasks sequentially per the configured mode and evaluate after each.
 
     Deterministic: identical (config, corpora, seed) reproduce the accuracy
-    matrix, ledger, reports and final parameters bit for bit.
+    matrix, ledger, reports and final parameters bit for bit, with or without
+    the run's worker (see ``RunWorker``).
     """
     if not corpora:
         raise DataError("no tasks to train on")
@@ -504,122 +694,139 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     matrix_values = np.full((n_tasks, n_tasks), np.nan)
     reports: list[TaskReport] = []
     kept_profiles: dict[int, SensitivityProfile] = {}
+    bs = config.batch_size
 
-    for k, task_id in enumerate(order, start=1):
-        task = by_id[task_id]
-        adapter = adapter.copy(task_id=task_id) if k > 1 else adapter
-        state.reset_activations()
+    def shuffle(k: int, n: int) -> Callable[[int], np.ndarray]:
+        return lambda epoch: spawn_rng(config.seed, "shuffle", k, epoch).permutation(n)
 
-        seqs = PackedSequences.of(model, task.train)
-        rows = np.arange(len(task.train))
-        clean = seqs.batch(model, rows)
-        # Every chunk loop of the task (the base fills, scoring, the steps and the
-        # wrap-up) lays out the whole training set, so one workspace fits them all.
-        work = Workspace(clean, config.batch_size)
-        # seqft steps and pecl's scoring and wrap-up forward read the clean base;
-        # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
-        if config.mode != "uniform_dp":
-            seqs.base = frozen_base(model, clean, config.batch_size,
-                                    np.zeros((seqs.tokens.size, model.d_hidden)), work)
-        del clean
-        s_bar = lam_dyn = None
-        reg_weight = 0.0
-        lambda_unlearn = 0.0
-        if config.mode == "pecl":
-            pool = corpora if config.stats_scope == "all" else [by_id[t] for t in order[:k]]
-            stats = compute_corpus_stats(pool, config.tau)
-            profile = assign_budgets(
-                score_sequences(model, adapter, stats, seqs, sens_cfg, config.batch_size, work),
-                config.privacy,
+    packed = [PackedSequences.of(model, by_id[task_id].train) for task_id in order]
+    with RunWorker(model, config, packed,
+                   [shuffle(k, seqs.lengths.size) for k, seqs in enumerate(packed, start=1)],
+                   [by_id[task_id] for task_id in order]) as worker:
+        # Every chunk loop of the run lays out one task's training set, so one
+        # workspace, sized for the largest task, fits them all.
+        work = Workspace(worker.windows)
+        for k, task_id in enumerate(order, start=1):
+            task, seqs = by_id[task_id], packed[k - 1]
+            adapter = adapter.copy(task_id=task_id) if k > 1 else adapter
+            state.reset_activations()
+            rows = np.arange(len(task.train))
+
+            # seqft steps and pecl's scoring and wrap-up forward read the clean base;
+            # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
+            if config.mode != "uniform_dp":
+                seqs.base = worker.clean_table(k - 1)
+                if k == 1 or not worker.pid:  # else the worker filled it as task k - 1 trained
+                    cut = worker.share("clean", 0, rows.size)
+                    frozen_base(model, seqs.batch(model, rows[:cut]), bs, seqs.base, work)
+            s_bar = lam_dyn = None
+            reg_weight = 0.0
+            lambda_unlearn = 0.0
+            if config.mode == "pecl":
+                cut = worker.share("score", k - 1, rows.size, adapter.a, adapter.b)
+                losses = window_losses(model, adapter, seqs.batch(model, rows[:cut]), bs, work)
+                pool = corpora if config.stats_scope == "all" else [by_id[t] for t in order[:k]]
+                stats = compute_corpus_stats(pool, config.tau)
+                if worker.pid:
+                    losses.append(worker.losses[: worker.receive()])
+                profile = assign_budgets(
+                    score_sequences(model, adapter, stats, seqs, sens_cfg, bs, work,
+                                    np.concatenate(losses)),
+                    config.privacy,
+                )
+                inputs = TaskInputs(seqs, profile.score > 0.0, profile.epsilon, profile.sigma,
+                                    seqs.margins(profile.score, config.sculpt.theta))
+                kept_profiles[task_id] = profile
+                s_bar = mean_task_sensitivity(profile.score, seqs.lengths)
+                lam_dyn = dynamic_lambda(s_bar, config.sculpt)
+                if k >= 2:
+                    reg_weight = lam_dyn * state.omega_bar
+                lambda_unlearn = config.sculpt.lambda_unlearn
+            elif config.mode == "uniform_dp":
+                tokens = seqs.tokens[:-1]
+                inputs = TaskInputs(seqs, ~np.isin(tokens, list(sens_cfg.stopword_ids)),
+                                    np.full(tokens.size, config.uniform_eps),
+                                    np.full(tokens.size, uniform_sigma))
+            else:
+                inputs = TaskInputs(seqs)
+
+            optimizer = (AdamW(weight_decay=config.weight_decay) if config.optimizer == "adamw"
+                         else None)
+            steps_per_epoch = math.ceil(len(task.train) / bs)
+            total_steps = steps_per_epoch * config.epochs
+            step = 0
+            spec = LossSpec(
+                lambda_unlearn=lambda_unlearn,
+                unlearn_sign=unlearn_sign,
+                reg_weight=reg_weight,
+                reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
             )
-            inputs = TaskInputs(seqs, profile.score > 0.0, profile.epsilon, profile.sigma,
-                                seqs.margins(profile.score, config.sculpt.theta))
-            kept_profiles[task_id] = profile
-            s_bar = mean_task_sensitivity(profile.score, seqs.lengths)
-            lam_dyn = dynamic_lambda(s_bar, config.sculpt)
-            if k >= 2:
-                reg_weight = lam_dyn * state.omega_bar
-            lambda_unlearn = config.sculpt.lambda_unlearn
-        elif config.mode == "uniform_dp":
-            tokens = seqs.tokens[:-1]
-            inputs = TaskInputs(seqs, ~np.isin(tokens, list(sens_cfg.stopword_ids)),
-                                np.full(tokens.size, config.uniform_eps),
-                                np.full(tokens.size, uniform_sigma))
-        else:
-            inputs = TaskInputs(seqs)
 
-        optimizer = AdamW(weight_decay=config.weight_decay) if config.optimizer == "adamw" else None
-        steps_per_epoch = math.ceil(len(task.train) / config.batch_size)
-        total_steps = steps_per_epoch * config.epochs
-        step = 0
-        spec = LossSpec(
-            lambda_unlearn=lambda_unlearn,
-            unlearn_sign=unlearn_sign,
-            reg_weight=reg_weight,
-            reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
-        )
-
-        def shuffle(epoch: int, k: int = k, n: int = len(task.train)) -> np.ndarray:
-            return spawn_rng(config.seed, "shuffle", k, epoch).permutation(n)
-
-        with EpochFeed(inputs, model, config.epochs, shuffle, config.privacy, noise_rng,
-                       config.batch_size, work) as feed:
-            # Built once the worker is forked, while it prepares epoch 1.
-            if inputs.exposed is not None:
-                records, record_of = inputs.records(task_id)
-            for epoch, layout in enumerate(feed):
+            with EpochFeed(inputs, model, config.epochs, worker.shuffles[k - 1], config.privacy,
+                           noise_rng, bs, work, worker, k - 1) as feed:
+                if config.mode == "pecl" and worker.pid and k < n_tasks:
+                    worker.send("clean", k, 0)  # task k + 1's, filled as this task trains
+                # Built while the worker prepares epoch 1.
                 if inputs.exposed is not None:
-                    ledger.add(records, record_of[inputs.exposures(layout)], epoch)
-                for batch in layout.chunks(config.batch_size):
-                    try:
-                        grads = backward(model, adapter, batch, spec, work)
-                    except NumericError as exc:
-                        raise NumericError(
-                            f"task {task_id} epoch {epoch}: {exc}"
-                        ) from exc
-                    if optimizer is None:
-                        sgd_step(model, adapter, grads, config.lr)
-                    else:
-                        optimizer.step(model, adapter, grads,
-                                       cosine_lr(config.lr, step, total_steps))
-                    step += 1
-        del layout  # the last epoch's slot: free it before the wrap-up allocates
+                    records, record_of = inputs.records(task_id)
+                for epoch, layout in enumerate(feed):
+                    if inputs.exposed is not None:
+                        ledger.add(records, record_of[inputs.exposures(layout)], epoch)
+                    for batch in layout.chunks(bs):
+                        try:
+                            grads = backward(model, adapter, batch, spec, work)
+                        except NumericError as exc:
+                            raise NumericError(
+                                f"task {task_id} epoch {epoch}: {exc}"
+                            ) from exc
+                        if optimizer is None:
+                            sgd_step(model, adapter, grads, config.lr)
+                        else:
+                            optimizer.step(model, adapter, grads,
+                                           cosine_lr(config.lr, step, total_steps))
+                        step += 1
 
-        # Task wrap-up: importance from the final delta and clean activations, per
-        # batch_size chunk of the training set (the chunks the base table was filled
-        # in).  Only pecl reads the losses, so only pecl runs a forward pass, and
-        # keeps each chunk's losses in sequence and position order.
-        train_losses: list[np.ndarray] = []
-        for batch in seqs.batch(model, rows).chunks(config.batch_size):
-            fb = forward_batch(model, adapter, batch, work) if config.mode == "pecl" else None
-            x = _windows(model, batch, work) if fb is None else fb.x
-            # np.linalg.norm(x, axis=-1), its squares taken in place: x is spent.
-            norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=-1))
-            state.observe_activation(norms[batch.valid])
-            if fb is not None:
-                train_losses.append(fb.losses[fb.valid])
-        # The base table, which batch holds, and the working arrays must be freed
-        # before the next task's fill.
-        del batch, fb, x, work
-        delta_final = lora_delta(adapter)
-        omega_k = task_importance(delta_final, state.activation_norm_accum)
-        final_l_reg = reg_loss(delta_final, snapshot, lam_dyn,
-                               state.omega_bar) if k >= 2 and config.mode == "pecl" else 0.0
-        final_l_unlearn = None
-        if config.mode == "pecl":
-            lengths = seqs.lengths
-            scores = np.split(profile.score, np.cumsum(lengths)[:-1])
-            losses = np.split(np.concatenate(train_losses), np.cumsum(lengths - 1)[:-1])
-            final_l_unlearn = float(np.mean([unlearn_loss(s[1:], ell, config.sculpt.theta)
-                                             for s, ell in zip(scores, losses)]))
-        state = update_running_importance(state, omega_k)
-        snapshot = AdapterSnapshot(task_id=task_id, delta_w=delta_final.copy())
-        reports.append(TaskReport(task_id=task_id, omega=omega_k, omega_bar=state.omega_bar,
-                                  s_bar=s_bar, lambda_dyn=lam_dyn, final_l_reg=final_l_reg,
-                                  final_l_unlearn=final_l_unlearn))
+            # Task wrap-up: importance from the final delta and clean activations, per
+            # batch_size chunk of the training set (the chunks the base table was
+            # filled in), folded chunk by chunk in order, the worker's after the run's.
+            # Only pecl reads the losses, so only pecl runs a forward pass, and keeps
+            # each chunk's losses in sequence and position order.
+            cut = worker.share("wrapup", k - 1, rows.size, adapter.a, adapter.b)
+            evals_here = k if not worker.pid else (k + 1) // 2
+            if evals_here < k:
+                worker.send("evaluate", evals_here, k, adapter.a, adapter.b)
+            train_losses = []
+            for norms, losses in _wrap_up(model, adapter if config.mode == "pecl" else None,
+                                          seqs.batch(model, rows[:cut]), bs, work):
+                state.observe_activation(norms)
+                train_losses.append(losses)
+            if worker.pid:
+                start = 0
+                for count in worker.receive():
+                    state.observe_activation(worker.norms[start : start + count])
+                    start += count
+                train_losses.append(worker.losses[:start])
+            delta_final = lora_delta(adapter)
+            omega_k = task_importance(delta_final, state.activation_norm_accum)
+            final_l_reg = reg_loss(delta_final, snapshot, lam_dyn,
+                                   state.omega_bar) if k >= 2 and config.mode == "pecl" else 0.0
+            final_l_unlearn = None
+            if config.mode == "pecl":
+                lengths = seqs.lengths
+                scores = np.split(profile.score, np.cumsum(lengths)[:-1])
+                losses = np.split(np.concatenate(train_losses), np.cumsum(lengths - 1)[:-1])
+                final_l_unlearn = float(np.mean([unlearn_loss(s[1:], ell, config.sculpt.theta)
+                                                 for s, ell in zip(scores, losses)]))
+            state = update_running_importance(state, omega_k)
+            snapshot = AdapterSnapshot(task_id=task_id, delta_w=delta_final.copy())
+            reports.append(TaskReport(task_id=task_id, omega=omega_k, omega_bar=state.omega_bar,
+                                      s_bar=s_bar, lambda_dyn=lam_dyn, final_l_reg=final_l_reg,
+                                      final_l_unlearn=final_l_unlearn))
 
-        for i in range(k):
-            matrix_values[k - 1, i] = evaluate(model, adapter, by_id[order[i]])
+            accuracies = [evaluate(model, adapter, by_id[order[i]]) for i in range(evals_here)]
+            if evals_here < k:
+                accuracies += worker.receive()
+            matrix_values[k - 1, :k] = accuracies
 
     return RunResult(
         matrix=AccuracyMatrix(matrix_values),

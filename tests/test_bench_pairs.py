@@ -60,3 +60,18 @@ def test_the_unscaled_run_wall_time_is_read_beside_run_s():
     assert out["digests"] == [{"matrix.csv": "0123456789abcdef",
                                "ledger.csv": "fedcba9876543210"}]
     assert out["failed"] == 0 and out["environment"] == {"nproc": 2}
+
+
+def test_cpu_s_is_summarised_beside_the_metrics_under_its_own_bound():
+    summary = bench_pairs.cpu_summary(TIGHT, [v * 1.06 for v in TIGHT])  # 6% more CPU
+    assert summary["regressed"] and not summary["gain"]
+    assert "not a BENCHMARK.json metric" in summary["note"]
+    assert summary["parent_runs"] == TIGHT and summary["change_wins"] == 0
+    assert summary["parent_iqr"] == 0.015 and summary["change_vs_parent"] == 0.06
+    assert not bench_pairs.cpu_summary(TIGHT, [v * 1.04 for v in TIGHT])["regressed"]
+
+
+def test_cpu_seconds_counts_a_run_in_a_fresh_process():
+    root = Path(__file__).resolve().parents[1]
+    cpu_s = bench_pairs.cpu_seconds(root, "default-pecl", 0)
+    assert 0.0 < cpu_s < 60.0

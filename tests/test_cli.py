@@ -167,6 +167,29 @@ def test_running_out_of_memory_is_an_error_without_a_traceback(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_an_out_of_memory_error_in_the_epoch_worker_is_an_error_without_a_traceback(
+        tmp_path, capsys, monkeypatch):
+    # numpy's _ArrayMemoryError needs a shape and a dtype besides the message.
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    from pecl.privacy import perturb_embeddings
+
+    config = write_config(tmp_path, extra={"epochs": 2})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_pid = os.getpid()
+    refused = _ArrayMemoryError((2**24, 2**24), np.dtype(np.uint8))
+
+    def mechanism(*args):
+        if os.getpid() != run_pid:
+            raise refused
+        return perturb_embeddings(*args)
+
+    monkeypatch.setattr("pecl.trainer.perturb_embeddings", mechanism)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {refused}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_seed_outside_32_bits_is_a_data_error(tmp_path, capsys, monkeypatch):
     # Kept modulo 2**32, seeds 0 and 2**32 would write the same bundle.
     def no_training(*args, **kwargs):

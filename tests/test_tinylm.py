@@ -612,7 +612,8 @@ def test_a_reused_workspace_gives_each_chunk_the_bits_of_a_fresh_one(mode):
     assert [chunk.valid.shape for chunk in chunks] == [
         (4, layout.valid.shape[1]), (4, chunks[1].valid.shape[1]), (2, chunks[2].valid.shape[1])]
     assert chunks[1].valid.shape[1] < 10 < 19 <= layout.valid.shape[1]
-    work, scoring = Workspace(layout, 4), Workspace(layout, 4)
+    # Sized for the widest chunk: 4 rows of the layout's windows.
+    work, scoring = Workspace(4 * layout.valid.shape[1]), Workspace(4 * layout.valid.shape[1])
     for chunk in chunks:
         assert_same_gradients(backward(model, adapter, chunk, spec, work),
                               backward(model, adapter, chunk, spec))

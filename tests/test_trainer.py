@@ -19,7 +19,7 @@ from pecl.seeding import spawn_rng
 from pecl.sculpt import ImportanceState, SculptConfig, task_importance, unlearn_loss
 from pecl.privacy import (PrivacyConfig, PrivacyLedger, allocate_budget, compose_sequence,
                           noise_sigma, perturb_embeddings, record_table)
-from pecl.sensitivity import score_sequences
+from pecl.sensitivity import score_sequences, window_losses
 from pecl.tinylm import (
     LossSpec,
     PackedSequences,
@@ -32,10 +32,12 @@ from pecl.tinylm import (
     init_lm,
     lora_delta,
 )
+from pecl import trainer
 from pecl.trainer import (
     AccuracyMatrix,
     EpochFeed,
     RunConfig,
+    RunWorker,
     TaskInputs,
     avg_acc,
     bwt,
@@ -614,10 +616,13 @@ def test_each_epoch_is_laid_out_once_in_the_runs_process(monkeypatch, mode, cpus
     monkeypatch.setattr(TaskInputs, "exposures",
                         lambda self, layout: noised.append(layout) or exposures(self, layout))
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
-    with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy,
-                   np.random.default_rng(3), 4) as feed:
-        for epoch, layout in enumerate(feed):
-            assert len(laid_out) == epoch + 1 and layout is laid_out[-1]
+    # The feed of a run's one task, with the run's worker (forked in the noised modes on 2 CPUs).
+    config = RunConfig(mode=mode, epochs=len(perms), batch_size=4, privacy=privacy)
+    with RunWorker(model, config, [inputs.seqs], [perms.__getitem__], []) as worker:
+        with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy,
+                       np.random.default_rng(3), 4, None, worker) as feed:
+            for epoch, layout in enumerate(feed):
+                assert len(laid_out) == epoch + 1 and layout is laid_out[-1]
     assert len(laid_out) == len(perms)
     assert_no_child_left()
     assert len(forks) == (mode != "seqft" and cpus == 2)
@@ -643,6 +648,8 @@ def test_a_seed_outside_32_bits_is_refused_and_one_inside_keeps_its_bits():
 def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(monkeypatch,
                                                                              mode):
     config = small_config(mode=mode, epochs=2, batch_size=7)
+    # On one CPU: with a worker, pecl's later clean tables are filled in the worker.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     clean_fills, steps = [], []
 
     def fill(model, layout, batch_size, out, work=None):
@@ -806,6 +813,8 @@ def test_a_batch_without_margins_has_no_unlearning_term(inputs):
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
 def test_only_pecl_runs_a_wrap_up_forward(monkeypatch, mode):
     config = small_config(mode=mode, epochs=2, batch_size=7)
+    # On one CPU: with a worker, the run's process runs only its share of each pass.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
     monkeypatch.setattr("pecl.trainer.compute_corpus_stats",
                         lambda *args: calls.append("stats") or compute_corpus_stats(*args))
@@ -1020,11 +1029,25 @@ def assert_same_run(got, expected):
         np.testing.assert_array_equal(profile.score, expected.profiles[task_id].score)
 
 
-@pytest.mark.parametrize("corpus", ["synthetic", "long sequences"])
+def unequal_tasks(config):
+    """Three tasks of 60, 25 and 40 training sequences, in that order.  The run-long
+    buffers are sized for the first, and the later tasks reuse them over fewer tokens:
+    their rows that no valid window predicts held an earlier task's rows before."""
+    tasks = synthetic_stream(num_tasks=3, train_per_task=60, eval_per_task=config.eval_per_task,
+                             seed=config.seed).tasks
+    return [dataclasses.replace(task, train=task.train[:n]) for task, n in zip(tasks, (60, 25, 40))]
+
+
+@pytest.mark.parametrize("corpus", ["synthetic", "long sequences", "unequal sizes"])
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
 def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, mode, corpus):
     config = small_config(mode=mode, epochs=3, batch_size=3, uniform_eps=3.0)
-    tasks = small_stream(config).tasks if corpus == "synthetic" else long_sequence_tasks()
+    tasks = {"synthetic": lambda: small_stream(config).tasks,
+             "long sequences": long_sequence_tasks,
+             "unequal sizes": lambda: unequal_tasks(config)}[corpus]()
+    if corpus == "unequal sizes":  # in tokens too
+        sizes = [sum(len(seq.tokens) for seq in task.train) for task in tasks]
+        assert sizes[1] < sizes[2] < sizes[0]
 
     def check_step(model, adapter, batch, spec, work):
         # Every noised step reads exactly the x @ W0.T it would compute.
@@ -1033,8 +1056,21 @@ def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, 
                                       (x @ model.w_hidden.T)[batch.valid])
 
     worker, worker_rng, forks = run_with_cpus(monkeypatch, 2, config, tasks)
-    inline, inline_rng, no_forks = run_with_cpus(monkeypatch, 1, config, tasks, check_step)
-    assert (forks, no_forks) == (len(tasks), 0)  # one worker per task; none on one CPU
+    with monkeypatch.context() as m:
+        if corpus == "unequal sizes":
+            # The inline run's buffers start full of a finite value, not zeros: no bit
+            # depends on the base rows that no valid window predicts, which the run-long
+            # buffers keep from an earlier task.
+            shared = trainer._shared
+
+            def dirty(*shape, dtype=np.float64):
+                buffer = shared(*shape, dtype=dtype)
+                buffer[...] = 1e3  # True in the exposure mask
+                return buffer
+
+            m.setattr(trainer, "_shared", dirty)
+        inline, inline_rng, no_forks = run_with_cpus(m, 1, config, tasks, check_step)
+    assert (forks, no_forks) == (1, 0)  # one worker per run; none on one CPU
     assert_same_run(worker, inline)
     assert worker_rng == inline_rng
 
@@ -1066,9 +1102,9 @@ def test_a_failed_fork_prepares_each_epoch_inline_and_closes_its_pipes(monkeypat
             m.setattr("pecl.trainer.os.fork", no_fork)
             failed, failed_rng, forks = run_with_cpus(m, 2, config, tasks)
         if failure == "fork":
-            assert forks == len(tasks) and len(piped) == 4 * len(tasks)  # a fork tried per task
+            assert forks == 1 and len(piped) == 6  # a fork tried once per run, after 3 pipes
         else:
-            assert forks == 0 and len(calls) == len(piped) == 2 * len(tasks)
+            assert forks == 0 and len(calls) == len(piped) == 2
         assert_same_run(failed, inline)
         assert failed_rng == inline_rng
         for fd in piped:
@@ -1106,7 +1142,7 @@ def test_task_inputs_are_frozen():
             setattr(inputs, field.name, None)
 
 
-def test_each_tasks_worker_is_forked_before_its_record_table_is_built(monkeypatch):
+def test_the_runs_worker_is_forked_once_before_its_first_record_table(monkeypatch):
     config = small_config(mode="pecl", epochs=2, batch_size=7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     events = []
@@ -1115,7 +1151,7 @@ def test_each_tasks_worker_is_forked_before_its_record_table_is_built(monkeypatc
     monkeypatch.setattr("pecl.trainer.record_table",
                         lambda *args: events.append("records") or record_table(*args))
     run_continual(config, small_stream(config).tasks)
-    assert events == ["fork", "records"] * config.num_tasks
+    assert events == ["fork"] + ["records"] * config.num_tasks
     assert_no_child_left()
 
 
@@ -1181,8 +1217,8 @@ def test_an_error_in_the_epoch_worker_is_raised_again_in_the_run(monkeypatch, er
     calls = []
 
     def mechanism(e, sigma, clip_norm, rng):
-        calls.append(1)  # the worker's copy counts its own calls from epoch 0's one
-        if os.getpid() != run_pid and len(calls) == failing_epoch + 1:
+        calls.append(1)  # the worker's copy, forked as the run starts, counts from epoch 1's
+        if os.getpid() != run_pid and len(calls) == failing_epoch:
             raise error(f"refused in epoch {failing_epoch}")
         return perturb_embeddings(e, sigma, clip_norm, rng)
 
@@ -1191,6 +1227,99 @@ def test_an_error_in_the_epoch_worker_is_raised_again_in_the_run(monkeypatch, er
         run_continual(config, small_stream(config).tasks)
     assert type(raised.value) is error and str(raised.value) == f"refused in epoch {failing_epoch}"
     assert len(forks) == 1 and calls == [1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
+def test_a_run_forks_one_worker_when_noised_on_two_cpus_and_none_otherwise(monkeypatch, mode,
+                                                                         cpus):
+    config = small_config(mode=mode, num_tasks=3, epochs=2, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = count_forks(monkeypatch)
+    run_continual(config, small_stream(config).tasks)
+    assert len(forks) == (mode != "seqft" and cpus == 2)
+    assert_no_child_left()
+
+
+def test_an_out_of_memory_error_in_the_worker_is_a_memory_error_in_the_run(monkeypatch):
+    # numpy's _ArrayMemoryError needs a shape and a dtype besides the message.
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    config = small_config(mode="pecl", epochs=3, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_pid = os.getpid()
+    refused = _ArrayMemoryError((2**24, 2**24), np.dtype(np.uint8))
+
+    def mechanism(e, sigma, clip_norm, rng):
+        if os.getpid() != run_pid:
+            raise refused
+        return perturb_embeddings(e, sigma, clip_norm, rng)
+
+    monkeypatch.setattr("pecl.trainer.perturb_embeddings", mechanism)
+    with pytest.raises(MemoryError) as raised:
+        run_continual(config, small_stream(config).tasks)
+    assert type(raised.value) is MemoryError and str(raised.value) == str(refused)
+    assert_no_child_left()
+
+
+def worker_pids(monkeypatch):
+    """The pid of every worker the run forks, as the run sees it."""
+    pids = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(real_fork()) or pids[-1])
+    return pids
+
+
+@pytest.mark.parametrize("share", ["clean", "score"])
+def test_an_error_in_the_workers_share_of_task_2_is_raised_again_in_the_run(monkeypatch, share):
+    config = small_config(mode="pecl", num_tasks=3, epochs=2, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids, run_pid = worker_pids(monkeypatch), os.getpid()
+    calls = []  # the worker's copy counts its own calls: task 1's share, then task 2's
+
+    def refuse_the_second(function, is_share=lambda *args: True):
+        def call(*args):
+            if os.getpid() != run_pid and is_share(*args):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise DataError(f"refused in task 2's {share}")
+            return function(*args)
+        return call
+
+    if share == "clean":  # task 2's whole clean table, filled as task 1 trains
+        monkeypatch.setattr("pecl.trainer.frozen_base", refuse_the_second(
+            frozen_base, lambda model, layout, *rest: layout.table is model.embed))
+    else:  # the later half of task 2's scoring forward
+        monkeypatch.setattr("pecl.trainer.window_losses", refuse_the_second(window_losses))
+    with pytest.raises(DataError, match=f"^refused in task 2's {share}$"):
+        run_continual(config, small_stream(config).tasks)
+    assert len(pids) == 1
+    assert_no_child_left()
+
+
+def test_a_worker_killed_between_tasks_is_a_named_error_not_a_hang(monkeypatch):
+    config = small_config(mode="pecl", num_tasks=3, epochs=2, batch_size=7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = worker_pids(monkeypatch)
+
+    def kill_after_task_1(delta, x_norm):  # at task 1's wrap-up, after the worker's share
+        os.kill(pids[0], signal.SIGKILL)
+        return task_importance(delta, x_norm)
+
+    def hung(signum, frame):
+        raise AssertionError("the run waited on a dead worker")
+
+    monkeypatch.setattr("pecl.trainer.task_importance", kill_after_task_1)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match="epoch worker ended without its result "
+                                                    r"\(killed by signal 9\)"):
+            run_continual(config, small_stream(config).tasks)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert_no_child_left()
 
 
@@ -1308,4 +1437,4 @@ def test_steps_and_scoring_chunks_after_the_first_allocate_no_batch_sized_arrays
                 assert peak < 128 * 1024, (name, peak)
             else:
                 warmed.append(work)
-        assert len(warmed) == 2, name  # one workspace per task
+        assert len(warmed) == 1, name  # one workspace per run

@@ -20,6 +20,17 @@ against the metric's ``bound`` and a gain verdict (see ``summarise``).  It also
 keeps, per pair, the ``matrix.csv``/``ledger.csv`` digests each side's
 invocation prints, and lists the seeds whose digests differ between parent and
 change: the parity record.
+
+Each side of a pair also counts the CPU a run spends, which perfbench does not
+report: ``CPU_RUNS`` fresh ``python3 -c`` processes (``CPU_SNIPPET``, so a
+copy needs no code of its own for it) each build the workload from the copy's
+``perfbench/workloads.py`` and run ``run_continual`` plus ``write_run_bundle``
+once, and report the user + system time of the process and its reaped
+children over that span.  After the pair's perfbench invocations the two
+sides' processes alternate, so that a drift in CPU speed meets both sides
+alike, and each side's value is the median of its own.  The file records
+it as ``cpu_s`` beside the other metrics, marked as not a BENCHMARK.json metric,
+with a no-regression verdict against ``CPU_BOUND``.
 """
 
 from __future__ import annotations
@@ -40,6 +51,26 @@ ENV_KEYS = ("python", "numpy", "blas", "blas_config", "blas_threads", "nproc")
 # Under no effect, winning 9 or more of 10 pairs has a chance of 11/1024 (one-sided
 # sign test); 5 of 5 has 1/32.  Fewer pairs never give a gain verdict.
 MIN_GAIN_PAIRS = 10
+CPU_RUNS = 5
+CPU_BOUND = 0.05  # cpu_s may rise by at most 5% of the parent's median
+CPU_SNIPPET = """
+import resource, sys, tempfile
+sys.path[:0] = ["src", "perfbench"]
+from workloads import WORKLOADS
+from pecl import run_continual
+from pecl.artifacts import write_run_bundle
+
+def cpu_s():
+    return sum(getattr(resource.getrusage(who), field)
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+               for field in ("ru_utime", "ru_stime"))
+
+config, tasks = WORKLOADS[sys.argv[1]](int(sys.argv[2]))
+with tempfile.TemporaryDirectory() as tmp:
+    start = cpu_s()
+    write_run_bundle(tmp + "/out", run_continual(config, tasks), config)
+    print(cpu_s() - start)
+"""
 
 
 def git(*args: str) -> bytes:
@@ -78,6 +109,25 @@ def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"perfbench failed in {copy} ({workload}, seed {seed}):\n"
                          f"{proc.stdout}\n{proc.stderr}")
     return parse_output(lines)
+
+
+def cpu_seconds(copy: Path, workload: str, seed: int) -> float:
+    """The CPU time of one run of the workload in a fresh process in ``copy``."""
+    proc = subprocess.run([sys.executable, "-c", CPU_SNIPPET, workload, str(seed)],
+                          cwd=copy, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        raise SystemExit(f"the CPU count failed in {copy} ({workload}, seed {seed}):\n"
+                         f"{proc.stderr}")
+    return float(proc.stdout)
+
+
+def cpu_summary(parent: list[float], change: list[float]) -> dict:
+    """``cpu_s``'s runs on both sides, summarised as ``summarise`` does under ``CPU_BOUND``."""
+    return {"note": (f"not a BENCHMARK.json metric: per pair, the median over {CPU_RUNS} fresh "
+                     "processes, alternating with the other side's, of the user + system "
+                     "seconds of one run_continual plus write_run_bundle, the process's own "
+                     "and its reaped children's"),
+            **summarise(parent, change, "lower", CPU_BOUND)}
 
 
 def parse_output(lines: list[str]) -> dict:
@@ -166,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
             digests = []
             for i, seed in enumerate(seeds):
                 digests.append({"seed": seed, "parent": None, "change": None})
-                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
                     out = invoke(sides[side], name, seed, args.seconds)
                     runs[side].append(out["values"])
                     failed[side] += out["failed"]
@@ -174,6 +225,13 @@ def main(argv: list[str] | None = None) -> int:
                     environment = {k: out["environment"][k] for k in ENV_KEYS}
                     print(f"{name} seed {seed} {side}: {out['values']} {out['digests']}",
                           flush=True)
+                cpu = {side: [] for side in order}
+                for _ in range(CPU_RUNS):
+                    for side in order:
+                        cpu[side].append(cpu_seconds(sides[side], name, seed))
+                for side in order:
+                    runs[side][-1]["cpu_s"] = median(cpu[side])
+                print(f"{name} seed {seed} cpu_s: {cpu}", flush=True)
             workloads[name] = {
                 "pairs": len(seeds),
                 "seeds": seeds,
@@ -183,7 +241,9 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": {m["name"]: summarise([r[m["name"]] for r in runs["parent"]],
                                                  [r[m["name"]] for r in runs["change"]],
                                                  m["better"], m["bound"])
-                            for m in metrics},
+                            for m in metrics} | {
+                    "cpu_s": cpu_summary([r["cpu_s"] for r in runs["parent"]],
+                                         [r["cpu_s"] for r in runs["change"]])},
             }
 
     bench = {
@@ -197,7 +257,11 @@ def main(argv: list[str] | None = None) -> int:
             "each run value is that invocation's median over its samples (run_s and setup_s "
             "rescaled by perfbench's speed probe); run_wall_s is the unscaled run wall time "
             "perfbench prints beside run_s, judged under run_s's bound, and is not in "
-            "BENCHMARK.json. One pair per seed. change_wins counts pairs "
+            f"BENCHMARK.json. cpu_s, not in BENCHMARK.json either, is per pair the median over "
+            f"{CPU_RUNS} fresh processes of the CPU seconds (user + system, the process's and "
+            "its reaped children's) of one run_continual plus write_run_bundle, the two sides' "
+            "processes alternating after the pair's perfbench invocations, judged under a "
+            f"bound of {CPU_BOUND:g}. One pair per seed. change_wins counts pairs "
             "where the change is better; parent_iqr is the distance between the quartiles of "
             "the parent's runs. regressed: the change's median is worse than the parent's by "
             "more than the metric's bound in BENCHMARK.json; unresolved: the parent's IQR is "

@@ -15,9 +15,11 @@ Run it a second time under ``taskset -c 0`` as well:
 
     taskset -c 0 python3 tools/bundle_digests.py 0 1 2 3 4 > digests-1cpu.txt
 
-On one CPU every noised epoch is prepared inline in the run's process; on
-two or more a forked worker prepares epochs 1, 2, ... (``trainer.EpochFeed``).
-Only both runs check both paths against the other checkout.
+On one CPU a run does all its work in its own process; on two or more a
+noised run forks one worker, which prepares epochs 1, 2, ... of each task,
+fills the next task's clean base table and runs half of the scoring, epoch-0
+fill, wrap-up and evaluation passes (``trainer.RunWorker``).  Only both runs
+check both paths against the other checkout.
 """
 
 from __future__ import annotations
