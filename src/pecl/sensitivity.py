@@ -114,18 +114,17 @@ def score_sequences(
     packed: PackedSequences,
     config: SensitivityConfig,
     batch_size: int = 32,
-    work: Workspace | None = None,
     losses: np.ndarray | None = None,
 ) -> SensitivityProfile:
     """Score every position of packed sequences with the model state of the moment.
 
     Returns one profile over all their tokens end to end.  score1 comes
-    from ``forward_batch`` over ``batch_size`` sequences at a time, which
-    share ``work`` (or one workspace made for them): the ``window_losses`` of
-    the sequences of 2 or more tokens in order, or ``losses``, those losses
-    end to end, when the caller has computed them.  score2 comes from one
-    table over the distinct token ids.  Stopword positions are zeroed after
-    fusion; budgets are left unassigned (see privacy.assign_budgets).
+    from ``forward_batch`` over ``batch_size`` sequences at a time: the
+    ``window_losses`` of the sequences of 2 or more tokens in order, or
+    ``losses``, those losses end to end, when the caller has computed them.
+    score2 comes from one table over the distinct token ids.  Stopword
+    positions are zeroed after fusion; budgets are left unassigned (see
+    privacy.assign_budgets).
     """
     tokens = packed.tokens[:-1]
     score1 = np.zeros(tokens.size)
@@ -135,7 +134,7 @@ def score_sequences(
     if scored.size:
         if losses is None:
             losses = np.concatenate(window_losses(model, adapter, packed.batch(model, scored),
-                                                  batch_size, work))
+                                                  batch_size))
         score1[predicted] = losses
 
     distinct, where = np.unique(tokens, return_inverse=True)

@@ -128,16 +128,13 @@ class PackedSequences:
     ``tokens`` holds every sequence's ids back to back and then one PAD, so
     its size follows the total token count, never sequences x longest
     sequence.  ``cells`` lays any selection of the sequences out as a padded
-    batch by index arithmetic alone.  ``base``, when set, is ``frozen_base``
-    of these sequences in their natural order: the clean ``x @ W0.T`` behind
-    every packed token.
+    batch by index arithmetic alone.
     """
 
     sequences: Sequence    # the source sequences, in order
     tokens: np.ndarray     # (N + 1,)
     starts: np.ndarray     # (S,) offset of each sequence in ``tokens``
     lengths: np.ndarray    # (S,)
-    base: np.ndarray | None = None   # (N + 1, d_hidden)
 
     @classmethod
     def of(cls, model: TinyLM, sequences: Sequence) -> "PackedSequences":
@@ -190,18 +187,15 @@ class PackedSequences:
         """The sequences ``rows`` as one batch, laid out once; slice it for sub-batches.
 
         ``table``, ``margin`` and ``base`` hold one row per entry of
-        ``tokens``.  Without a table every cell reads its token's row of the
-        embedding table, and the batch carries the clean ``self.base``.  Over
-        a table of (noised) inputs it carries ``base`` instead, which must be
-        ``frozen_base`` of this very layout over that table, or None; never
-        the clean one.
+        ``tokens``, and may hold more rows after those.  Without a table every
+        cell reads its token's row of the embedding table.  The batch carries
+        ``base``, which must be ``frozen_base`` of its own inputs, or None: the
+        clean table over the embedding table, and over a table of (noised)
+        inputs that table's own, never the clean one.
         """
         src, pos = self.cells(model.n_ctx, rows)
         ids = self.tokens[src]
-        if table is None:
-            table, feed, base = model.embed, ids, self.base
-        else:
-            feed = src
+        table, feed = (model.embed, ids) if table is None else (table, src)
         windows = np.arange(src.shape[1] - model.n_ctx)[:, None] + np.arange(model.n_ctx)
         return PackedBatch(self.sequences, rows, src, ids, self.lengths[rows], table, feed,
                            feed[:, windows], pos[:, model.n_ctx :] >= 1,
@@ -235,12 +229,12 @@ class PackedBatch:
     src: np.ndarray        # (B, width)
     ids: np.ndarray        # (B, width)
     lengths: np.ndarray    # (B,)
-    table: np.ndarray      # (N + 1 or vocab, d_emb)
+    table: np.ndarray      # (N + 1 or more, or vocab, d_emb)
     feed: np.ndarray       # (B, width)
     wfeed: np.ndarray      # (B, width - n_ctx, n_ctx) table row of every window slot
     valid: np.ndarray      # (B, width - n_ctx)
     margin: np.ndarray | None = None   # (B, width - n_ctx)
-    base: np.ndarray | None = None     # (N + 1, d_hidden)
+    base: np.ndarray | None = None     # (N + 1 or more, d_hidden)
 
     def __iter__(self):
         return (self.sequences[i] for i in self.rows)
@@ -606,7 +600,7 @@ def backward(
             drift -= spec.reg_reference
             # The sum sculpt.reg_loss takes, not np.vdot: a BLAS dot this long
             # runs threaded, and its helper thread would then spin on the core
-            # that prepares the next epoch (see trainer.EpochFeed).
+            # that prepares the next epoch (see trainer.RunWorker).
             squares = np.multiply(drift, drift, out=work.take("dZ", drift.shape))
             l_reg = float(spec.reg_weight * squares.sum())
             drift *= 2.0 * spec.reg_weight  # now the penalty's gradient in B @ A

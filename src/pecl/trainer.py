@@ -251,7 +251,7 @@ class TaskInputs:
     where it is, one entry per token; and, aligned with ``seqs.tokens``,
     trailing PAD included, every predicted position's unlearning margin
     (pecl only; 0 on each sequence's first position).  Built once per task,
-    after its budgets are known; ``EpochFeed`` lays each epoch out over it.
+    after its budgets are known; ``RunWorker.epochs`` lays each epoch out over it.
 
     Preparing a whole epoch before its first step, and computing the clean
     ``x @ W0.T`` once per task, rest on one invariant: ``run_continual``
@@ -327,38 +327,34 @@ class _Failure(NamedTuple):
                     return cls(self.text)
 
 
-def _wrap_up(model: TinyLM, adapter: LoraAdapter | None, layout: PackedBatch, batch_size: int,
-             work: Workspace):
-    """Each ``batch_size`` chunk's clean window norms at its valid windows and, given an
-    adapter (pecl), the chunk's valid-window losses, in the layout's order."""
-    for batch in layout.chunks(batch_size):
-        fb = forward_batch(model, adapter, batch, work) if adapter is not None else None
-        x = _windows(model, batch, work) if fb is None else fb.x
-        # np.linalg.norm(x, axis=-1), its squares taken in place: x is spent.
-        norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=-1))
-        yield norms[batch.valid], None if fb is None else fb.losses[fb.valid]
-
-
 class RunWorker:
     """The buffers a run's tasks reuse, and the worker process that shares them (see the README).
 
     Made once per run and mapped once, sized for the run's largest task (N
     packed tokens, PAD included): ``slots`` (noised modes), the two epoch
-    slots ``EpochFeed`` lays epochs over, each an (N, d_emb) input table and
-    an (N, d_hidden) base; ``clean`` (pecl, seqft), the clean ``x @ W0.T``
+    slots ``epochs`` lays epochs over, each an (N, d_emb) input table and an
+    (N, d_hidden) base; and ``clean`` (pecl, seqft), the clean ``x @ W0.T``
     table of the task that trains, two with a worker (task k's is
-    ``clean[k % 2]``); and, with a worker, ``exposed`` and ``sigma``, what
-    scoring decided, and ``losses`` and ``norms``, what the worker's share of
-    a pass gives back.
+    ``clean[k % 2]``).  A task uses the first rows of each, one per packed
+    token.
 
     A noised run that may use 2 or more CPUs forks the worker as this is made.
     The worker, which has every task's packed sequences, shuffle and eval
     split, prepares epochs 1, 2, ... of each task, fills task k+1's clean
-    table while task k trains, and runs the rows ``share`` sends it of task
-    1's clean fill, the scoring forward, the epoch-0 base fill and the
-    wrap-up, and the later half of each round of evaluations.  Every chunk
-    keeps its rows, shape and order, so the bits are the same without a
-    worker (seqft, one CPU, a failed fork or pipe), where the run does it all.
+    table while task k trains, and runs the later rows of task 1's clean fill,
+    the scoring forward, the epoch-0 base fill, the wrap-up and each round of
+    evaluations.  Every chunk keeps its rows, shape and order, so the bits
+    are the same without a worker (seqft, one CPU, a failed fork or pipe),
+    where the run does it all.
+
+    Commands and their results travel pickled through pipes.  A message
+    larger than a pipe's buffer (64 KiB) blocks its writer until the other
+    side reads it, so each is sent while the other process reads or works
+    toward reading.  The run sends a command only once it has read every
+    reply to the commands before it, save the next task's clean fill and the
+    frees, a few bytes each, which a pipe holds.  The worker sends only the
+    replies to the command in hand, each of which the run reads before it
+    sends anything more than those few bytes.
 
     Leaving it reaps the worker, killed first when the run fails.  An error in
     the worker is raised again in the run with its class and message; a worker
@@ -370,49 +366,103 @@ class RunWorker:
                  shuffles: list[Callable[[int], np.ndarray]], evals: list[TaskCorpus]):
         self.model, self.config, self.packed = model, config, packed
         self.shuffles, self.evals = shuffles, evals
-        self.windows = max(seqs.windows(model.n_ctx, config.batch_size) for seqs in packed)
         n = max(seqs.tokens.size for seqs in packed)
         fork = config.mode != "seqft" and hasattr(os, "fork") and _cpus() >= 2
         self.slots = [(_shared(n, model.d_emb), _shared(n, model.d_hidden))
                       for _ in range(2 if config.mode != "seqft" else 0)]
         self.clean = [_shared(n, model.d_hidden)
                       for _ in range((1 + fork) if config.mode != "uniform_dp" else 0)]
-        self.pid = self.commands = self.frees = self.replies = self.work = None
+        # Every chunk loop lays out one task's training set, so one workspace, sized
+        # for the largest task, fits them all.  The worker's is its own copy, empty.
+        self.work = Workspace(max(seqs.windows(model.n_ctx, config.batch_size)
+                                  for seqs in packed))
+        self.pid = self.commands = self.frees = self.replies = None
         if fork:
-            self.exposed, self.sigma = _shared(n, dtype=bool), _shared(n)
-            self.losses, self.norms = _shared(n), _shared(n)
             self._fork()
 
-    def clean_table(self, k: int) -> np.ndarray:
-        """Task k's clean base table (k from 0), one row per packed token."""
-        return self.clean[k % len(self.clean) if self.pid is not None else 0][
-            : self.packed[k].tokens.size]
+    def clean_table(self, k: int) -> np.ndarray | None:
+        """Task k's clean base table (k from 0); None in uniform_dp, which reads none."""
+        return self.clean[k % len(self.clean)] if self.clean else None
 
-    def share(self, op: str, k: int, rows: int, *args) -> int:
-        """How many of the ``rows`` sequences of task k's pass the run itself runs.
+    def _cut(self, rows: int, size: int) -> int:
+        """How many of a pass's first ``rows`` the run itself runs, in chunks of ``size``:
+        all of them without a worker, else the first half of the chunks, rounded up."""
+        return min(rows, (-(-rows // size) + 1) // 2 * size) if self.pid else rows
 
-        Without a worker, all of them.  Otherwise the first half of the pass's
-        ``batch_size`` chunks, rounded up, once the worker has been sent ``op``
-        with the row it starts from and ``args``.
+    def split(self, op: str, k: int, rows: int, *args) -> list | None:
+        """Pass ``op`` over task k's first ``rows`` rows (k from 0), split at ``_cut``.
+
+        The run runs its rows and the worker, sent ``op`` with ``args``, the
+        rest.  Returns each chunk's result in order, or None (the clean fill).
+        A chunk has ``batch_size`` sequences; the evaluations' have one task.
         """
-        if not self.pid:
-            return rows
-        size = self.config.batch_size
-        cut = min(rows, (-(-rows // size) + 1) // 2 * size)
-        self.send(op, k, cut, *args)
-        return cut
+        cut = self._cut(rows, 1 if op == "evaluate" else self.config.batch_size)
+        if cut < rows:
+            self.send(op, k, cut, rows, *args)
+        results = getattr(self, "_" + op)(k, 0, cut, *args)
+        if cut < rows and results is not None:
+            results += self.receive()
+        return results
+
+    def epochs(self, k: int, inputs: TaskInputs, rng: np.random.Generator):
+        """Task k's epochs (k from 0), laid out over ``inputs``: an iterator of layouts.
+
+        Epoch e's rows are in the order ``shuffle(e)`` draws when the iterator
+        reaches it.  The call resets both slots' tables to the clean inputs and
+        prepares epoch 0 (see ``_prepare``).  With a worker, which prepares the
+        rest, the iterator waits for each epoch the worker readies, frees each
+        slot once its epoch has trained, and takes back the noise generator's
+        state as it ends; an error in the worker is raised there.
+        """
+        for table, _ in self.slots:
+            np.take(self.model.embed, inputs.seqs.tokens, axis=0, mode="clip",
+                    out=table[: inputs.seqs.tokens.size])
+        return self._layouts(k, self._prepare(k, 0, inputs, rng), inputs, rng)
+
+    def _layouts(self, k: int, layout: PackedBatch, inputs: TaskInputs,
+                 rng: np.random.Generator):
+        for epoch in range(self.config.epochs):
+            if epoch:
+                layout = self._prepare(k, epoch, inputs, rng)
+            if self.pid:
+                self.receive()  # the worker has prepared its part of the epoch
+            yield layout
+            if self.pid and epoch + 2 < self.config.epochs:
+                try:
+                    self.frees.write(b"\0")  # the epoch's slot is free for epoch + 2
+                except OSError:
+                    self._ended()
+        if self.pid:
+            rng.bit_generator.state = self.receive()
+
+    def _prepare(self, k: int, epoch: int, inputs: TaskInputs,
+                 rng: np.random.Generator) -> PackedBatch:
+        """The epoch as one batch over its slot (the embeddings and clean base in seqft).
+
+        When this process prepares a noised epoch (epoch 0 in the run, every
+        later one in the worker or, without one, in the run), one mechanism
+        call noises the layout's exposures into the slot's table, whose other
+        rows stay clean, then the slot's base is filled: all of it, or in the
+        run, with a worker, epoch 0's first rows, the worker sent the rest.
+        """
+        table, base = self.slots[epoch % 2] if self.slots else (None, self.clean_table(k))
+        layout = inputs.seqs.batch(self.model, self.shuffles[k](epoch), table, inputs.margin,
+                                   base)
+        if table is not None and (epoch == 0 or not self.pid):
+            src = inputs.exposures(layout)
+            table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
+                                            inputs.sigma[src], self.config.privacy.clip_norm, rng)
+            cut = self._cut(len(layout), self.config.batch_size)
+            if self.pid:
+                self.send("epochs", k, cut, inputs.exposed, inputs.sigma,
+                          rng.bit_generator.state)
+            frozen_base(self.model, layout[:cut], self.config.batch_size, base, self.work)
+        return layout
 
     def send(self, *message) -> None:
         try:
             _put(self.commands, message)
         except OSError:  # the worker has ended; its last message says why
-            self._ended()
-
-    def free(self) -> None:
-        """Tell the worker that the epoch slot the run last trained on is free."""
-        try:
-            self.frees.write(b"\0")
-        except OSError:
             self._ended()
 
     def _ended(self):
@@ -482,162 +532,68 @@ class RunWorker:
         self.commands = open(commands_w, "wb")
         self.frees, self.replies = open(frees_w, "wb", buffering=0), open(replies_r, "rb")
 
-    # The worker's side: each command the run sends is one call below.
+    # The worker's side: each command the run sends is one call below, which the run
+    # makes itself on its own rows of a split pass.
 
     def _serve(self, commands, frees, replies) -> None:
         # Here ``frees`` and ``replies`` are the ends of the run's pipes that it does not hold.
-        self.frees, self.replies, self.work = frees, replies, Workspace(self.windows)
+        self.frees, self.replies = frees, replies
         while True:
             try:
                 op, *args = pickle.load(commands)
             except EOFError:  # the run has ended
                 return
-            getattr(self, "_" + op)(*args)
+            result = getattr(self, "_" + op)(*args)
+            if result is not None:
+                _put(replies, result)
 
-    def _rows(self, k: int, cut: int, adapter: LoraAdapter | None = None) -> PackedBatch:
-        """Task k's training set in order from sequence ``cut`` on, over its clean table
-        when an adapter will read it."""
-        seqs = self.packed[k]
-        seqs.base = self.clean_table(k) if adapter is not None else None
-        return seqs.batch(self.model, np.arange(cut, seqs.lengths.size))
+    def _rows(self, k: int, first: int, last: int) -> PackedBatch:
+        """Task k's training sequences ``first`` to ``last`` in order, over its clean table."""
+        return self.packed[k].batch(self.model, np.arange(first, last), base=self.clean_table(k))
 
-    def _adapter(self, a: np.ndarray, b: np.ndarray) -> LoraAdapter | None:
-        return LoraAdapter(a, b, a.shape[0], task_id=0) if self.config.mode == "pecl" else None
+    def _clean(self, k: int, first: int, last: int) -> None:
+        frozen_base(self.model, self._rows(k, first, last), self.config.batch_size,
+                    self.clean_table(k), self.work)
 
-    def _clean(self, k: int, cut: int) -> None:
-        frozen_base(self.model, self._rows(k, cut), self.config.batch_size, self.clean_table(k),
-                    self.work)
+    def _score(self, k: int, first: int, last: int, adapter: LoraAdapter) -> list[np.ndarray]:
+        return window_losses(self.model, adapter, self._rows(k, first, last),
+                             self.config.batch_size, self.work)
 
-    def _score(self, k: int, cut: int, a: np.ndarray, b: np.ndarray) -> None:
-        adapter, start = self._adapter(a, b), 0
-        for losses in window_losses(self.model, adapter, self._rows(k, cut, adapter),
-                                    self.config.batch_size, self.work):
-            self.losses[start : start + losses.size] = losses
-            start += losses.size
-        _put(self.replies, start)
-
-    def _epochs(self, k: int, cut: int, state: dict) -> None:
+    def _epochs(self, k: int, cut: int, exposed: np.ndarray, sigma: np.ndarray,
+                state: dict) -> None:
         """Task k's epochs: epoch 0's base from sequence ``cut`` of its shuffle on, then
-        epochs 1, 2, ... whole, each once the epoch that last used its slot has ended, and
-        then the generator's state."""
+        epochs 1, 2, ... whole, each once the epoch that last used its slot has ended, each
+        reported ready, and then the generator's state."""
         config, seqs = self.config, self.packed[k]
-        n = seqs.tokens.size - 1
+        inputs = TaskInputs(seqs, exposed, None, sigma)
         rng = np.random.default_rng()
         rng.bit_generator.state = state
-        feed = EpochFeed(TaskInputs(seqs, self.exposed[:n], None, self.sigma[:n]), self.model,
-                         config.epochs, self.shuffles[k], config.privacy, rng,
-                         config.batch_size, self.work, self, k)
-        table, base = feed.slots[0]
-        frozen_base(self.model, seqs.batch(self.model, feed.shuffle(0)[cut:], table, None, base),
-                    config.batch_size, base, self.work)
+        table, base = self.slots[0]
+        rest = seqs.batch(self.model, self.shuffles[k](0)[cut:], table, None, base)
+        frozen_base(self.model, rest, config.batch_size, base, self.work)
         _put(self.replies, 0)
         for epoch in range(1, config.epochs):
             if epoch >= 2 and not self.frees.read(1):  # epoch - 2 has freed its slot
                 raise EOFError("the run stopped")
-            feed._prepare(epoch)
+            self._prepare(k, epoch, inputs, rng)
             _put(self.replies, epoch)
         _put(self.replies, rng.bit_generator.state)
 
-    def _wrapup(self, k: int, cut: int, a: np.ndarray, b: np.ndarray) -> None:
-        adapter = self._adapter(a, b)
-        counts, start = [], 0
-        for norms, losses in _wrap_up(self.model, adapter, self._rows(k, cut, adapter),
-                                      self.config.batch_size, self.work):
-            self.norms[start : start + norms.size] = norms
-            if losses is not None:
-                self.losses[start : start + losses.size] = losses
-            counts.append(norms.size)
-            start += norms.size
-        _put(self.replies, counts)
+    def _wrapup(self, k: int, first: int, last: int,
+                adapter: LoraAdapter | None) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Each chunk's clean window norms at its valid windows and, given an adapter
+        (pecl), the chunk's valid-window losses."""
+        model, work, results = self.model, self.work, []
+        for batch in self._rows(k, first, last).chunks(self.config.batch_size):
+            fb = forward_batch(model, adapter, batch, work) if adapter is not None else None
+            x = _windows(model, batch, work) if fb is None else fb.x
+            # np.linalg.norm(x, axis=-1), its squares taken in place: x is spent.
+            norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=-1))
+            results.append((norms[batch.valid], None if fb is None else fb.losses[fb.valid]))
+        return results
 
-    def _evaluate(self, first: int, last: int, a: np.ndarray, b: np.ndarray) -> None:
-        adapter = LoraAdapter(a, b, a.shape[0], task_id=0)
-        _put(self.replies, [evaluate(self.model, adapter, task) for task in self.evals[first:last]])
-
-
-class EpochFeed:
-    """A task's epochs, each laid out over its inputs; in the noised modes, prepared ahead.
-
-    Iterating yields each epoch's layout in turn, its rows in the order
-    ``shuffle(epoch)`` draws when the feed reaches the epoch.  In the noised
-    modes epoch e is prepared by ``_prepare`` in slot ``e % 2``, a table and a
-    base, the ``worker``'s or, without one, the feed's own; a base is filled in
-    ``work``, the caller's workspace.  Entering the feed resets both tables to
-    the clean inputs and prepares epoch 0 in the caller's process.  When the
-    worker has a process, the caller fills only the first half of epoch 0's
-    base and sends the worker, as task ``task``, what scoring decided and the
-    noise generator's state: the worker fills the rest of epoch 0's base, then
-    prepares epochs 1, 2, ... on its copy of the generator while the previous
-    epoch trains, each once the epoch that last used its slot has ended, and
-    hands the generator's state back at the end.  Otherwise each epoch is
-    prepared in the caller's process when it starts.  Either way the epochs
-    and the generator's final state are the same bits.
-
-    Use it as a context manager: an error in the worker is raised in the
-    caller as the epoch that waits on it starts, or as the feed is left.
-    """
-
-    def __init__(self, inputs: TaskInputs, model: TinyLM, epochs: int,
-                 shuffle: Callable[[int], np.ndarray], privacy: PrivacyConfig,
-                 rng: np.random.Generator, batch_size: int, work: Workspace | None = None,
-                 worker: RunWorker | None = None, task: int = 0):
-        self.inputs, self.model, self.epochs, self.shuffle = inputs, model, epochs, shuffle
-        self.privacy, self.rng, self.batch_size = privacy, rng, batch_size
-        self.work, self.worker, self.task = work or Workspace(), worker, task
-        # The run's side of a worker that prepares this task's epochs 1, 2, ...
-        self.ahead = worker is not None and bool(worker.pid)
-        self.slots: list[tuple[np.ndarray, np.ndarray]] = []
-        if inputs.exposed is not None:
-            n = inputs.seqs.tokens.size
-            slots = worker.slots if worker is not None else [
-                (_shared(n, model.d_emb), _shared(n, model.d_hidden)) for _ in range(2)]
-            self.slots = [(table[:n], base[:n]) for table, base in slots]
-
-    def _prepare(self, epoch: int) -> PackedBatch:
-        """The epoch as one batch over its slot (the embeddings in seqft); a step is a chunk.
-
-        When this process prepares a noised epoch (epoch 0, or every epoch when
-        no worker prepares them ahead), one mechanism call noises the layout's
-        exposures into the slot's table, whose other rows stay clean, then the
-        slot's base is filled: all of it, or epoch 0's first rows when the
-        worker fills the rest.
-        """
-        table, base = self.slots[epoch % 2] if self.slots else (None, None)
-        inputs = self.inputs
-        layout = inputs.seqs.batch(self.model, self.shuffle(epoch), table, inputs.margin, base)
-        if table is not None and (epoch == 0 or not self.ahead):
-            src = inputs.exposures(layout)
-            table[src] = perturb_embeddings(self.model.embed[inputs.seqs.tokens[src]],
-                                            inputs.sigma[src], self.privacy.clip_norm, self.rng)
-            part = layout
-            if self.ahead:
-                worker, n = self.worker, inputs.exposed.size
-                worker.exposed[:n], worker.sigma[:n] = inputs.exposed, inputs.sigma
-                part = layout[: worker.share("epochs", self.task, len(layout),
-                                             self.rng.bit_generator.state)]
-            frozen_base(self.model, part, self.batch_size, base, self.work)
-        return layout
-
-    def __iter__(self):
-        layout, self.first = self.first, None
-        for epoch in range(self.epochs):
-            if epoch:
-                layout = self._prepare(epoch)
-            if self.ahead:
-                self.worker.receive()  # the worker has prepared its part of the epoch
-            yield layout
-            if self.ahead and epoch + 2 < self.epochs:
-                self.worker.free()  # the epoch's slot is free for epoch + 2
-
-    def __enter__(self) -> "EpochFeed":
-        for table, _ in self.slots:
-            np.take(self.model.embed, self.inputs.seqs.tokens, axis=0, mode="clip", out=table)
-        self.first = self._prepare(0)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.ahead and exc_type is None:
-            self.rng.bit_generator.state = self.worker.receive()
+    def _evaluate(self, k: int, first: int, last: int, adapter: LoraAdapter) -> list[float]:
+        return [evaluate(self.model, adapter, task) for task in self.evals[first:last]]
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
@@ -703,34 +659,27 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     with RunWorker(model, config, packed,
                    [shuffle(k, seqs.lengths.size) for k, seqs in enumerate(packed, start=1)],
                    [by_id[task_id] for task_id in order]) as worker:
-        # Every chunk loop of the run lays out one task's training set, so one
-        # workspace, sized for the largest task, fits them all.
-        work = Workspace(worker.windows)
+        work = worker.work
         for k, task_id in enumerate(order, start=1):
             task, seqs = by_id[task_id], packed[k - 1]
             adapter = adapter.copy(task_id=task_id) if k > 1 else adapter
             state.reset_activations()
-            rows = np.arange(len(task.train))
+            n_seqs = len(task.train)
 
             # seqft steps and pecl's scoring and wrap-up forward read the clean base;
             # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
-            if config.mode != "uniform_dp":
-                seqs.base = worker.clean_table(k - 1)
-                if k == 1 or not worker.pid:  # else the worker filled it as task k - 1 trained
-                    cut = worker.share("clean", 0, rows.size)
-                    frozen_base(model, seqs.batch(model, rows[:cut]), bs, seqs.base, work)
+            # With a worker, it filled task k's table as task k - 1 trained.
+            if config.mode != "uniform_dp" and (k == 1 or not worker.pid):
+                worker.split("clean", k - 1, n_seqs)
             s_bar = lam_dyn = None
             reg_weight = 0.0
             lambda_unlearn = 0.0
             if config.mode == "pecl":
-                cut = worker.share("score", k - 1, rows.size, adapter.a, adapter.b)
-                losses = window_losses(model, adapter, seqs.batch(model, rows[:cut]), bs, work)
                 pool = corpora if config.stats_scope == "all" else [by_id[t] for t in order[:k]]
                 stats = compute_corpus_stats(pool, config.tau)
-                if worker.pid:
-                    losses.append(worker.losses[: worker.receive()])
+                losses = worker.split("score", k - 1, n_seqs, adapter)
                 profile = assign_budgets(
-                    score_sequences(model, adapter, stats, seqs, sens_cfg, bs, work,
+                    score_sequences(model, adapter, stats, seqs, sens_cfg, bs,
                                     np.concatenate(losses)),
                     config.privacy,
                 )
@@ -762,50 +711,39 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                 reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
             )
 
-            with EpochFeed(inputs, model, config.epochs, worker.shuffles[k - 1], config.privacy,
-                           noise_rng, bs, work, worker, k - 1) as feed:
-                if config.mode == "pecl" and worker.pid and k < n_tasks:
-                    worker.send("clean", k, 0)  # task k + 1's, filled as this task trains
-                # Built while the worker prepares epoch 1.
+            layouts = worker.epochs(k - 1, inputs, noise_rng)
+            if config.mode == "pecl" and worker.pid and k < n_tasks:
+                # Task k + 1's clean table, filled as this task trains.
+                worker.send("clean", k, 0, packed[k].lengths.size)
+            # Built while the worker prepares epoch 1.
+            if inputs.exposed is not None:
+                records, record_of = inputs.records(task_id)
+            for epoch, layout in enumerate(layouts):
                 if inputs.exposed is not None:
-                    records, record_of = inputs.records(task_id)
-                for epoch, layout in enumerate(feed):
-                    if inputs.exposed is not None:
-                        ledger.add(records, record_of[inputs.exposures(layout)], epoch)
-                    for batch in layout.chunks(bs):
-                        try:
-                            grads = backward(model, adapter, batch, spec, work)
-                        except NumericError as exc:
-                            raise NumericError(
-                                f"task {task_id} epoch {epoch}: {exc}"
-                            ) from exc
-                        if optimizer is None:
-                            sgd_step(model, adapter, grads, config.lr)
-                        else:
-                            optimizer.step(model, adapter, grads,
-                                           cosine_lr(config.lr, step, total_steps))
-                        step += 1
+                    ledger.add(records, record_of[inputs.exposures(layout)], epoch)
+                for batch in layout.chunks(bs):
+                    try:
+                        grads = backward(model, adapter, batch, spec, work)
+                    except NumericError as exc:
+                        raise NumericError(
+                            f"task {task_id} epoch {epoch}: {exc}"
+                        ) from exc
+                    if optimizer is None:
+                        sgd_step(model, adapter, grads, config.lr)
+                    else:
+                        optimizer.step(model, adapter, grads,
+                                       cosine_lr(config.lr, step, total_steps))
+                    step += 1
 
             # Task wrap-up: importance from the final delta and clean activations, per
             # batch_size chunk of the training set (the chunks the base table was
             # filled in), folded chunk by chunk in order, the worker's after the run's.
             # Only pecl reads the losses, so only pecl runs a forward pass, and keeps
             # each chunk's losses in sequence and position order.
-            cut = worker.share("wrapup", k - 1, rows.size, adapter.a, adapter.b)
-            evals_here = k if not worker.pid else (k + 1) // 2
-            if evals_here < k:
-                worker.send("evaluate", evals_here, k, adapter.a, adapter.b)
-            train_losses = []
-            for norms, losses in _wrap_up(model, adapter if config.mode == "pecl" else None,
-                                          seqs.batch(model, rows[:cut]), bs, work):
+            chunks = worker.split("wrapup", k - 1, n_seqs,
+                                  adapter if config.mode == "pecl" else None)
+            for norms, _ in chunks:
                 state.observe_activation(norms)
-                train_losses.append(losses)
-            if worker.pid:
-                start = 0
-                for count in worker.receive():
-                    state.observe_activation(worker.norms[start : start + count])
-                    start += count
-                train_losses.append(worker.losses[:start])
             delta_final = lora_delta(adapter)
             omega_k = task_importance(delta_final, state.activation_norm_accum)
             final_l_reg = reg_loss(delta_final, snapshot, lam_dyn,
@@ -814,7 +752,8 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             if config.mode == "pecl":
                 lengths = seqs.lengths
                 scores = np.split(profile.score, np.cumsum(lengths)[:-1])
-                losses = np.split(np.concatenate(train_losses), np.cumsum(lengths - 1)[:-1])
+                losses = np.split(np.concatenate([losses for _, losses in chunks]),
+                                  np.cumsum(lengths - 1)[:-1])
                 final_l_unlearn = float(np.mean([unlearn_loss(s[1:], ell, config.sculpt.theta)
                                                  for s, ell in zip(scores, losses)]))
             state = update_running_importance(state, omega_k)
@@ -823,10 +762,8 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                                       s_bar=s_bar, lambda_dyn=lam_dyn, final_l_reg=final_l_reg,
                                       final_l_unlearn=final_l_unlearn))
 
-            accuracies = [evaluate(model, adapter, by_id[order[i]]) for i in range(evals_here)]
-            if evals_here < k:
-                accuracies += worker.receive()
-            matrix_values[k - 1, :k] = accuracies
+            # Tasks 1..k, on the adapter as it ends task k.
+            matrix_values[k - 1, :k] = worker.split("evaluate", k - 1, k, adapter)
 
     return RunResult(
         matrix=AccuracyMatrix(matrix_values),

@@ -20,7 +20,7 @@ from pecl.errors import DataError
 from pecl.privacy import PrivacyConfig, PrivacyLedger
 from pecl.sculpt import SculptConfig
 from pecl.tinylm import init_lm
-from pecl.trainer import AccuracyMatrix, EpochFeed, RunConfig, RunResult, TaskReport
+from pecl.trainer import AccuracyMatrix, RunConfig, RunResult, RunWorker, TaskReport
 
 SMALL = {
     "train_per_task": 25,
@@ -611,14 +611,14 @@ def test_a_killed_epoch_worker_is_an_error_not_an_output_write_error(tmp_path, c
     config = write_config(tmp_path, extra={"epochs": 2})
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     run_pid = os.getpid()
-    prepare = EpochFeed._prepare
+    prepare = RunWorker._prepare
 
-    def dying(self, epoch):
+    def dying(self, k, epoch, *args):
         if os.getpid() != run_pid:
             os.kill(os.getpid(), signal.SIGKILL)
-        return prepare(self, epoch)
+        return prepare(self, k, epoch, *args)
 
-    monkeypatch.setattr(EpochFeed, "_prepare", dying)
+    monkeypatch.setattr(RunWorker, "_prepare", dying)
     out = tmp_path / "out"
     flags = ["--sweep-param", "alpha", "--sweep-values", "0.2"] if command == "sweep" else []
     assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2

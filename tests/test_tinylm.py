@@ -60,7 +60,7 @@ def oracle_forward(model, adapter, context, noisy=None):
 
 
 def noised_batch(model, batch, noisy):
-    """``batch`` laid out as ``EpochFeed`` lays out a noised epoch: over a
+    """``batch`` laid out as ``RunWorker.epochs`` lays out a noised epoch: over a
     per-token input table, the embedding rows with ``noisy[i]`` written over
     the first rows of sequence i (None leaves a sequence clean)."""
     seqs = PackedSequences.of(model, batch)
@@ -578,8 +578,7 @@ def reuse_layout(model, mode, rng):
     rows = np.arange(len(lengths))
     base = np.zeros((seqs.tokens.size, model.d_hidden))
     if mode != "pecl":
-        seqs.base = frozen_base(model, seqs.batch(model, rows), 4, base)
-        return seqs.batch(model, rows)
+        return seqs.batch(model, rows, base=frozen_base(model, seqs.batch(model, rows), 4, base))
     table = model.embed[seqs.tokens] + rng.normal(scale=0.1, size=(seqs.tokens.size, model.d_emb))
     margin = seqs.margins(rng.uniform(0.0, 0.99, size=seqs.tokens.size - 1), 0.6)
     frozen_base(model, seqs.batch(model, rows, table, margin), 4, base)

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import operator
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -35,7 +36,6 @@ from pecl.tinylm import (
 from pecl import trainer
 from pecl.trainer import (
     AccuracyMatrix,
-    EpochFeed,
     RunConfig,
     RunWorker,
     TaskInputs,
@@ -387,10 +387,21 @@ def assert_same_ledger(got, expected):
         np.testing.assert_array_equal(column, want, err_msg=name)
 
 
-def clean_base(model, seqs, batch_size):
-    """The task's clean base table, as ``run_continual`` fills it: natural order."""
+def clean_base(model, seqs, batch_size, out=None):
+    """The task's clean base table, as ``run_continual`` fills it: natural order, into
+    ``out`` or a new table."""
     return frozen_base(model, seqs.batch(model, np.arange(len(seqs.lengths))), batch_size,
-                       np.zeros((seqs.tokens.size, model.d_hidden)))
+                       np.zeros((seqs.tokens.size, model.d_hidden)) if out is None else out)
+
+
+def one_task_worker(mode, model, seqs, perms, privacy, batch_size):
+    """The ``RunWorker`` of a run of one task, ``seqs``, trained for ``len(perms)`` epochs
+    shuffled as ``perms``, with its clean table filled where the mode has one."""
+    config = RunConfig(mode=mode, epochs=len(perms), batch_size=batch_size, privacy=privacy)
+    worker = RunWorker(model, config, [seqs], [perms.__getitem__], [])
+    if worker.clean:
+        clean_base(model, seqs, batch_size, worker.clean_table(0))
+    return worker
 
 
 def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger, epoch):
@@ -411,7 +422,8 @@ def per_batch_mechanism(model, seqs, rows, budgets, names, privacy, rng, ledger,
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
-def test_packed_training_step_equals_the_list_api(mode):
+def test_packed_training_step_equals_the_list_api(monkeypatch, mode):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # epochs prepared inline
     privacy = PrivacyConfig(clip_norm=0.5)
     model = init_lm((23, 4, 3, 6), seed=5)
     adapter = init_adapter(model, rank=2, seed=2, task_id=1)
@@ -432,11 +444,10 @@ def test_packed_training_step_equals_the_list_api(mode):
     # filled from this very layout, even though the task's clean base table
     # is there; the list side below computes the product itself.
     step_ledger, step_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
-    inputs.seqs.base = clean_base(model, inputs.seqs, len(rows))
-    with EpochFeed(inputs, model, 1, lambda _: rows, privacy, step_rng, len(rows)) as feed:
-        (layout,) = feed
+    with one_task_worker(mode, model, inputs.seqs, [rows], privacy, len(rows)) as worker:
+        (layout,) = worker.epochs(0, inputs, step_rng)
         (batch,) = layout.chunks(len(rows))
-        assert batch.base is feed.slots[0][1]
+        assert batch.base is worker.slots[0][1]
     record_epoch(step_ledger, inputs, layout, 3)
     packed = backward(model, adapter, batch, spec)
 
@@ -508,12 +519,12 @@ def test_epoch_noising_equals_per_batch_noising(monkeypatch, mode):
     epoch_ledger, epoch_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     batch_ledger, batch_rng = PrivacyLedger(privacy.delta), np.random.default_rng(21)
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
-    with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy, epoch_rng,
-                   batch_size) as feed:
-        for epoch, (perm, layout) in enumerate(zip(perms, feed, strict=True)):
+    with one_task_worker(mode, model, inputs.seqs, perms, privacy, batch_size) as worker:
+        for epoch, (perm, layout) in enumerate(zip(perms, worker.epochs(0, inputs, epoch_rng),
+                                                   strict=True)):
             record_epoch(epoch_ledger, inputs, layout, epoch)
             table = layout.table
-            assert table is feed.slots[epoch % 2][0]  # a slot: refreshed in place
+            assert table is worker.slots[epoch % 2][0]  # a slot: refreshed in place
 
             expected = clean.copy()
             for start in range(0, len(perm), batch_size):
@@ -535,7 +546,8 @@ def test_epoch_noising_equals_per_batch_noising(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
-def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
+def test_epoch_layout_and_base_equal_the_per_step_batch(monkeypatch, mode):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # epochs prepared inline
     privacy = PrivacyConfig(clip_norm=0.5)
     model = init_lm((23, 4, 3, 6), seed=6)
     rng = np.random.default_rng(17)
@@ -548,12 +560,11 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
     noise_rng = np.random.default_rng(3)
     # The clean table is filled in natural order; the epochs below regroup its
     # rows.  A noised epoch's base is filled from its own layout.
-    inputs.seqs.base = clean_base(model, inputs.seqs, batch_size)
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(2)]
-    with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy, noise_rng,
-                   batch_size) as feed:
-        layouts = [(layout, feed.slots[epoch % 2] if feed.slots else (None, inputs.seqs.base))
-                   for epoch, layout in enumerate(feed)]
+    with one_task_worker(mode, model, inputs.seqs, perms, privacy, batch_size) as worker:
+        clean = worker.clean_table(0)
+        layouts = [(layout, worker.slots[epoch % 2] if worker.slots else (None, clean))
+                   for epoch, layout in enumerate(worker.epochs(0, inputs, noise_rng))]
     for perm, (layout, (slot_table, slot_base)) in zip(perms, layouts, strict=True):
         assert layout.base is slot_base
         table = model.embed[inputs.seqs.tokens] if slot_table is None else slot_table
@@ -581,7 +592,7 @@ def test_epoch_layout_and_base_equal_the_per_step_batch(mode):
             x = table[src][:, windows].reshape(len(rows), n_windows, model.d_in)
             valid = step.valid
             assert valid.any()
-            assert (step.base is inputs.seqs.base) == (mode == "seqft")
+            assert (step.base is clean) == (mode == "seqft")
             np.testing.assert_array_equal(step.base[targets][valid],
                                           (x @ model.w_hidden.T)[valid])
             assert list(step) == [seqs[i] for i in rows]
@@ -616,13 +627,12 @@ def test_each_epoch_is_laid_out_once_in_the_runs_process(monkeypatch, mode, cpus
     monkeypatch.setattr(TaskInputs, "exposures",
                         lambda self, layout: noised.append(layout) or exposures(self, layout))
     perms = [np.random.default_rng(epoch).permutation(len(seqs)) for epoch in range(3)]
-    # The feed of a run's one task, with the run's worker (forked in the noised modes on 2 CPUs).
+    # The epochs of a run's one task, with the run's worker (forked in the noised modes on
+    # 2 CPUs).
     config = RunConfig(mode=mode, epochs=len(perms), batch_size=4, privacy=privacy)
     with RunWorker(model, config, [inputs.seqs], [perms.__getitem__], []) as worker:
-        with EpochFeed(inputs, model, len(perms), perms.__getitem__, privacy,
-                       np.random.default_rng(3), 4, None, worker) as feed:
-            for epoch, layout in enumerate(feed):
-                assert len(laid_out) == epoch + 1 and layout is laid_out[-1]
+        for epoch, layout in enumerate(worker.epochs(0, inputs, np.random.default_rng(3))):
+            assert len(laid_out) == epoch + 1 and layout is laid_out[-1]
     assert len(laid_out) == len(perms)
     assert_no_child_left()
     assert len(forks) == (mode != "seqft" and cpus == 2)
@@ -698,9 +708,10 @@ def test_pecl_reports_sum_the_packed_profile_sequence_by_sequence(monkeypatch):
         assert report.s_bar == s_bar / len(profile.score)
 
         # A fresh wrap-up forward: the task's clean base, its chunks, its adapter.
-        seqs.base = clean_base(model, seqs, config.batch_size)
+        base = clean_base(model, seqs, config.batch_size)
         losses = []
-        for chunk in seqs.batch(model, np.arange(len(task.train))).chunks(config.batch_size):
+        for chunk in seqs.batch(model, np.arange(len(task.train)),
+                                base=base).chunks(config.batch_size):
             fb = forward_batch(model, adapter, chunk)
             losses += [ell[v] for ell, v in zip(fb.losses, fb.valid)]
         assert report.final_l_unlearn == np.mean([
@@ -722,12 +733,14 @@ def test_scoring_and_wrap_up_read_the_bits_they_compute(batch_size):
     computed = score_sequences(model, adapter, stats, seqs, sens, batch_size)
     passes = [forward_batch(model, adapter, chunk)
               for chunk in seqs.batch(model, rows).chunks(batch_size)]
-    seqs.base = clean_base(model, seqs, batch_size)
-    read = score_sequences(model, adapter, stats, seqs, sens, batch_size)
+    base = clean_base(model, seqs, batch_size)
+    read = score_sequences(model, adapter, stats, seqs, sens, batch_size, np.concatenate(
+        window_losses(model, adapter, seqs.batch(model, rows, base=base), batch_size)))
     for name in ("score1", "score"):
         np.testing.assert_array_equal(getattr(read, name), getattr(computed, name))
-    for chunk, fb in zip(seqs.batch(model, rows).chunks(batch_size), passes, strict=True):
-        assert chunk.base is seqs.base
+    for chunk, fb in zip(seqs.batch(model, rows, base=base).chunks(batch_size), passes,
+                         strict=True):
+        assert chunk.base is base
         got = forward_batch(model, adapter, chunk)
         np.testing.assert_array_equal(got.x, fb.x)
         for name in ("h", "p", "losses"):
@@ -738,9 +751,9 @@ def test_scoring_and_wrap_up_read_the_bits_they_compute(batch_size):
 def test_a_batch_over_a_noised_table_carries_no_clean_base():
     model = init_lm((23, 4, 3, 6), seed=1)
     seqs = PackedSequences.of(model, [[3, 4, 5], [6, 7], [8, 9, 10, 11]])
-    seqs.base = clean_base(model, seqs, 2)
+    clean = clean_base(model, seqs, 2)
     rows = np.array([2, 0])
-    assert seqs.batch(model, rows).base is seqs.base
+    assert seqs.batch(model, rows, base=clean).base is clean
     table = model.embed[seqs.tokens] + 0.1
     assert seqs.batch(model, rows, table).base is None
     # Given the noised base of its own layout, a batch carries that one.
@@ -752,13 +765,14 @@ def test_a_batch_over_a_noised_table_carries_no_clean_base():
         targets, valid = part.src[:, model.n_ctx :], part.valid
         np.testing.assert_array_equal(part.base[targets][valid],
                                       (_windows(model, part) @ model.w_hidden.T)[valid])
-        assert (part.base[targets][valid] != seqs.base[targets][valid]).all()
+        assert (part.base[targets][valid] != clean[targets][valid]).all()
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft", "uniform_dp"])
 @pytest.mark.parametrize("lengths", [(2, 3, 7, 4, 9, 2, 5, 8, 6, 3, 2), (2, 2, 2, 2, 2)])
-def test_each_steps_window_index_is_its_own_feed_at_every_window(mode, lengths):
+def test_each_steps_window_index_is_its_own_feed_at_every_window(monkeypatch, mode, lengths):
     # Batches of 4 leave a short last chunk; length-2 sequences give 2 windows.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # epochs prepared inline
     privacy = PrivacyConfig(clip_norm=0.5)
     model = init_lm((23, 4, 3, 6), seed=6)
     rng = np.random.default_rng(19)
@@ -768,8 +782,8 @@ def test_each_steps_window_index_is_its_own_feed_at_every_window(mode, lengths):
     else:
         inputs = budgeted_inputs(mode, model, seqs, privacy, rng)[0]
     perm = np.random.default_rng(1).permutation(len(seqs))
-    with EpochFeed(inputs, model, 1, lambda _: perm, privacy, np.random.default_rng(3), 4) as feed:
-        (layout,) = feed
+    with one_task_worker(mode, model, inputs.seqs, [perm], privacy, 4) as worker:
+        (layout,) = worker.epochs(0, inputs, np.random.default_rng(3))
     widths = set()
     for step in layout.chunks(4):
         n_windows = step.valid.shape[1]
@@ -794,14 +808,14 @@ def test_a_batch_without_margins_has_no_unlearning_term(inputs):
         adapter.b[:] = rng.normal(scale=0.3, size=adapter.b.shape)
     seqs = PackedSequences.of(model, [rng.integers(1, 23, size=n).tolist()
                                       for n in (2, 5, 3, 7)])
-    seqs.base = clean_base(model, seqs, 4)
     table = model.embed[seqs.tokens] + 0.1 if inputs == "uniform_dp" else None
+    base = clean_base(model, seqs, 4) if table is None else None  # the clean inputs' base
     rows = np.array([3, 1, 0, 2])
     spec = LossSpec(lambda_unlearn=1.5, reg_weight=0.4,
                     reg_reference=rng.normal(scale=0.1, size=model.w_hidden.shape))
-    plain = backward(model, adapter, seqs.batch(model, rows, table), spec)
+    plain = backward(model, adapter, seqs.batch(model, rows, table, None, base), spec)
     zeros = backward(model, adapter,
-                     seqs.batch(model, rows, table, np.zeros(seqs.tokens.size)), spec)
+                     seqs.batch(model, rows, table, np.zeros(seqs.tokens.size), base), spec)
     assert plain.l_unlearn == 0.0 and zeros.l_unlearn == 0.0
     assert plain.l_task == zeros.l_task and plain.objective == zeros.objective
     assert plain.l_reg == zeros.l_reg and (plain.l_reg > 0) == (adapter is not None)
@@ -1065,7 +1079,7 @@ def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, 
 
             def dirty(*shape, dtype=np.float64):
                 buffer = shared(*shape, dtype=dtype)
-                buffer[...] = 1e3  # True in the exposure mask
+                buffer[...] = 1e3
                 return buffer
 
             m.setattr(trainer, "_shared", dirty)
@@ -1073,6 +1087,46 @@ def test_the_epoch_worker_and_inline_preparation_give_the_same_run(monkeypatch, 
     assert (forks, no_forks) == (1, 0)  # one worker per run; none on one CPU
     assert_same_run(worker, inline)
     assert worker_rng == inline_rng
+
+
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_messages_larger_than_a_pipe_buffer_leave_the_run_and_its_worker_in_step(monkeypatch,
+                                                                                 tmp_path, mode):
+    # One task large enough that what scoring decided (sent with the epochs), the
+    # scoring losses and the wrap-up's norms and losses each pickle to more than a
+    # pipe's 64 KiB buffer, which blocks the writer until the other side reads.
+    config = small_config(mode=mode, num_tasks=1, train_per_task=3000, eval_per_task=4,
+                          epochs=2, batch_size=64, d_emb=4, d_hidden=6, uniform_eps=3.0)
+    tasks = small_stream(config).tasks
+    sizes, put = tmp_path / "sizes", trainer._put
+
+    def measured(stream, message):  # both processes append to the file
+        with open(sizes, "a") as fh:
+            kind = message[0] if isinstance(message, tuple) else type(message).__name__
+            fh.write(f"{kind} {len(pickle.dumps(message))}\n")
+        put(stream, message)
+
+    def hung(signum, frame):
+        raise AssertionError("the run and its worker waited on each other")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_put", measured)
+            worker, worker_rng, forks = run_with_cpus(m, 2, config, tasks)
+        inline, inline_rng, _ = run_with_cpus(monkeypatch, 1, config, tasks)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    large = sorted(kind for kind, size in map(str.split, sizes.read_text().splitlines())
+                   if int(size) > 2**16)
+    # The epochs command, then pecl's scoring reply, and the wrap-up reply.
+    assert large == ["epochs", "list", "list"][: 3 if mode == "pecl" else 2]
+    assert forks == 1
+    assert_same_run(worker, inline)
+    assert worker_rng == inline_rng
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
@@ -1327,17 +1381,17 @@ def test_a_killed_epoch_worker_is_a_named_error_not_a_hang(monkeypatch):
     config = small_config(mode="pecl", epochs=3, batch_size=7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     run_pid = os.getpid()
-    prepare = EpochFeed._prepare
+    prepare = RunWorker._prepare
 
-    def dying(self, epoch):
+    def dying(self, k, epoch, *args):
         if os.getpid() != run_pid:
             os.kill(os.getpid(), signal.SIGKILL)
-        return prepare(self, epoch)
+        return prepare(self, k, epoch, *args)
 
     def hung(signum, frame):
         raise AssertionError("the run waited on a dead worker")
 
-    monkeypatch.setattr(EpochFeed, "_prepare", dying)
+    monkeypatch.setattr(RunWorker, "_prepare", dying)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
