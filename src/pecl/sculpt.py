@@ -40,7 +40,7 @@ class SculptConfig:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AdapterSnapshot:
     """Frozen effective low-rank update of a completed task."""
 

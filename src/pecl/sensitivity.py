@@ -45,7 +45,7 @@ class ProfileEntry(NamedTuple):
     sigma: float
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SensitivityProfile:
     """Per-position scores of packed sequences, end to end, frozen for a task's epochs.
 

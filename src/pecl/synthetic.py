@@ -94,11 +94,13 @@ def _topic_for(task_index: int) -> tuple[str, list[str], str, list[str]]:
 
 
 def _sentence(rng, class_words: list[str], plant: str | None) -> list[str]:
-    content = list(rng.choice(class_words, size=3, replace=False))
-    fillers = list(rng.choice(FUNCTION_WORDS, size=3, replace=True))
+    # Drawn by index: the same draws as ``rng.choice(words, 3, replace=...)``
+    # over the word lists, without turning the lists into string arrays.
+    content = rng.choice(len(class_words), size=3, replace=False).tolist()
+    fillers = rng.integers(0, len(FUNCTION_WORDS), size=3).tolist()
     words = []
     for c, f in zip(content, fillers):
-        words.extend([f, c])
+        words.extend([FUNCTION_WORDS[f], class_words[c]])
     if plant is not None:
         # Secrets lead the sentence behind their marker, so every occurrence
         # shares the same clean left context.
@@ -125,6 +127,11 @@ def synthetic_stream(
         raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
     if train_per_task < 1 or eval_per_task < 1:
         raise ValueError("train_per_task and eval_per_task must be >= 1")
+    if not 0.0 <= plant_rate <= 1.0:
+        raise ValueError(f"plant_rate must be in [0, 1], got {plant_rate}")
+    if plants_per_task < (1 if plant_rate > 0 else 0):
+        raise ValueError(
+            f"plants_per_task must be >= 1 (>= 0 at plant_rate 0), got {plants_per_task}")
 
     rng = spawn_rng(seed, "synthetic-stream")
     records: list[tuple[int, str, str, str]] = []

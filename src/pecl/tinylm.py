@@ -26,7 +26,7 @@ from .errors import NumericError
 from .seeding import spawn_rng
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TinyLM:
     vocab: int
     d_emb: int
@@ -56,7 +56,7 @@ PARAM_NAMES = tuple(f.name for f in fields(TinyLM) if f.type == "np.ndarray")
 _SCALAR_NAMES = tuple(f.name for f in fields(TinyLM) if f.name not in PARAM_NAMES)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LoraAdapter:
     """Low-rank update for one layer: the effective delta is ``b @ a``."""
 
@@ -121,7 +121,7 @@ def init_adapter(model: TinyLM, rank: int, seed: int, task_id: int) -> LoraAdapt
     return LoraAdapter(a=a, b=b, rank=rank, task_id=task_id)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PackedSequences:
     """Sequences stored end to end, with their ids validated once.
 
@@ -206,7 +206,7 @@ def _width(n_ctx: int, lengths: np.ndarray) -> int:
     return n_ctx - 1 + max(int(lengths.max(initial=0)), 3)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PackedBatch:
     """A batch as one left-PAD-padded id matrix over a table of input vectors.
 
@@ -388,7 +388,7 @@ def forward(model: TinyLM, adapter: LoraAdapter | None, context: Sequence[int]) 
     return label_probs(model, adapter, [ids + [PAD_ID]])[0]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BatchForward:
     """One forward pass over every predicted position of a padded batch.
 
@@ -475,7 +475,7 @@ def token_losses(model: TinyLM, adapter: LoraAdapter | None, seq) -> tuple[np.nd
     return losses, float(losses.mean())
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LossSpec:
     """How backward() assembles the training objective for a batch.
 
@@ -501,7 +501,7 @@ class LossSpec:
     reg_reference: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class GradientBundle:
     """Gradients congruent with the trainable parameters, plus loss parts.
 

@@ -72,6 +72,7 @@ from .tinylm import (
     init_lm,
     label_probs,
     lora_delta,
+    pack,
     sgd_step,
 )
 
@@ -146,7 +147,7 @@ class RunConfig:
                 raise ValueError("task_order must not repeat task ids")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AccuracyMatrix:
     """Lower-triangular accuracies: values[k-1, i-1] = R_{k,i} for i <= k."""
 
@@ -228,20 +229,23 @@ class RunResult:
     profiles: dict[int, SensitivityProfile] = field(default_factory=dict)
 
 
-def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus) -> float:
+def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus,
+             packed: PackedBatch | None = None) -> float:
     """Fraction of eval sequences whose label-position argmax is the label.
 
     Forward passes use clean embeddings; evaluation consumes no randomness
-    and never mutates the model.
+    and never mutates the model.  ``packed``, when given, is
+    ``pack(model, task.eval)``, packed once for every evaluation of the task.
     """
     if not task.eval:
         raise DataError(f"task {task.task_id} has an empty eval set")
     labels = np.array([seq.label_token for seq in task.eval])
-    correct = label_probs(model, adapter, task.eval).argmax(axis=-1) == labels
+    batch = task.eval if packed is None else packed
+    correct = label_probs(model, adapter, batch).argmax(axis=-1) == labels
     return int(correct.sum()) / len(task.eval)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TaskInputs:
     """A task's training set, packed, scored and budgeted once when the task starts.
 
@@ -366,6 +370,7 @@ class RunWorker:
                  shuffles: list[Callable[[int], np.ndarray]], evals: list[TaskCorpus]):
         self.model, self.config, self.packed = model, config, packed
         self.shuffles, self.evals = shuffles, evals
+        self.eval_batches: dict[int, PackedBatch] = {}  # see _evaluate
         n = max(seqs.tokens.size for seqs in packed)
         fork = config.mode != "seqft" and hasattr(os, "fork") and _cpus() >= 2
         self.slots = [(_shared(n, model.d_emb), _shared(n, model.d_hidden))
@@ -593,7 +598,14 @@ class RunWorker:
         return results
 
     def _evaluate(self, k: int, first: int, last: int, adapter: LoraAdapter) -> list[float]:
-        return [evaluate(self.model, adapter, task) for task in self.evals[first:last]]
+        """Tasks ``first``..``last - 1``'s accuracies (from 0).  Each process packs a
+        task's eval split once, the first time it evaluates the task."""
+        accuracies = []
+        for i in range(first, last):
+            if i not in self.eval_batches:
+                self.eval_batches[i] = pack(self.model, self.evals[i].eval)
+            accuracies.append(evaluate(self.model, adapter, self.evals[i], self.eval_batches[i]))
+        return accuracies
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:

@@ -32,6 +32,7 @@ from pecl.tinylm import (
     init_adapter,
     init_lm,
     lora_delta,
+    pack,
 )
 from pecl import trainer
 from pecl.trainer import (
@@ -503,6 +504,33 @@ def test_evaluate_matches_per_sequence_forward_argmax():
     ]
     assert 0 < sum(hits) < len(hits)
     assert evaluate(model, adapter, task) == sum(hits) / len(hits)
+    assert evaluate(model, adapter, task, pack(model, task.eval)) == sum(hits) / len(hits)
+
+
+@pytest.mark.parametrize("mode", ["pecl", "seqft"])
+def test_a_run_packs_each_eval_split_once(monkeypatch, mode):
+    # One CPU: the run evaluates every task in its own process, task i K - i + 1 times.
+    config = small_config(mode=mode, num_tasks=3, task_order=[2, 3, 1])
+    tasks = small_stream(config).tasks
+    packed, evaluated = [], []
+
+    def packing(model, batch, *args):
+        packed.append(batch)
+        return pack(model, batch, *args)
+
+    def evaluating(model, adapter, task, *args):
+        evaluated.append(task.task_id)
+        return evaluate(model, adapter, task, *args)
+
+    monkeypatch.setattr("pecl.trainer.pack", packing)
+    monkeypatch.setattr("pecl.trainer.evaluate", evaluating)
+    result, _, forks = run_with_cpus(monkeypatch, 1, config, tasks)
+    assert forks == 0 and sorted(evaluated) == [1, 2, 2, 2, 3, 3]
+    assert [p[0].task_id for p in packed] == [2, 3, 1]
+    assert all(p is task.eval for p, task in zip(packed, [tasks[1], tasks[2], tasks[0]]))
+    worker, _, forks = run_with_cpus(monkeypatch, 2, config, tasks)
+    assert forks == (mode != "seqft")
+    np.testing.assert_array_equal(worker.matrix.values, result.matrix.values)
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])

@@ -3,11 +3,15 @@
     python3 tools/bundle_digests.py 0 1 2 3 4 > digests.txt
 
 It imports ``pecl`` from the ``src`` directory next to this script.  For each
-seed it runs the three perfbench workloads and the acceptance recipe in
-``uniform_dp`` mode, writes each bundle with ``write_run_bundle``, and prints
+seed it builds the three perfbench workloads and the acceptance recipe in
+``uniform_dp`` mode.  Per workload it first prints one
+``<workload> <seed> stream <sha256>`` line over the synthetic stream the
+workload was built from (token ids, vocabulary and sensitive ids; see
+``stream_digest``), so that a changed stream shows before any bundle does.  It
+then runs the workload, writes its bundle with ``write_run_bundle``, and prints
 one ``<workload> <seed> <file> <sha256>`` line per bundle file and, for a
 non-empty ledger, the ``<workload> <seed> compose <line>`` that ``pecl compose``
-prints for ``ledger.csv`` under the run's delta and delta'.  It then runs
+prints for ``ledger.csv`` under the run's delta and delta'.  Last it runs
 ``pecl audit`` on the default config at that seed and prints the digest of
 ``audit.csv``.  Run it in two checkouts and ``diff`` the outputs.
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -34,7 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from pecl import run_continual  # noqa: E402
+import workloads  # noqa: E402
+from pecl import run_continual, synthetic_stream  # noqa: E402
 from pecl.artifacts import write_run_bundle  # noqa: E402
 from pecl.cli import main as pecl_main  # noqa: E402
 from workloads import WORKLOADS, _recipe_config, _recipe_stream  # noqa: E402
@@ -46,6 +52,36 @@ def _recipe_uniform_dp(seed: int):
 
 
 RUNS = {**WORKLOADS, "recipe-uniform_dp": _recipe_uniform_dp}
+
+
+def build(name: str, seed: int):
+    """Workload ``name``'s config and tasks at ``seed``, and the stream they were built from."""
+    streams = []
+
+    def recording(*args, **kwargs):
+        streams.append(synthetic_stream(*args, **kwargs))
+        return streams[-1]
+
+    workloads.synthetic_stream = recording
+    try:
+        config, tasks = RUNS[name](seed)
+    finally:
+        workloads.synthetic_stream = synthetic_stream
+    (stream,) = streams
+    return config, tasks, stream
+
+
+def stream_digest(stream) -> str:
+    """sha256 of a stream's token ids (task by task, train then eval), vocabulary
+    surfaces and sorted sensitive ids."""
+    vocab = stream.vocab
+    content = {
+        "tasks": [[task.task_id, [seq.tokens for seq in task.train],
+                   [seq.tokens for seq in task.eval]] for task in stream.tasks],
+        "vocab": [vocab.surface_of(i) for i in range(len(vocab))],
+        "sensitive_ids": sorted(stream.sensitive_ids),
+    }
+    return hashlib.sha256(json.dumps(content).encode()).hexdigest()
 
 
 def _digests(out: Path):
@@ -67,8 +103,9 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 1
     for seed in map(int, argv):
-        for name, make in RUNS.items():
-            config, tasks = make(seed)
+        for name in RUNS:
+            config, tasks, stream = build(name, seed)
+            print(name, seed, "stream", stream_digest(stream), flush=True)
             with tempfile.TemporaryDirectory() as tmp:
                 result = run_continual(config, tasks)
                 write_run_bundle(tmp, result, config)
