@@ -72,7 +72,6 @@ from .tinylm import (
     init_lm,
     label_probs,
     lora_delta,
-    pack,
     sgd_step,
 )
 
@@ -230,17 +229,18 @@ class RunResult:
 
 
 def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus,
-             packed: PackedBatch | None = None) -> float:
+             packed: PackedSequences | None = None) -> float:
     """Fraction of eval sequences whose label-position argmax is the label.
 
     Forward passes use clean embeddings; evaluation consumes no randomness
     and never mutates the model.  ``packed``, when given, is
-    ``pack(model, task.eval)``, packed once for every evaluation of the task.
+    ``PackedSequences.of(model, task.eval)``, packed once for every
+    evaluation of the task.
     """
     if not task.eval:
         raise DataError(f"task {task.task_id} has an empty eval set")
     labels = np.array([seq.label_token for seq in task.eval])
-    batch = task.eval if packed is None else packed
+    batch = task.eval if packed is None else packed.batch(model, np.arange(packed.lengths.size))
     correct = label_probs(model, adapter, batch).argmax(axis=-1) == labels
     return int(correct.sum()) / len(task.eval)
 
@@ -370,7 +370,7 @@ class RunWorker:
                  shuffles: list[Callable[[int], np.ndarray]], evals: list[TaskCorpus]):
         self.model, self.config, self.packed = model, config, packed
         self.shuffles, self.evals = shuffles, evals
-        self.eval_batches: dict[int, PackedBatch] = {}  # see _evaluate
+        self.eval_seqs: dict[int, PackedSequences] = {}  # see _evaluate
         n = max(seqs.tokens.size for seqs in packed)
         fork = config.mode != "seqft" and hasattr(os, "fork") and _cpus() >= 2
         self.slots = [(_shared(n, model.d_emb), _shared(n, model.d_hidden))
@@ -602,9 +602,9 @@ class RunWorker:
         task's eval split once, the first time it evaluates the task."""
         accuracies = []
         for i in range(first, last):
-            if i not in self.eval_batches:
-                self.eval_batches[i] = pack(self.model, self.evals[i].eval)
-            accuracies.append(evaluate(self.model, adapter, self.evals[i], self.eval_batches[i]))
+            if i not in self.eval_seqs:
+                self.eval_seqs[i] = PackedSequences.of(self.model, self.evals[i].eval)
+            accuracies.append(evaluate(self.model, adapter, self.evals[i], self.eval_seqs[i]))
         return accuracies
 
 

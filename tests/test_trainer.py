@@ -32,7 +32,6 @@ from pecl.tinylm import (
     init_adapter,
     init_lm,
     lora_delta,
-    pack,
 )
 from pecl import trainer
 from pecl.trainer import (
@@ -504,7 +503,8 @@ def test_evaluate_matches_per_sequence_forward_argmax():
     ]
     assert 0 < sum(hits) < len(hits)
     assert evaluate(model, adapter, task) == sum(hits) / len(hits)
-    assert evaluate(model, adapter, task, pack(model, task.eval)) == sum(hits) / len(hits)
+    packed = PackedSequences.of(model, task.eval)
+    assert evaluate(model, adapter, task, packed) == sum(hits) / len(hits)
 
 
 @pytest.mark.parametrize("mode", ["pecl", "seqft"])
@@ -513,21 +513,23 @@ def test_a_run_packs_each_eval_split_once(monkeypatch, mode):
     config = small_config(mode=mode, num_tasks=3, task_order=[2, 3, 1])
     tasks = small_stream(config).tasks
     packed, evaluated = [], []
+    of = PackedSequences.of
 
-    def packing(model, batch, *args):
-        packed.append(batch)
-        return pack(model, batch, *args)
+    def packing(cls, model, sequences):
+        if any(sequences is task.eval for task in tasks):
+            packed.append(sequences)
+        return of(model, sequences)
 
     def evaluating(model, adapter, task, *args):
         evaluated.append(task.task_id)
         return evaluate(model, adapter, task, *args)
 
-    monkeypatch.setattr("pecl.trainer.pack", packing)
+    monkeypatch.setattr(PackedSequences, "of", classmethod(packing))
     monkeypatch.setattr("pecl.trainer.evaluate", evaluating)
     result, _, forks = run_with_cpus(monkeypatch, 1, config, tasks)
     assert forks == 0 and sorted(evaluated) == [1, 2, 2, 2, 3, 3]
-    assert [p[0].task_id for p in packed] == [2, 3, 1]
-    assert all(p is task.eval for p, task in zip(packed, [tasks[1], tasks[2], tasks[0]]))
+    in_order = [task.eval for tid in config.task_order for task in tasks if task.task_id == tid]
+    assert len(packed) == 3 and all(p is split for p, split in zip(packed, in_order))
     worker, _, forks = run_with_cpus(monkeypatch, 2, config, tasks)
     assert forks == (mode != "seqft")
     np.testing.assert_array_equal(worker.matrix.values, result.matrix.values)
