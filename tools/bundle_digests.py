@@ -55,7 +55,10 @@ RUNS = {**WORKLOADS, "recipe-uniform_dp": _recipe_uniform_dp}
 
 
 def build(name: str, seed: int):
-    """Workload ``name``'s config and tasks at ``seed``, and the stream they were built from."""
+    """Workload ``name``'s config and tasks at ``seed``, and the stream they were built from.
+
+    The stream is the one ``workloads`` makes, recorded as it is made, so this
+    script restates no workload's stream settings."""
     streams = []
 
     def recording(*args, **kwargs):
