@@ -344,21 +344,21 @@ class RunWorker:
 
     A noised run that may use 2 or more CPUs forks the worker as this is made.
     The worker, which has every task's packed sequences, shuffle and eval
-    split, prepares epochs 1, 2, ... of each task, fills task k+1's clean
-    table while task k trains, and runs the later rows of task 1's clean fill,
-    the scoring forward, the epoch-0 base fill, the wrap-up and each round of
-    evaluations.  Every chunk keeps its rows, shape and order, so the bits
-    are the same without a worker (seqft, one CPU, a failed fork or pipe),
-    where the run does it all.
+    split, does what the run commands, which this class alone decides:
+    epochs 1, 2, ... of each task, task k+1's clean table while task k trains
+    where the mode reads clean tables, and the later rows of task 1's clean
+    fill, the scoring forward, the epoch-0 base fill, the wrap-up and each
+    round of evaluations.  Every chunk keeps its rows, shape and order, so the
+    bits are the same without a worker (seqft, one CPU, a failed fork or
+    pipe), where the run does it all.
 
-    Commands and their results travel pickled through pipes.  A message
-    larger than a pipe's buffer (64 KiB) blocks its writer until the other
-    side reads it, so each is sent while the other process reads or works
-    toward reading.  The run sends a command only once it has read every
-    reply to the commands before it, save the next task's clean fill and the
-    frees, a few bytes each, which a pipe holds.  The worker sends only the
-    replies to the command in hand, each of which the run reads before it
-    sends anything more than those few bytes.
+    Commands and replies travel pickled through two pipes, one each way; the
+    worker blocks only to read a command and sends at most one reply to each.
+    A message larger than a pipe's buffer (64 KiB) blocks its writer until
+    the other side reads it, so each is sent while the other process reads or
+    works toward reading: the run sends a command only once it has read every
+    reply to the commands before it, save a task's later epochs and the next
+    task's clean fill, a few bytes each, as are their replies, which a pipe holds.
 
     Leaving it reaps the worker, killed first when the run fails.  An error in
     the worker is raised again in the run with its class and message; a worker
@@ -381,13 +381,19 @@ class RunWorker:
         # for the largest task, fits them all.  The worker's is its own copy, empty.
         self.work = Workspace(max(seqs.windows(model.n_ctx, config.batch_size)
                                   for seqs in packed))
-        self.pid = self.commands = self.frees = self.replies = None
+        self.pid = self.commands = self.replies = None
         if fork:
             self._fork()
 
     def clean_table(self, k: int) -> np.ndarray | None:
         """Task k's clean base table (k from 0); None in uniform_dp, which reads none."""
         return self.clean[k % len(self.clean)] if self.clean else None
+
+    def start(self, k: int) -> None:
+        """Fills task k's clean table (k from 0), where the mode reads one, unless the
+        worker filled it as task k - 1 trained (see ``_send_epoch``)."""
+        if self.clean and (k == 0 or not self.pid):
+            self.split("clean", k, self.packed[k].lengths.size)
 
     def _cut(self, rows: int, size: int) -> int:
         """How many of a pass's first ``rows`` the run itself runs, in chunks of ``size``:
@@ -415,9 +421,9 @@ class RunWorker:
         Epoch e's rows are in the order ``shuffle(e)`` draws when the iterator
         reaches it.  The call resets both slots' tables to the clean inputs and
         prepares epoch 0 (see ``_prepare``).  With a worker, which prepares the
-        rest, the iterator waits for each epoch the worker readies, frees each
-        slot once its epoch has trained, and takes back the noise generator's
-        state as it ends; an error in the worker is raised there.
+        rest, the iterator waits for each epoch the worker readies and takes the
+        noise generator's state after the epoch's draw, and commands epoch e + 2
+        once epoch e has trained; an error in the worker is raised there.
         """
         for table, _ in self.slots:
             np.take(self.model.embed, inputs.seqs.tokens, axis=0, mode="clip",
@@ -429,16 +435,11 @@ class RunWorker:
         for epoch in range(self.config.epochs):
             if epoch:
                 layout = self._prepare(k, epoch, inputs, rng)
-            if self.pid:
-                self.receive()  # the worker has prepared its part of the epoch
+            if self.pid:  # the worker has prepared its part of the epoch
+                rng.bit_generator.state = self.receive()
             yield layout
-            if self.pid and epoch + 2 < self.config.epochs:
-                try:
-                    self.frees.write(b"\0")  # the epoch's slot is free for epoch + 2
-                except OSError:
-                    self._ended()
-        if self.pid:
-            rng.bit_generator.state = self.receive()
+            if self.pid:
+                self._send_epoch(k, epoch + 2)  # into the slot this epoch has freed
 
     def _prepare(self, k: int, epoch: int, inputs: TaskInputs,
                  rng: np.random.Generator) -> PackedBatch:
@@ -459,21 +460,25 @@ class RunWorker:
                                             inputs.sigma[src], self.config.privacy.clip_norm, rng)
             cut = self._cut(len(layout), self.config.batch_size)
             if self.pid:
-                self.send("epochs", k, cut, inputs.exposed, inputs.sigma,
-                          rng.bit_generator.state)
+                self._send_epoch(k, 0, cut, inputs.exposed, inputs.sigma, rng.bit_generator.state)
+                self._send_epoch(k, 1)
             frozen_base(self.model, layout[:cut], self.config.batch_size, base, self.work)
         return layout
+
+    def _send_epoch(self, k: int, epoch: int, *task) -> None:
+        """Commands task k's epoch ``epoch``, if it has one, and after its last, task k + 1's
+        clean fill, where the mode reads clean tables: in the order the worker does them."""
+        if epoch < self.config.epochs:
+            self.send("epochs", k, epoch, *task)
+        if epoch == self.config.epochs - 1 and self.clean and k + 1 < len(self.packed):
+            self.send("clean", k + 1, 0, self.packed[k + 1].lengths.size)
 
     def send(self, *message) -> None:
         try:
             _put(self.commands, message)
-        except OSError:  # the worker has ended; its last message says why
-            self._ended()
-
-    def _ended(self):
-        """The worker has ended: raise what it said last, or how it ended."""
-        while True:
-            self.receive()
+        except OSError:  # the worker has ended: raise what it said last, or how it ended
+            while True:
+                self.receive()
 
     def receive(self):
         """The worker's next reply; an error the worker raised is raised here."""
@@ -494,10 +499,9 @@ class RunWorker:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        for stream in (self.commands, self.frees):  # at the end of its commands the worker exits
-            if stream is not None:
-                with contextlib.suppress(OSError):
-                    stream.close()
+        if self.commands is not None:  # at the end of its commands the worker exits
+            with contextlib.suppress(OSError):
+                self.commands.close()
         if self.pid:
             if exc_type is not None:
                 with contextlib.suppress(ProcessLookupError):
@@ -510,39 +514,35 @@ class RunWorker:
     def _fork(self) -> None:
         fds: list[int] = []
         try:
-            for _ in range(3):
+            for _ in range(2):
                 fds += os.pipe()
             pid = os.fork()
         except OSError:  # EMFILE, EAGAIN or ENOMEM: no worker, so the run does it all
             for fd in fds:
                 os.close(fd)
             return
-        commands_r, commands_w, frees_r, frees_w, replies_r, replies_w = fds
+        commands_r, commands_w, replies_r, replies_w = fds
         if pid == 0:  # the worker: never returns into the run's code
             status, out = 0, None
             try:
-                for fd in (commands_w, frees_w, replies_r):
+                for fd in (commands_w, replies_r):
                     os.close(fd)
                 self.pid, out = 0, open(replies_w, "wb")
-                self._serve(open(commands_r, "rb"), open(frees_r, "rb", buffering=0), out)
+                self._serve(open(commands_r, "rb"), out)
             except BaseException as exc:
                 status = 1
                 with contextlib.suppress(BaseException):
                     _put(out, _Failure(type(exc), str(exc)))
             finally:
                 os._exit(status)
-        for fd in (commands_r, frees_r, replies_w):
+        for fd in (commands_r, replies_w):
             os.close(fd)
-        self.pid = pid
-        self.commands = open(commands_w, "wb")
-        self.frees, self.replies = open(frees_w, "wb", buffering=0), open(replies_r, "rb")
+        self.pid, self.commands, self.replies = pid, open(commands_w, "wb"), open(replies_r, "rb")
 
     # The worker's side: each command the run sends is one call below, which the run
     # makes itself on its own rows of a split pass.
 
-    def _serve(self, commands, frees, replies) -> None:
-        # Here ``frees`` and ``replies`` are the ends of the run's pipes that it does not hold.
-        self.frees, self.replies = frees, replies
+    def _serve(self, commands, replies) -> None:
         while True:
             try:
                 op, *args = pickle.load(commands)
@@ -564,25 +564,21 @@ class RunWorker:
         return window_losses(self.model, adapter, self._rows(k, first, last),
                              self.config.batch_size, self.work)
 
-    def _epochs(self, k: int, cut: int, exposed: np.ndarray, sigma: np.ndarray,
-                state: dict) -> None:
-        """Task k's epochs: epoch 0's base from sequence ``cut`` of its shuffle on, then
-        epochs 1, 2, ... whole, each once the epoch that last used its slot has ended, each
-        reported ready, and then the generator's state."""
-        config, seqs = self.config, self.packed[k]
-        inputs = TaskInputs(seqs, exposed, None, sigma)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state
-        table, base = self.slots[0]
-        rest = seqs.batch(self.model, self.shuffles[k](0)[cut:], table, None, base)
-        frozen_base(self.model, rest, config.batch_size, base, self.work)
-        _put(self.replies, 0)
-        for epoch in range(1, config.epochs):
-            if epoch >= 2 and not self.frees.read(1):  # epoch - 2 has freed its slot
-                raise EOFError("the run stopped")
-            self._prepare(k, epoch, inputs, rng)
-            _put(self.replies, epoch)
-        _put(self.replies, rng.bit_generator.state)
+    def _epochs(self, k: int, epoch: int, *task) -> dict:
+        """Task k's epoch, whole, or of epoch 0, whose command brings the task (``cut``, the
+        exposures, sigma and the noise state), the base from sequence ``cut`` of its shuffle
+        on.  Returns the noise generator's state after the epoch's draw."""
+        if epoch:
+            self._prepare(k, epoch, self.inputs, self.rng)
+        else:
+            cut, exposed, sigma, state = task
+            self.inputs = TaskInputs(self.packed[k], exposed, None, sigma)
+            self.rng = np.random.default_rng()
+            self.rng.bit_generator.state = state
+            table, base = self.slots[0]
+            rest = self.inputs.seqs.batch(self.model, self.shuffles[k](0)[cut:], table, None, base)
+            frozen_base(self.model, rest, self.config.batch_size, base, self.work)
+        return self.rng.bit_generator.state
 
     def _wrapup(self, k: int, first: int, last: int,
                 adapter: LoraAdapter | None) -> list[tuple[np.ndarray, np.ndarray | None]]:
@@ -680,9 +676,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
 
             # seqft steps and pecl's scoring and wrap-up forward read the clean base;
             # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
-            # With a worker, it filled task k's table as task k - 1 trained.
-            if config.mode != "uniform_dp" and (k == 1 or not worker.pid):
-                worker.split("clean", k - 1, n_seqs)
+            worker.start(k - 1)
             s_bar = lam_dyn = None
             reg_weight = 0.0
             lambda_unlearn = 0.0
@@ -724,9 +718,6 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             )
 
             layouts = worker.epochs(k - 1, inputs, noise_rng)
-            if config.mode == "pecl" and worker.pid and k < n_tasks:
-                # Task k + 1's clean table, filled as this task trains.
-                worker.send("clean", k, 0, packed[k].lengths.size)
             # Built while the worker prepares epoch 1.
             if inputs.exposed is not None:
                 records, record_of = inputs.records(task_id)

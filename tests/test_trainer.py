@@ -1159,6 +1159,80 @@ def test_messages_larger_than_a_pipe_buffer_leave_the_run_and_its_worker_in_step
     assert_no_child_left()
 
 
+def log_event(path, *event):
+    """Appends one line to ``path``: a file both the run and its worker write to."""
+    with open(path, "a") as fh:
+        fh.write(" ".join(map(str, event)) + "\n")
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3, 4])
+def test_the_worker_prepares_a_tasks_epochs_in_order_and_then_the_next_clean_table(
+        monkeypatch, tmp_path, epochs):
+    # Task k + 1's clean table is filled after task k's last epoch, which the run waits
+    # on; commanded at the task's start instead, it delays those epochs.
+    config = small_config(mode="pecl", num_tasks=3, epochs=epochs, batch_size=7)
+    events, run_pid = tmp_path / "events", os.getpid()
+    epoch_share, clean = RunWorker._epochs, RunWorker._clean
+
+    def preparing(self, k, epoch, *task):  # the worker's share of the epoch
+        log_event(events, "epoch", k, epoch)
+        return epoch_share(self, k, epoch, *task)
+
+    def filling(self, k, first, last):
+        if os.getpid() != run_pid:
+            log_event(events, "clean", k, first)
+        return clean(self, k, first, last)
+
+    monkeypatch.setattr(RunWorker, "_epochs", preparing)
+    monkeypatch.setattr(RunWorker, "_clean", filling)
+    _, _, forks = run_with_cpus(monkeypatch, 2, config, small_stream(config).tasks)
+    # Task 1's clean fill is split: 30 sequences in 5 chunks of 7, the run's 3 first.
+    expected = ["clean 0 21"]
+    for k in range(config.num_tasks):
+        expected += [f"epoch {k} {epoch}" for epoch in range(epochs)]
+        expected += [f"clean {k + 1} 0"] if k + 1 < config.num_tasks else []
+    assert forks == 1
+    assert events.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
+def test_the_worker_refills_a_slot_only_after_the_last_step_that_reads_it(monkeypatch,
+                                                                         tmp_path, mode):
+    # Epoch e's slot is epoch e - 2's.  The run's epoch-0 steps are slowed, so a worker
+    # sent epoch 2 early would refill slot 0 while epoch 0 still trains.
+    config = small_config(mode=mode, num_tasks=2, epochs=4, batch_size=7, uniform_eps=3.0)
+    events, run_pid = tmp_path / "events", os.getpid()
+    prepare, steps = RunWorker._prepare, []
+
+    def preparing(self, k, epoch, *args):
+        if os.getpid() != run_pid:
+            log_event(events, "prepare", k, epoch)
+        return prepare(self, k, epoch, *args)
+
+    def step(*args):
+        k, epoch = divmod(len(steps) // 5, config.epochs)  # ceil(30 / 7) = 5 steps an epoch
+        if epoch == 0:
+            time.sleep(0.05)
+        grads = backward(*args)
+        steps.append(None)
+        log_event(events, "step", k, epoch)  # the step has read its slot
+        return grads
+
+    monkeypatch.setattr(RunWorker, "_prepare", preparing)
+    monkeypatch.setattr("pecl.trainer.backward", step)
+    _, _, forks = run_with_cpus(monkeypatch, 2, config, small_stream(config).tasks)
+    log = [(kind, (int(k), int(epoch))) for kind, k, epoch in
+           map(str.split, events.read_text().splitlines())]
+    prepared = [(i, at) for i, (kind, at) in enumerate(log) if kind == "prepare"]
+    assert forks == 1 and [at for _, at in prepared] == [(k, epoch) for k in range(2)
+                                                        for epoch in range(1, 4)]
+    for i, (k, epoch) in prepared:
+        # Every step of an earlier epoch on the same slot, this task's or the last one's.
+        readers = [j for j, (kind, (k2, e2)) in enumerate(log) if kind == "step"
+                   and e2 % 2 == epoch % 2 and (k2, e2) < (k, epoch)]
+        assert all(j < i for j in readers), f"task {k} epoch {epoch} refilled its slot early"
+
+
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])
 def test_a_failed_fork_prepares_each_epoch_inline_and_closes_its_pipes(monkeypatch, mode):
     config = small_config(mode=mode, epochs=3, batch_size=7, uniform_eps=3.0)
@@ -1186,7 +1260,7 @@ def test_a_failed_fork_prepares_each_epoch_inline_and_closes_its_pipes(monkeypat
             m.setattr("pecl.trainer.os.fork", no_fork)
             failed, failed_rng, forks = run_with_cpus(m, 2, config, tasks)
         if failure == "fork":
-            assert forks == 1 and len(piped) == 6  # a fork tried once per run, after 3 pipes
+            assert forks == 1 and len(piped) == 4  # a fork tried once per run, after 2 pipes
         else:
             assert forks == 0 and len(calls) == len(piped) == 2
         assert_same_run(failed, inline)

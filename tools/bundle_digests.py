@@ -21,9 +21,9 @@ Run it a second time under ``taskset -c 0`` as well:
 
 On one CPU a run does all its work in its own process; on two or more a
 noised run forks one worker, which prepares epochs 1, 2, ... of each task,
-fills the next task's clean base table and runs half of the scoring, epoch-0
-fill, wrap-up and evaluation passes (``trainer.RunWorker``).  Only both runs
-check both paths against the other checkout.
+in pecl fills the next task's clean base table, and runs half of the scoring,
+epoch-0 fill, wrap-up and evaluation passes, each as ``trainer.RunWorker``
+commands it.  Only both runs check both paths against the other checkout.
 """
 
 from __future__ import annotations
