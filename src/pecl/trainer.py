@@ -26,7 +26,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -218,6 +218,11 @@ class TaskReport:
 
 @dataclass
 class RunResult:
+    """What a run's first k tasks leave, and all that task k + 1 inherits (see ``train_task``):
+    k rows of accuracies, every exposure so far, a report per task, the base model
+    (``init_lm``'s, never trained), the adapter as task k ends it and the noise generator
+    after task k's last draw."""
+
     matrix: AccuracyMatrix
     ledger: PrivacyLedger
     reports: list[TaskReport]
@@ -226,6 +231,7 @@ class RunResult:
     # pecl mode: each task's frozen task-arrival profile, keyed by task id,
     # over its train list's sequences end to end.  Other modes leave this empty.
     profiles: dict[int, SensitivityProfile] = field(default_factory=dict)
+    noise_rng: np.random.Generator | None = None
 
 
 def evaluate(model: TinyLM, adapter: LoraAdapter | None, task: TaskCorpus,
@@ -343,12 +349,12 @@ class RunWorker:
     token.
 
     A noised run that may use 2 or more CPUs forks the worker as this is made.
-    The worker, which has every task's packed sequences, shuffle and eval
-    split, does what the run commands, which this class alone decides:
-    epochs 1, 2, ... of each task, task k+1's clean table while task k trains
-    where the mode reads clean tables, and the later rows of task 1's clean
-    fill, the scoring forward, the epoch-0 base fill, the wrap-up and each
-    round of evaluations.  Every chunk keeps its rows, shape and order, so the
+    The worker, which has every task's packed sequences, shuffle and corpus
+    (``tasks``, in the run's order), does what the run commands, which this
+    class alone decides: epochs 1, 2, ... of each task, task k+1's clean table
+    while task k trains where the mode reads clean tables, and the later rows
+    of task 1's clean fill, the scoring forward, the epoch-0 base fill, the
+    wrap-up and each round of evaluations.  Every chunk keeps its rows, shape and order, so the
     bits are the same without a worker (seqft, one CPU, a failed fork or
     pipe), where the run does it all.
 
@@ -367,9 +373,9 @@ class RunWorker:
     """
 
     def __init__(self, model: TinyLM, config: RunConfig, packed: list[PackedSequences],
-                 shuffles: list[Callable[[int], np.ndarray]], evals: list[TaskCorpus]):
+                 shuffles: list[Callable[[int], np.ndarray]], tasks: list[TaskCorpus]):
         self.model, self.config, self.packed = model, config, packed
-        self.shuffles, self.evals = shuffles, evals
+        self.shuffles, self.tasks = shuffles, tasks
         self.eval_seqs: dict[int, PackedSequences] = {}  # see _evaluate
         n = max(seqs.tokens.size for seqs in packed)
         fork = config.mode != "seqft" and hasattr(os, "fork") and _cpus() >= 2
@@ -599,17 +605,18 @@ class RunWorker:
         accuracies = []
         for i in range(first, last):
             if i not in self.eval_seqs:
-                self.eval_seqs[i] = PackedSequences.of(self.model, self.evals[i].eval)
-            accuracies.append(evaluate(self.model, adapter, self.evals[i], self.eval_seqs[i]))
+                self.eval_seqs[i] = PackedSequences.of(self.model, self.tasks[i].eval)
+            accuracies.append(evaluate(self.model, adapter, self.tasks[i], self.eval_seqs[i]))
         return accuracies
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     """Train tasks sequentially per the configured mode and evaluate after each.
 
-    Deterministic: identical (config, corpora, seed) reproduce the accuracy
-    matrix, ledger, reports and final parameters bit for bit, with or without
-    the run's worker (see ``RunWorker``).
+    Checks the corpora, then folds ``train_task`` over the task order, from
+    the result of no tasks.  Deterministic: identical (config, corpora, seed)
+    reproduce the accuracy matrix, ledger, reports and final parameters bit
+    for bit, with or without the run's worker (see ``RunWorker``).
     """
     if not corpora:
         raise DataError("no tasks to train on")
@@ -639,143 +646,127 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
                 if min(seq.tokens) < 0 or max(seq.tokens) >= len(vocab):
                     raise DataError(f"task {task.task_id} {split} split has a token id outside "
                                     f"the vocabulary [0, {len(vocab)})")
-    sens_cfg = config.sensitivity.bind(vocab)
 
     model = init_lm((len(vocab), config.d_emb, config.n_ctx, config.d_hidden),
                     seed=config.seed)
-    adapter = init_adapter(model, config.rank, seed=config.seed, task_id=order[0])
-    ledger = PrivacyLedger(config.privacy.delta)
     noise_rng = spawn_rng(config.seed, "embedding-noise", config.privacy.noise_seed)
-    state = ImportanceState()
-    snapshot: AdapterSnapshot | None = None
-    unlearn_sign = -1.0 if config.unlearn_mode == "suppress" else 1.0
-    uniform_sigma = noise_sigma(
-        config.uniform_eps, config.privacy.delta, config.privacy.clip_norm,
-        config.privacy.sensitivity_variant,
-    )
-
-    n_tasks = len(order)
-    matrix_values = np.full((n_tasks, n_tasks), np.nan)
-    reports: list[TaskReport] = []
-    kept_profiles: dict[int, SensitivityProfile] = {}
-    bs = config.batch_size
+    result = RunResult(AccuracyMatrix.from_rows([]), PrivacyLedger(config.privacy.delta), [], model,
+                       init_adapter(model, config.rank, seed=config.seed, task_id=order[0]),
+                       noise_rng=noise_rng)  # the result of no tasks
 
     def shuffle(k: int, n: int) -> Callable[[int], np.ndarray]:
         return lambda epoch: spawn_rng(config.seed, "shuffle", k, epoch).permutation(n)
 
-    packed = [PackedSequences.of(model, by_id[task_id].train) for task_id in order]
+    tasks = [by_id[task_id] for task_id in order]
+    packed = [PackedSequences.of(model, task.train) for task in tasks]
     with RunWorker(model, config, packed,
                    [shuffle(k, seqs.lengths.size) for k, seqs in enumerate(packed, start=1)],
-                   [by_id[task_id] for task_id in order]) as worker:
-        work = worker.work
-        for k, task_id in enumerate(order, start=1):
-            task, seqs = by_id[task_id], packed[k - 1]
-            adapter = adapter.copy(task_id=task_id) if k > 1 else adapter
-            state.reset_activations()
-            n_seqs = len(task.train)
+                   tasks) as worker:
+        for task in tasks:
+            result = train_task(config, corpora, worker, result, task)
+    return result
 
-            # seqft steps and pecl's scoring and wrap-up forward read the clean base;
-            # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
-            worker.start(k - 1)
-            s_bar = lam_dyn = None
-            reg_weight = 0.0
-            lambda_unlearn = 0.0
-            if config.mode == "pecl":
-                pool = corpora if config.stats_scope == "all" else [by_id[t] for t in order[:k]]
-                stats = compute_corpus_stats(pool, config.tau)
-                losses = worker.split("score", k - 1, n_seqs, adapter)
-                profile = assign_budgets(
-                    score_sequences(model, adapter, stats, seqs, sens_cfg, bs,
-                                    np.concatenate(losses)),
-                    config.privacy,
-                )
-                inputs = TaskInputs(seqs, profile.score > 0.0, profile.epsilon, profile.sigma,
-                                    seqs.margins(profile.score, config.sculpt.theta))
-                kept_profiles[task_id] = profile
-                s_bar = mean_task_sensitivity(profile.score, seqs.lengths)
-                lam_dyn = dynamic_lambda(s_bar, config.sculpt)
-                if k >= 2:
-                    reg_weight = lam_dyn * state.omega_bar
-                lambda_unlearn = config.sculpt.lambda_unlearn
-            elif config.mode == "uniform_dp":
-                tokens = seqs.tokens[:-1]
-                inputs = TaskInputs(seqs, ~np.isin(tokens, list(sens_cfg.stopword_ids)),
-                                    np.full(tokens.size, config.uniform_eps),
-                                    np.full(tokens.size, uniform_sigma))
+
+def train_task(config: RunConfig, corpora: list[TaskCorpus], worker: RunWorker,
+               result: RunResult, task: TaskCorpus) -> RunResult:
+    """``result``, the run's first k tasks, extended by its next one, ``task``.
+
+    The result after k tasks is the result of a run of those k tasks alone.
+    What the task inherits is read from ``result``: the adapter, which it
+    copies and trains; the drift reference, that adapter's delta; the ledger
+    and the noise generator, which it extends in place; and the running
+    importance, from the reports.  ``worker`` holds the run's tasks in order,
+    and ``task`` is ``worker.tasks[k]``.
+    """
+    k = result.matrix.num_tasks  # tasks trained; ``task``'s index in the order
+    model, seqs, bs, task_id = result.model, worker.packed[k], config.batch_size, task.task_id
+    adapter = result.adapter.copy(task_id=task_id)
+    sens_cfg = config.sensitivity.bind(corpora[0].vocab)
+    state = ImportanceState([report.omega for report in result.reports],
+                            result.reports[-1].omega_bar if result.reports else 0.0)
+    n_seqs = len(task.train)
+
+    # seqft steps and pecl's scoring and wrap-up forward read the clean base;
+    # uniform_dp steps read noised inputs, and its wrap-up runs no forward.
+    worker.start(k)
+    s_bar = lam_dyn = snapshot = None
+    reg_weight = lambda_unlearn = 0.0
+    profiles = result.profiles
+    if config.mode == "pecl":
+        pool = corpora if config.stats_scope == "all" else worker.tasks[: k + 1]
+        stats = compute_corpus_stats(pool, config.tau)
+        losses = worker.split("score", k, n_seqs, adapter)
+        profile = assign_budgets(score_sequences(model, adapter, stats, seqs, sens_cfg, bs,
+                                                 np.concatenate(losses)), config.privacy)
+        inputs = TaskInputs(seqs, profile.score > 0.0, profile.epsilon, profile.sigma,
+                            seqs.margins(profile.score, config.sculpt.theta))
+        profiles = {**profiles, task_id: profile}
+        s_bar = mean_task_sensitivity(profile.score, seqs.lengths)
+        lam_dyn = dynamic_lambda(s_bar, config.sculpt)
+        if k:
+            snapshot = AdapterSnapshot(result.adapter.task_id, lora_delta(result.adapter))
+            reg_weight = lam_dyn * state.omega_bar
+        lambda_unlearn = config.sculpt.lambda_unlearn
+    elif config.mode == "uniform_dp":
+        tokens = seqs.tokens[:-1]
+        sigma = noise_sigma(config.uniform_eps, config.privacy.delta, config.privacy.clip_norm,
+                            config.privacy.sensitivity_variant)
+        inputs = TaskInputs(seqs, ~np.isin(tokens, list(sens_cfg.stopword_ids)),
+                            np.full(tokens.size, config.uniform_eps), np.full(tokens.size, sigma))
+    else:
+        inputs = TaskInputs(seqs)
+
+    optimizer = AdamW(weight_decay=config.weight_decay) if config.optimizer == "adamw" else None
+    steps = math.ceil(n_seqs / bs)  # per epoch
+    spec = LossSpec(lambda_unlearn=lambda_unlearn, reg_weight=reg_weight,
+                    unlearn_sign=-1.0 if config.unlearn_mode == "suppress" else 1.0,
+                    reg_reference=snapshot.delta_w if reg_weight != 0.0 else None)
+
+    layouts = worker.epochs(k, inputs, result.noise_rng)
+    # Built while the worker prepares epoch 1.
+    if inputs.exposed is not None:
+        records, record_of = inputs.records(task_id)
+    for epoch, layout in enumerate(layouts):
+        if inputs.exposed is not None:
+            result.ledger.add(records, record_of[inputs.exposures(layout)], epoch)
+        for step, batch in enumerate(layout.chunks(bs), start=epoch * steps):
+            try:
+                grads = backward(model, adapter, batch, spec, worker.work)
+            except NumericError as exc:
+                raise NumericError(f"task {task_id} epoch {epoch}: {exc}") from exc
+            if optimizer is None:
+                sgd_step(model, adapter, grads, config.lr)
             else:
-                inputs = TaskInputs(seqs)
+                optimizer.step(model, adapter, grads,
+                               cosine_lr(config.lr, step, steps * config.epochs))
 
-            optimizer = (AdamW(weight_decay=config.weight_decay) if config.optimizer == "adamw"
-                         else None)
-            steps_per_epoch = math.ceil(len(task.train) / bs)
-            total_steps = steps_per_epoch * config.epochs
-            step = 0
-            spec = LossSpec(
-                lambda_unlearn=lambda_unlearn,
-                unlearn_sign=unlearn_sign,
-                reg_weight=reg_weight,
-                reg_reference=snapshot.delta_w if reg_weight != 0.0 else None,
-            )
+    # Task wrap-up: importance from the final delta and clean activations, per
+    # batch_size chunk of the training set (the chunks the base table was
+    # filled in), folded chunk by chunk in order, the worker's after the run's.
+    # Only pecl reads the losses, so only pecl runs a forward pass, and keeps
+    # each chunk's losses in sequence and position order.
+    chunks = worker.split("wrapup", k, n_seqs, adapter if config.mode == "pecl" else None)
+    for norms, _ in chunks:
+        state.observe_activation(norms)
+    delta_final = lora_delta(adapter)
+    omega_k = task_importance(delta_final, state.activation_norm_accum)
+    final_l_reg = reg_loss(delta_final, snapshot, lam_dyn, state.omega_bar)
+    final_l_unlearn = None
+    if config.mode == "pecl":
+        scores = np.split(profile.score, np.cumsum(seqs.lengths)[:-1])
+        losses = np.split(np.concatenate([losses for _, losses in chunks]),
+                          np.cumsum(seqs.lengths - 1)[:-1])
+        final_l_unlearn = float(np.mean([unlearn_loss(s[1:], ell, config.sculpt.theta)
+                                         for s, ell in zip(scores, losses)]))
+    state = update_running_importance(state, omega_k)
+    report = TaskReport(task_id=task_id, omega=omega_k, omega_bar=state.omega_bar, s_bar=s_bar,
+                        lambda_dyn=lam_dyn, final_l_reg=final_l_reg,
+                        final_l_unlearn=final_l_unlearn)
 
-            layouts = worker.epochs(k - 1, inputs, noise_rng)
-            # Built while the worker prepares epoch 1.
-            if inputs.exposed is not None:
-                records, record_of = inputs.records(task_id)
-            for epoch, layout in enumerate(layouts):
-                if inputs.exposed is not None:
-                    ledger.add(records, record_of[inputs.exposures(layout)], epoch)
-                for batch in layout.chunks(bs):
-                    try:
-                        grads = backward(model, adapter, batch, spec, work)
-                    except NumericError as exc:
-                        raise NumericError(
-                            f"task {task_id} epoch {epoch}: {exc}"
-                        ) from exc
-                    if optimizer is None:
-                        sgd_step(model, adapter, grads, config.lr)
-                    else:
-                        optimizer.step(model, adapter, grads,
-                                       cosine_lr(config.lr, step, total_steps))
-                    step += 1
-
-            # Task wrap-up: importance from the final delta and clean activations, per
-            # batch_size chunk of the training set (the chunks the base table was
-            # filled in), folded chunk by chunk in order, the worker's after the run's.
-            # Only pecl reads the losses, so only pecl runs a forward pass, and keeps
-            # each chunk's losses in sequence and position order.
-            chunks = worker.split("wrapup", k - 1, n_seqs,
-                                  adapter if config.mode == "pecl" else None)
-            for norms, _ in chunks:
-                state.observe_activation(norms)
-            delta_final = lora_delta(adapter)
-            omega_k = task_importance(delta_final, state.activation_norm_accum)
-            final_l_reg = reg_loss(delta_final, snapshot, lam_dyn,
-                                   state.omega_bar) if k >= 2 and config.mode == "pecl" else 0.0
-            final_l_unlearn = None
-            if config.mode == "pecl":
-                lengths = seqs.lengths
-                scores = np.split(profile.score, np.cumsum(lengths)[:-1])
-                losses = np.split(np.concatenate([losses for _, losses in chunks]),
-                                  np.cumsum(lengths - 1)[:-1])
-                final_l_unlearn = float(np.mean([unlearn_loss(s[1:], ell, config.sculpt.theta)
-                                                 for s, ell in zip(scores, losses)]))
-            state = update_running_importance(state, omega_k)
-            snapshot = AdapterSnapshot(task_id=task_id, delta_w=delta_final.copy())
-            reports.append(TaskReport(task_id=task_id, omega=omega_k, omega_bar=state.omega_bar,
-                                      s_bar=s_bar, lambda_dyn=lam_dyn, final_l_reg=final_l_reg,
-                                      final_l_unlearn=final_l_unlearn))
-
-            # Tasks 1..k, on the adapter as it ends task k.
-            matrix_values[k - 1, :k] = worker.split("evaluate", k - 1, k, adapter)
-
-    return RunResult(
-        matrix=AccuracyMatrix(matrix_values),
-        ledger=ledger,
-        reports=reports,
-        model=model,
-        adapter=adapter,
-        profiles=kept_profiles,
-    )
+    # Tasks 1..k+1, on the adapter as it ends this task.
+    row = worker.split("evaluate", k, k + 1, adapter)
+    return replace(result, matrix=AccuracyMatrix.from_rows(result.matrix.rows() + [row]),
+                   reports=result.reports + [report], adapter=adapter, profiles=profiles)
 
 
 def metrics_summary(matrix: AccuracyMatrix) -> dict:

@@ -75,3 +75,19 @@ def test_cpu_seconds_counts_a_run_in_a_fresh_process():
     root = Path(__file__).resolve().parents[1]
     cpu_s = bench_pairs.cpu_seconds(root, "default-pecl", 0)
     assert 0.0 < cpu_s < 60.0
+
+
+def test_a_workdir_that_is_not_a_directory_is_refused_before_anything_is_exported(
+        tmp_path, monkeypatch, capsys):
+    def export(*args):
+        raise AssertionError("nothing is exported")
+
+    monkeypatch.setattr(bench_pairs, "export_revision", export)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", export)
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--n", "0", "--parent", "HEAD", "--note", "n",
+                          "--workload", "default-pecl=1-2", "--workdir", str(missing)])
+    assert exit_info.value.code == 2
+    assert f"--workdir {missing} is not a directory" in capsys.readouterr().err
+    assert not missing.exists()

@@ -722,9 +722,15 @@ def test_run_fills_one_clean_base_per_task_and_noised_steps_compute_their_own(mo
 def test_pecl_reports_sum_the_packed_profile_sequence_by_sequence(monkeypatch):
     config = small_config(mode="pecl", epochs=2, batch_size=7)
     tasks = small_stream(config).tasks
-    adapters = []  # each task's adapter at its wrap-up, where lora_delta is taken
-    monkeypatch.setattr("pecl.trainer.lora_delta",
-                        lambda adapter: adapters.append(adapter.copy()) or lora_delta(adapter))
+    adapters = []  # each task's adapter as the task ends, from the result it returns
+    train_task = trainer.train_task
+
+    def keep_adapter(*args):
+        result = train_task(*args)
+        adapters.append(result.adapter.copy())
+        return result
+
+    monkeypatch.setattr("pecl.trainer.train_task", keep_adapter)
     result = run_continual(config, tasks)
     model = result.model
     for task, report, adapter in zip(tasks, result.reports, adapters, strict=True):
@@ -747,6 +753,53 @@ def test_pecl_reports_sum_the_packed_profile_sequence_by_sequence(monkeypatch):
         assert report.final_l_unlearn == np.mean([
             unlearn_loss(score[1:], ell, config.sculpt.theta)
             for score, ell in zip(scores, losses, strict=True)])
+
+
+def bits(array):
+    """An array's bits: a float array as its int64 view, any other as it is."""
+    array = np.asarray(array)
+    return array.view(np.int64) if array.dtype == float else array
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("mode", ["pecl", "uniform_dp", "seqft"])
+def test_the_result_after_k_tasks_is_the_result_of_a_k_task_run(monkeypatch, mode, cpus):
+    config = small_config(mode=mode, num_tasks=3, epochs=2, batch_size=7, uniform_eps=3.0)
+    tasks = small_stream(config).tasks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = count_forks(monkeypatch)
+    train_task, folded = trainer.train_task, []
+
+    def keep_result(*args):
+        # The ledger and noise generator go on into the next task: keep them as they are now.
+        result = train_task(*args)
+        folded.append((result, result.ledger.columns(), result.noise_rng.bit_generator.state))
+        return result
+
+    monkeypatch.setattr("pecl.trainer.train_task", keep_result)
+    run_continual(config, tasks)
+    monkeypatch.setattr("pecl.trainer.train_task", train_task)
+    alone = run_continual(config, tasks[:2])
+    assert len(folded) == 3
+    assert len(forks) == (2 if cpus == 2 and mode != "seqft" else 0)
+
+    got, ledger, noise_state = folded[1]
+    assert got.matrix.rows() == alone.matrix.rows() and got.matrix.num_tasks == 2
+    assert got.reports == alone.reports
+    assert noise_state == alone.noise_rng.bit_generator.state
+    assert ledger.keys() == alone.ledger.columns().keys()
+    assert (ledger["epoch"].size > 0) == (mode != "seqft")
+    for name, column in alone.ledger.columns().items():
+        np.testing.assert_array_equal(bits(ledger[name]), bits(column), err_msg=name)
+    for factor in ("a", "b"):
+        np.testing.assert_array_equal(bits(getattr(got.adapter, factor)),
+                                      bits(getattr(alone.adapter, factor)))
+    assert got.profiles.keys() == alone.profiles.keys()
+    assert len(got.profiles) == (2 if mode == "pecl" else 0)
+    for task_id, profile in alone.profiles.items():
+        for part in dataclasses.fields(profile):
+            np.testing.assert_array_equal(bits(getattr(got.profiles[task_id], part.name)),
+                                          bits(getattr(profile, part.name)), err_msg=part.name)
 
 
 @pytest.mark.parametrize("batch_size", [5, 7])  # divides the 30 sequences, and does not

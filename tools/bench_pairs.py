@@ -193,6 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--machine", default="", help="a few words on the machine")
     parser.add_argument("--workdir", type=Path, help="where the copies go (default: a temp dir)")
     args = parser.parse_args(argv)
+    if args.workdir is not None and not args.workdir.is_dir():
+        parser.error(f"--workdir {args.workdir} is not a directory")
     plan = [(name, seed_range(seeds)) for name, _, seeds in
             (w.partition("=") for w in args.workload)]
 
