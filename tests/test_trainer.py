@@ -31,7 +31,6 @@ from pecl.tinylm import (
     frozen_base,
     init_adapter,
     init_lm,
-    lora_delta,
 )
 from pecl import trainer
 from pecl.trainer import (
