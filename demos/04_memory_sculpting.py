@@ -25,12 +25,12 @@ print("== task importance and its running mean ==")
 state = ImportanceState()
 rng = np.random.default_rng(0)
 for task in range(1, 5):
+    state = ImportanceState(state.omega_history, state.omega_bar)  # fresh activations per task
     delta = rng.normal(scale=0.2 * task, size=(6, 10))
     for _ in range(30):
         state.observe_activation(float(rng.uniform(1.0, 2.0)))
     omega = task_importance(delta, state.activation_norm_accum)
     state = update_running_importance(state, omega)
-    state.reset_activations()
     print(f"task {task}: Omega = {omega:7.3f}, running mean = {state.omega_bar:7.3f}")
 
 print("\n== dynamic regularization weight ==")

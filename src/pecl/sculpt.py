@@ -72,10 +72,6 @@ class ImportanceState:
             float(x.sum()) - x.size * self.activation_norm_accum
         ) / self.activation_count
 
-    def reset_activations(self) -> None:
-        self.activation_norm_accum = 0.0
-        self.activation_count = 0
-
 
 def task_importance(delta_w: np.ndarray, x_norm: float) -> float:
     """||delta_w||_F * x_norm."""

@@ -348,9 +348,9 @@ class RunWorker:
     ``clean[k % 2]``).  A task uses the first rows of each, one per packed
     token.
 
-    A noised run that may use 2 or more CPUs forks the worker as this is made.
-    The worker, which has every task's packed sequences, shuffle and corpus
-    (``tasks``, in the run's order), does what the run commands, which this
+    A noised run that may use 2 or more CPUs forks the worker as this is made, once every
+    task's eval split is packed (``evals``).  The worker, which inherits every task's packed
+    splits, shuffle and corpus (``tasks``, in order), does what the run commands, which this
     class alone decides: epochs 1, 2, ... of each task, task k+1's clean table
     while task k trains where the mode reads clean tables, and the later rows
     of task 1's clean fill, the scoring forward, the epoch-0 base fill, the
@@ -376,7 +376,7 @@ class RunWorker:
                  shuffles: list[Callable[[int], np.ndarray]], tasks: list[TaskCorpus]):
         self.model, self.config, self.packed = model, config, packed
         self.shuffles, self.tasks = shuffles, tasks
-        self.eval_seqs: dict[int, PackedSequences] = {}  # see _evaluate
+        self.evals = [PackedSequences.of(model, task.eval) for task in tasks]
         n = max(seqs.tokens.size for seqs in packed)
         fork = config.mode != "seqft" and hasattr(os, "fork") and _cpus() >= 2
         self.slots = [(_shared(n, model.d_emb), _shared(n, model.d_hidden))
@@ -600,14 +600,9 @@ class RunWorker:
         return results
 
     def _evaluate(self, k: int, first: int, last: int, adapter: LoraAdapter) -> list[float]:
-        """Tasks ``first``..``last - 1``'s accuracies (from 0).  Each process packs a
-        task's eval split once, the first time it evaluates the task."""
-        accuracies = []
-        for i in range(first, last):
-            if i not in self.eval_seqs:
-                self.eval_seqs[i] = PackedSequences.of(self.model, self.tasks[i].eval)
-            accuracies.append(evaluate(self.model, adapter, self.tasks[i], self.eval_seqs[i]))
-        return accuracies
+        """Tasks ``first``..``last - 1``'s accuracies (from 0)."""
+        return [evaluate(self.model, adapter, self.tasks[i], self.evals[i])
+                for i in range(first, last)]
 
 
 def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
@@ -623,6 +618,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     vocab = corpora[0].vocab
     if vocab is None:
         raise DataError("corpora carry no vocabulary")
+    surfaces = list(map(vocab.surface_of, range(len(vocab))))
     by_id = {task.task_id: task for task in corpora}
     order = config.task_order if config.task_order is not None else sorted(by_id)
     missing = [tid for tid in order if tid not in by_id]
@@ -634,6 +630,10 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
             f"(order {shown(sorted(order))} vs corpus {shown(sorted(by_id))})"
         )
     for task in corpora:
+        if [other.task_id for other in corpora].count(task.task_id) > 1:
+            raise DataError(f"task {task.task_id} appears more than once in the corpora")
+        if surfaces != (task.vocab and list(map(task.vocab.surface_of, range(len(task.vocab))))):
+            raise DataError(f"task {task.task_id}'s vocabulary is not task {corpora[0].task_id}'s")
         if not task.train:
             raise DataError(f"task {task.task_id} has no training sequences")
         if not task.eval:
@@ -662,26 +662,26 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     with RunWorker(model, config, packed,
                    [shuffle(k, seqs.lengths.size) for k, seqs in enumerate(packed, start=1)],
                    tasks) as worker:
-        for task in tasks:
-            result = train_task(config, corpora, worker, result, task)
+        for _ in tasks:
+            result = train_task(worker, result)
     return result
 
 
-def train_task(config: RunConfig, corpora: list[TaskCorpus], worker: RunWorker,
-               result: RunResult, task: TaskCorpus) -> RunResult:
-    """``result``, the run's first k tasks, extended by its next one, ``task``.
+def train_task(worker: RunWorker, result: RunResult) -> RunResult:
+    """``result``, the run's first k tasks, extended by its next one, ``worker.tasks[k]``.
 
     The result after k tasks is the result of a run of those k tasks alone.
     What the task inherits is read from ``result``: the adapter, which it
     copies and trains; the drift reference, that adapter's delta; the ledger
     and the noise generator, which it extends in place; and the running
-    importance, from the reports.  ``worker`` holds the run's tasks in order,
-    and ``task`` is ``worker.tasks[k]``.
+    importance, from the reports.  The rest is read from ``worker``: the
+    run's config, and its tasks in order, their vocabulary and packed splits.
     """
-    k = result.matrix.num_tasks  # tasks trained; ``task``'s index in the order
-    model, seqs, bs, task_id = result.model, worker.packed[k], config.batch_size, task.task_id
+    k = result.matrix.num_tasks  # tasks trained; the task's index in the order
+    config, task, seqs = worker.config, worker.tasks[k], worker.packed[k]
+    model, bs, task_id = result.model, config.batch_size, task.task_id
     adapter = result.adapter.copy(task_id=task_id)
-    sens_cfg = config.sensitivity.bind(corpora[0].vocab)
+    sens_cfg = config.sensitivity.bind(task.vocab)
     state = ImportanceState([report.omega for report in result.reports],
                             result.reports[-1].omega_bar if result.reports else 0.0)
     n_seqs = len(task.train)
@@ -693,7 +693,7 @@ def train_task(config: RunConfig, corpora: list[TaskCorpus], worker: RunWorker,
     reg_weight = lambda_unlearn = 0.0
     profiles = result.profiles
     if config.mode == "pecl":
-        pool = corpora if config.stats_scope == "all" else worker.tasks[: k + 1]
+        pool = worker.tasks if config.stats_scope == "all" else worker.tasks[: k + 1]
         stats = compute_corpus_stats(pool, config.tau)
         losses = worker.split("score", k, n_seqs, adapter)
         profile = assign_budgets(score_sequences(model, adapter, stats, seqs, sens_cfg, bs,

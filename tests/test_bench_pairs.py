@@ -83,7 +83,6 @@ def test_a_workdir_that_is_not_a_directory_is_refused_before_anything_is_exporte
         raise AssertionError("nothing is exported")
 
     monkeypatch.setattr(bench_pairs, "export_revision", export)
-    monkeypatch.setattr(bench_pairs, "copy_worktree", export)
     missing = tmp_path / "missing"
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(["--n", "0", "--parent", "HEAD", "--note", "n",

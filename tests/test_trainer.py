@@ -246,6 +246,46 @@ def test_run_rejects_bad_task_order():
         run_continual(config2, stream.tasks)
 
 
+def refuse_before_building(monkeypatch):
+    """Makes building a run's model fail the test: a refused run builds nothing."""
+    def built(*args, **kwargs):
+        raise AssertionError("the run built its model")
+
+    monkeypatch.setattr("pecl.trainer.init_lm", built)
+
+
+def test_run_refuses_tasks_with_another_vocabulary(monkeypatch):
+    a = synthetic_stream(num_tasks=2, train_per_task=20, eval_per_task=5, seed=2)
+    b = synthetic_stream(num_tasks=2, train_per_task=20, eval_per_task=5, seed=1)
+    assert len(b.vocab) <= len(a.vocab)  # so every token id of task 2 is in range
+    assert [a.vocab.surface_of(i) for i in range(len(b.vocab))] != [
+        b.vocab.surface_of(i) for i in range(len(b.vocab))]
+    config = small_config(mode="seqft")
+    refuse_before_building(monkeypatch)
+    with pytest.raises(DataError, match="task 2's vocabulary is not task 1's"):
+        run_continual(config, [a.tasks[0], b.tasks[1]])
+    with pytest.raises(DataError, match="task 2's vocabulary is not task 1's"):
+        run_continual(config, [a.tasks[0], dataclasses.replace(a.tasks[1], vocab=None)])
+
+
+def test_run_accepts_an_equal_vocabulary_that_is_another_object():
+    config = small_config(mode="seqft", train_per_task=20, eval_per_task=5)
+    tasks = small_stream(config).tasks
+    vocab = tasks[0].vocab
+    copy = Vocabulary([vocab.surface_of(i) for i in range(2, len(vocab))])
+    result = run_continual(config, [tasks[0], dataclasses.replace(tasks[1], vocab=copy)])
+    assert result.matrix.rows() == run_continual(config, tasks).matrix.rows()
+
+
+def test_run_refuses_a_repeated_task_id(monkeypatch):
+    config = small_config(mode="seqft", num_tasks=1)
+    (t1,) = small_stream(config).tasks
+    refuse_before_building(monkeypatch)
+    for repeat in (TaskCorpus(1, t1.train[:10], t1.eval, t1.label_set, t1.vocab), t1):
+        with pytest.raises(DataError, match="task 1 appears more than once in the corpora"):
+            run_continual(config, [t1, repeat])
+
+
 def test_run_respects_task_order():
     config = small_config(mode="seqft", task_order=[2, 1])
     result = run_continual(config, small_stream(config).tasks)
@@ -532,6 +572,47 @@ def test_a_run_packs_each_eval_split_once(monkeypatch, mode):
     worker, _, forks = run_with_cpus(monkeypatch, 2, config, tasks)
     assert forks == (mode != "seqft")
     np.testing.assert_array_equal(worker.matrix.values, result.matrix.values)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_run_packs_each_split_once_before_the_fork(monkeypatch, cpus):
+    # The worker inherits every packed split: a pack there fails the run.
+    config = small_config(mode="pecl", num_tasks=3, task_order=[2, 3, 1])
+    tasks = small_stream(config).tasks
+    run, packed, of = os.getpid(), [], PackedSequences.of
+
+    def packing(cls, model, sequences):
+        if os.getpid() != run:
+            raise AssertionError("the worker packed a split")
+        packed.append(sequences)
+        return of(model, sequences)
+
+    monkeypatch.setattr(PackedSequences, "of", classmethod(packing))
+    _, _, forks = run_with_cpus(monkeypatch, cpus, config, tasks)
+    assert forks == (cpus == 2)
+    splits = [split for task in tasks for split in (task.train, task.eval)]
+    assert sorted(map(id, packed)) == sorted(map(id, splits))
+
+
+def test_the_all_statistics_pool_does_not_depend_on_the_task_order(monkeypatch):
+    config = small_config(mode="pecl", num_tasks=3, stats_scope="all", task_order=[3, 1, 2])
+    tasks = small_stream(config).tasks
+    result = run_continual(config, tasks)
+    pools = []
+
+    def in_input_order(pool, tau):
+        pools.append([task.task_id for task in pool])
+        return compute_corpus_stats(tasks, tau)
+
+    monkeypatch.setattr("pecl.trainer.compute_corpus_stats", in_input_order)
+    expected = run_continual(config, tasks)
+    assert pools == [[3, 1, 2]] * 3  # the run's tasks, in its order
+    assert result.profiles.keys() == expected.profiles.keys() == {1, 2, 3}
+    for task_id, profile in expected.profiles.items():
+        for part in dataclasses.fields(profile):
+            np.testing.assert_array_equal(bits(getattr(result.profiles[task_id], part.name)),
+                                          bits(getattr(profile, part.name)), err_msg=part.name)
+    assert result.matrix.rows() == expected.matrix.rows()
 
 
 @pytest.mark.parametrize("mode", ["pecl", "uniform_dp"])

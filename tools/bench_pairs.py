@@ -5,10 +5,10 @@ Run from the repository root:
     python3 tools/bench_pairs.py --n 6 --parent HEAD~1 --note "what the change does" \
         --workload recipe-seqft=61-70 --workload recipe-pecl=61-65 --seconds 20
 
-Each side runs from a fresh copy of its files: the parent revision exported
-with ``git archive``, and the change exported the same way when ``--change``
-names a revision, or else copied from the working tree (tracked files plus
-untracked ones that are not ignored).  Every seed of a workload is one pair of
+Each side runs from a fresh copy of its files, exported with ``git archive``:
+the parent revision, and the change revision (``--change``, by default
+``HEAD``), so both sides are built one way and uncommitted edits are not
+measured.  Every seed of a workload is one pair of
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 invocations, and the side that runs first alternates from pair to pair.  A run
 value is the median that invocation prints for an end-to-end metric of the
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import subprocess
 import sys
 import tarfile
@@ -83,17 +82,6 @@ def export_revision(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=BytesIO(git("archive", "--format=tar", commit))) as tar:
         tar.extractall(dest, filter="data")
     return commit
-
-
-def copy_worktree(dest: Path) -> str:
-    """Copy the working tree's tracked and unignored files to ``dest``."""
-    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
-    for name in filter(None, names):
-        src = ROOT / name.decode()
-        if src.is_file():  # a tracked file deleted in the working tree is skipped
-            (dest / name.decode()).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, dest / name.decode())
-    return "working tree on " + git("rev-parse", "HEAD").decode().strip()
 
 
 def invoke(copy: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -185,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="writes BENCH_<n>.json")
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--change", help="change revision (default: the working tree)")
+    parser.add_argument("--change", default="HEAD", help="change revision (default: HEAD)")
     parser.add_argument("--note", required=True, help="one sentence on what the change does")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME=FIRST-LAST",
                         help="a workload and its seeds, one pair per seed; repeatable")
@@ -203,8 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in sides.values():
             path.mkdir()
         parent_commit = export_revision(args.parent, sides["parent"])
-        change_commit = (export_revision(args.change, sides["change"]) if args.change
-                         else copy_worktree(sides["change"]))
+        change_commit = export_revision(args.change, sides["change"])
         spec = json.loads((sides["change"] / "BENCHMARK.json").read_text("utf-8"))
         metrics = []
         for m in spec["end_to_end"]:
