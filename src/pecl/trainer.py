@@ -632,7 +632,7 @@ def run_continual(config: RunConfig, corpora: list[TaskCorpus]) -> RunResult:
     for task in corpora:
         if [other.task_id for other in corpora].count(task.task_id) > 1:
             raise DataError(f"task {task.task_id} appears more than once in the corpora")
-        if surfaces != (task.vocab and list(map(task.vocab.surface_of, range(len(task.vocab))))):
+        if task.vocab is None or list(map(task.vocab.surface_of, range(len(task.vocab)))) != surfaces:
             raise DataError(f"task {task.task_id}'s vocabulary is not task {corpora[0].task_id}'s")
         if not task.train:
             raise DataError(f"task {task.task_id} has no training sequences")
